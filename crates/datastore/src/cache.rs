@@ -171,10 +171,13 @@ impl DatasetCache {
         for state in &self.shards {
             let mut shard = state.shard.lock();
             let freed: usize = shard.entries.values().map(|e| e.bytes).sum();
-            shard.entries.clear();
+            let entries = std::mem::take(&mut shard.entries);
             shard.recent.clear();
             shard.bytes = 0;
             self.resident.fetch_sub(freed as u64, Ordering::Relaxed);
+            // As in `get_or_load`: the datasets are freed after the lock.
+            drop(shard);
+            drop(entries);
         }
     }
 
@@ -219,33 +222,39 @@ impl DatasetCache {
         let loaded = catalog.load(step, None, true).map(Arc::new);
         let mut shard = state.shard.lock();
         shard.loading.remove(&step);
-        let result = match loaded {
+        let evicted = match &loaded {
             Ok(dataset) => {
-                self.admit(&mut shard, step, &dataset);
+                let evicted = self.admit(&mut shard, step, dataset);
                 shard.recent.retain(|_, w| w.strong_count() > 0);
-                shard.recent.insert(step, Arc::downgrade(&dataset));
-                Ok(dataset)
+                shard.recent.insert(step, Arc::downgrade(dataset));
+                evicted
             }
-            Err(e) => Err(e),
+            Err(_) => Vec::new(),
         };
         drop(shard);
         state.loaded.notify_all();
-        result
+        // Freeing a dataset is thousands of deallocations: the last reference
+        // to an evicted one must not go while the shard is locked.
+        drop(evicted);
+        loaded
     }
 
     /// Insert a freshly loaded dataset, evicting LRU entries *first* so the
     /// shard (and hence the whole cache) never holds more than its budget
     /// slice — the resident counter and its peak watermark cannot overshoot
     /// even transiently. A dataset larger than the slice itself is served
-    /// but not retained (counted as an eviction).
-    fn admit(&self, shard: &mut Shard, step: usize, dataset: &Arc<Dataset>) {
+    /// but not retained (counted as an eviction). Returns the evicted
+    /// datasets for the caller to drop once the shard lock is released.
+    #[must_use = "evicted datasets are dropped outside the shard lock"]
+    fn admit(&self, shard: &mut Shard, step: usize, dataset: &Arc<Dataset>) -> Vec<Arc<Dataset>> {
         let bytes = dataset.resident_size_bytes();
+        let mut evicted = Vec::new();
         while shard.bytes + bytes > self.budget_per_shard && !shard.entries.is_empty() {
-            self.evict_lru(shard);
+            evicted.push(self.evict_lru(shard));
         }
         if shard.bytes + bytes > self.budget_per_shard {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            return;
+            return evicted;
         }
         shard.entries.insert(
             step,
@@ -258,6 +267,7 @@ impl DatasetCache {
         shard.bytes += bytes;
         let resident = self.resident.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
         self.peak.fetch_max(resident, Ordering::Relaxed);
+        evicted
     }
 
     /// Compressed bitmap-index bytes per encoding — `(equality, range)` —
@@ -339,8 +349,9 @@ impl DatasetCache {
         &self.shards[step % self.shards.len()]
     }
 
-    /// Evict the least-recently-used entry of a non-empty shard.
-    fn evict_lru(&self, shard: &mut Shard) {
+    /// Evict the least-recently-used entry of a non-empty shard and hand its
+    /// dataset back, still alive.
+    fn evict_lru(&self, shard: &mut Shard) -> Arc<Dataset> {
         let oldest = shard
             .entries
             .iter()
@@ -352,6 +363,7 @@ impl DatasetCache {
         self.resident
             .fetch_sub(evicted.bytes as u64, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
+        evicted.dataset
     }
 }
 

@@ -271,7 +271,10 @@ impl Catalog {
             Ok(None) => {}
             // A segment exists but failed validation: fall back to the raw
             // source of truth; the save below atomically replaces it.
-            Err(_) => store.note_miss(),
+            Err(e) => {
+                obs::note("segment_error", || e.kind().to_string());
+                store.note_miss();
+            }
         }
         obs::note("source", || "raw".to_string());
         let mut dataset = self.load_raw(entry, None, true)?;

@@ -39,16 +39,23 @@
 //! [`Store::open`]. Reads validate before constructing: hostile bytes
 //! produce a typed [`StoreError`], never a panic or an unbounded
 //! allocation.
+//!
+//! A load is one pass per section: after the header and the section table,
+//! each payload is read into a single reused buffer, checksummed, validated
+//! and turned into its part of the dataset before the next is read, so a
+//! load's transient memory is its largest section rather than the file.
+//! [`decode_segment`] runs the same routine over bytes already in memory.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fastbit::persist::{
-    self, encode_id_index, encode_index, encode_zone_maps, put_str, put_u32, put_u64, PersistError,
-    Reader,
+    self, encode_id_index, encode_index, encode_zone_maps, put_f64s, put_str, put_u32, put_u64,
+    put_u64s, PersistError, Reader,
 };
 use histogram::Binning;
 
@@ -86,8 +93,12 @@ const DTYPE_ID: u8 = 1;
 // CRC-32
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for the reflected IEEE polynomial:
+/// `CRC32_TABLES[0]` is the classic bytewise table, and `CRC32_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so sixteen input bytes
+/// fold into the running value with sixteen independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -100,19 +111,39 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`, sixteen bytes per step
+/// (slicing-by-16); the values are those of the bytewise definition.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let block = u128::from_le_bytes(block.try_into().expect("16-byte block")) ^ crc as u128;
+        crc = 0;
+        for (k, table) in t.iter().rev().enumerate() {
+            crc ^= table[(block >> (8 * k)) as u8 as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -175,6 +206,23 @@ pub enum StoreError {
     /// A payload decoded structurally but contradicts the segment's own
     /// metadata (row-count mismatches, tally mismatches, duplicate names).
     Corrupt(String),
+}
+
+impl StoreError {
+    /// A short stable name for the failure class, for trace notes and logs.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            StoreError::Io(_) => "io",
+            StoreError::BadMagic(_) => "bad_magic",
+            StoreError::UnsupportedVersion(_) => "unsupported_version",
+            StoreError::Truncated { .. } => "truncated",
+            StoreError::SectionBounds { .. } => "section_bounds",
+            StoreError::ChecksumMismatch { .. } => "checksum_mismatch",
+            StoreError::BadSectionKind(_) => "bad_section_kind",
+            StoreError::SectionCount { .. } => "section_count",
+            StoreError::Corrupt(_) => "corrupt",
+        }
+    }
 }
 
 impl fmt::Display for StoreError {
@@ -270,47 +318,68 @@ pub const STORE_ZONE_CHUNK_ROWS: usize = 4096;
 /// segment carries, never how any section is laid out.
 pub const STORE_RANGE_ENCODING_MAX_RATIO: f64 = 2.0;
 
-fn meta_payload(
-    dataset: &Dataset,
-    tallies: (u32, u32, u32, bool),
-    range_tally: Option<u32>,
-) -> Vec<u8> {
-    let (columns, indexes, zone_maps, has_id_index) = tallies;
-    let mut out = Vec::with_capacity(36);
-    put_u64(&mut out, dataset.step() as u64);
-    put_u64(&mut out, dataset.num_particles() as u64);
-    put_u32(&mut out, columns);
-    put_u32(&mut out, indexes);
-    put_u32(&mut out, zone_maps);
-    out.push(has_id_index as u8);
-    // Format v2 appends the range-index section tally; v1 metas stop here so
-    // v1 bytes stay pinned.
-    if let Some(range) = range_tally {
-        put_u32(&mut out, range);
-    }
-    out
+/// Builds a segment in one buffer: the header and a zeroed section table go
+/// first, each section's payload is then encoded straight onto the end and
+/// its table entry (offset, length, CRC) filled in behind it.
+struct SegmentWriter {
+    out: Vec<u8>,
+    /// Where the next table entry goes.
+    entry_at: usize,
+    /// Where the table ends and the payloads begin.
+    payload_start: usize,
 }
 
-fn column_payload(column: &Column) -> Vec<u8> {
-    let mut out = Vec::with_capacity(column.name.len() + 16 + column.data.byte_len());
-    put_str(&mut out, &column.name);
+impl SegmentWriter {
+    fn new(version: u32, section_count: usize, capacity: usize) -> Self {
+        let payload_start = HEADER_LEN + section_count * TABLE_ENTRY_LEN;
+        let mut out = Vec::with_capacity(payload_start + capacity);
+        out.extend_from_slice(SEGMENT_MAGIC);
+        put_u32(&mut out, version);
+        put_u32(&mut out, section_count as u32);
+        out.resize(payload_start, 0);
+        Self {
+            out,
+            entry_at: HEADER_LEN,
+            payload_start,
+        }
+    }
+
+    fn section(&mut self, kind: u32, encode: impl FnOnce(&mut Vec<u8>)) {
+        let offset = self.out.len();
+        encode(&mut self.out);
+        let len = self.out.len() - offset;
+        let crc = crc32(&self.out[offset..]);
+        let entry = &mut self.out[self.entry_at..self.entry_at + TABLE_ENTRY_LEN];
+        entry[0..4].copy_from_slice(&kind.to_le_bytes());
+        entry[4..12].copy_from_slice(&(offset as u64).to_le_bytes());
+        entry[12..20].copy_from_slice(&(len as u64).to_le_bytes());
+        entry[20..24].copy_from_slice(&crc.to_le_bytes());
+        self.entry_at += TABLE_ENTRY_LEN;
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        // A miscounted table would leave zeroed entries in a checksummed file.
+        assert_eq!(self.entry_at, self.payload_start, "section count mismatch");
+        let table_crc = crc32(&self.out[HEADER_LEN..self.payload_start]);
+        self.out[12..16].copy_from_slice(&table_crc.to_le_bytes());
+        self.out
+    }
+}
+
+fn encode_column(column: &Column, out: &mut Vec<u8>) {
+    put_str(out, &column.name);
     match &column.data {
         ColumnData::Float(values) => {
             out.push(DTYPE_FLOAT);
-            put_u64(&mut out, values.len() as u64);
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            put_u64(out, values.len() as u64);
+            put_f64s(out, values);
         }
         ColumnData::Id(values) => {
             out.push(DTYPE_ID);
-            put_u64(&mut out, values.len() as u64);
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            put_u64(out, values.len() as u64);
+            put_u64s(out, values);
         }
     }
-    out
 }
 
 /// Serialize a dataset into segment bytes. Sections are emitted in a fixed,
@@ -326,97 +395,183 @@ pub fn encode_segment(dataset: &Dataset) -> Vec<u8> {
 
     let table = dataset.table();
     let index_entries = dataset.index_entries();
-    let float_columns: Vec<&Column> = table
-        .columns()
-        .iter()
-        .filter(|c| c.data.as_float().is_some())
-        .collect();
     let range_entries: Vec<(&str, &[fastbit::Wah])> = index_entries
         .iter()
         .filter_map(|(name, idx)| idx.range_bitmaps().map(|c| (*name, c)))
         .collect();
+    // Built through the dataset's cache, so a save after queries reuses the
+    // maps those queries already built (and vice versa on load).
+    let zone_maps: Vec<(&str, Arc<fastbit::ZoneMaps>)> = table
+        .columns()
+        .iter()
+        .filter(|c| c.data.as_float().is_some())
+        .filter_map(|c| {
+            let maps = dataset.zone_maps(&c.name, STORE_ZONE_CHUNK_ROWS)?;
+            Some((c.name.as_str(), maps))
+        })
+        .collect();
+    // Format v2 appends the range-index section tally to the meta payload;
+    // v1 metas stop before it so v1 bytes stay pinned.
     let version = if range_entries.is_empty() {
         SEGMENT_VERSION
     } else {
         SEGMENT_VERSION_RANGE
     };
+    let id_index = dataset.id_index();
+    let section_count = 1
+        + table.num_columns()
+        + index_entries.len()
+        + range_entries.len()
+        + usize::from(id_index.is_some())
+        + zone_maps.len();
 
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-    sections.push((
-        KIND_META,
-        meta_payload(
-            dataset,
-            (
-                table.num_columns() as u32,
-                index_entries.len() as u32,
-                float_columns.len() as u32,
-                dataset.id_index().is_some(),
-            ),
-            (version == SEGMENT_VERSION_RANGE).then_some(range_entries.len() as u32),
-        ),
-    ));
+    // The resident size is within a few percent of the encoded size (same
+    // columns, same compressed words): a capacity hint that all but rules
+    // out regrowing a multi-megabyte buffer.
+    let mut w = SegmentWriter::new(version, section_count, dataset.resident_size_bytes());
+    w.section(KIND_META, |out| {
+        put_u64(out, dataset.step() as u64);
+        put_u64(out, dataset.num_particles() as u64);
+        put_u32(out, table.num_columns() as u32);
+        put_u32(out, index_entries.len() as u32);
+        put_u32(out, zone_maps.len() as u32);
+        out.push(id_index.is_some() as u8);
+        if version == SEGMENT_VERSION_RANGE {
+            put_u32(out, range_entries.len() as u32);
+        }
+    });
     for column in table.columns() {
-        sections.push((KIND_COLUMN, column_payload(column)));
+        w.section(KIND_COLUMN, |out| encode_column(column, out));
     }
     for (name, idx) in &index_entries {
-        let mut payload = Vec::new();
-        put_str(&mut payload, name);
-        encode_index(idx, &mut payload);
-        sections.push((KIND_INDEX, payload));
+        w.section(KIND_INDEX, |out| {
+            put_str(out, name);
+            encode_index(idx, out);
+        });
     }
     for (name, cumulative) in &range_entries {
-        let mut payload = Vec::new();
-        put_str(&mut payload, name);
-        encode_range_bitmaps(cumulative, &mut payload);
-        sections.push((KIND_RANGE_INDEX, payload));
+        w.section(KIND_RANGE_INDEX, |out| {
+            put_str(out, name);
+            encode_range_bitmaps(cumulative, out);
+        });
     }
-    if let Some(id_index) = dataset.id_index() {
-        let mut payload = Vec::new();
-        encode_id_index(id_index, &mut payload);
-        sections.push((KIND_ID_INDEX, payload));
+    if let Some(id_index) = id_index {
+        w.section(KIND_ID_INDEX, |out| encode_id_index(id_index, out));
     }
-    for column in &float_columns {
-        // Built through the dataset's cache, so a save after queries reuses
-        // the maps those queries already built (and vice versa on load).
-        if let Some(maps) = dataset.zone_maps(&column.name, STORE_ZONE_CHUNK_ROWS) {
-            let mut payload = Vec::new();
-            put_str(&mut payload, &column.name);
-            encode_zone_maps(&maps, &mut payload);
-            sections.push((KIND_ZONE_MAPS, payload));
-        }
+    for (name, maps) in &zone_maps {
+        w.section(KIND_ZONE_MAPS, |out| {
+            put_str(out, name);
+            encode_zone_maps(maps, out);
+        });
     }
-
-    let table_len = sections.len() * TABLE_ENTRY_LEN;
-    let mut section_table = Vec::with_capacity(table_len);
-    let mut offset = (HEADER_LEN + table_len) as u64;
-    for (kind, payload) in &sections {
-        put_u32(&mut section_table, *kind);
-        put_u64(&mut section_table, offset);
-        put_u64(&mut section_table, payload.len() as u64);
-        put_u32(&mut section_table, crc32(payload));
-        offset += payload.len() as u64;
-    }
-
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(SEGMENT_MAGIC);
-    put_u32(&mut out, version);
-    put_u32(&mut out, sections.len() as u32);
-    put_u32(&mut out, crc32(&section_table));
-    out.extend_from_slice(&section_table);
-    for (_, payload) in &sections {
-        out.extend_from_slice(payload);
-    }
-    out
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
 // Segment decoding
 // ---------------------------------------------------------------------------
 
+/// Where a segment's bytes come from. Decoding asks for one region at a time
+/// — header, section table, then each payload — so a source backed by a file
+/// never holds more than the largest of them.
+trait SegmentSource {
+    /// Total length of the segment in bytes.
+    fn len(&self) -> u64;
+
+    /// The bytes of `[offset, offset + len)`, which the caller has checked
+    /// to lie within [`SegmentSource::len`]; valid until the next call.
+    fn region(&mut self, offset: u64, len: usize) -> StoreResult<&[u8]>;
+}
+
+impl SegmentSource for &[u8] {
+    fn len(&self) -> u64 {
+        <[u8]>::len(self) as u64
+    }
+
+    fn region(&mut self, offset: u64, len: usize) -> StoreResult<&[u8]> {
+        let start = offset as usize;
+        Ok(&self[start..start + len])
+    }
+}
+
+/// A segment file read region by region into one reused buffer.
+struct SegmentFile {
+    file: std::fs::File,
+    len: u64,
+    /// File position after the last read; segments are laid out in table
+    /// order, so a well-formed one is read front to back without a seek.
+    pos: u64,
+    buf: Vec<u8>,
+}
+
+impl SegmentSource for SegmentFile {
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    fn region(&mut self, offset: u64, len: usize) -> StoreResult<&[u8]> {
+        if offset != self.pos {
+            self.file.seek(SeekFrom::Start(offset))?;
+        }
+        // Grown to the largest region so far, never shrunk: no re-zeroing.
+        if self.buf.len() < len {
+            self.buf.resize(len, 0);
+        }
+        self.file.read_exact(&mut self.buf[..len])?;
+        self.pos = offset + len as u64;
+        Ok(&self.buf[..len])
+    }
+}
+
+/// The stages a load alternates between, section after section.
+#[derive(Clone, Copy)]
+enum Stage {
+    Read,
+    Verify,
+    Decode,
+}
+
+/// Time per [`Stage`] summed over one load's sections, reported on drop as
+/// three closed children of the open trace span. Takes no timestamps when
+/// the request is not traced.
+struct StageTimes {
+    last: Option<Instant>,
+    spent: [Duration; 3],
+}
+
+impl StageTimes {
+    fn start() -> Self {
+        Self {
+            last: obs::is_active().then(Instant::now),
+            spent: [Duration::ZERO; 3],
+        }
+    }
+
+    /// Charge the time since the previous lap to `stage`.
+    fn lap(&mut self, stage: Stage) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.spent[stage as usize] += now - *last;
+            *last = now;
+        }
+    }
+}
+
+impl Drop for StageTimes {
+    /// Report the stages, however the load ended.
+    fn drop(&mut self) {
+        if self.last.is_some() {
+            for (name, spent) in ["read", "verify", "decode"].into_iter().zip(self.spent) {
+                obs::record(name, spent);
+            }
+        }
+    }
+}
+
 struct SectionEntry {
     kind: u32,
     offset: u64,
-    len: u64,
+    len: usize,
     crc: u32,
 }
 
@@ -432,6 +587,34 @@ fn kind_name(kind: u32) -> &'static str {
     }
 }
 
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Read one section's payload and verify its checksum.
+fn fetch<'s>(
+    src: &'s mut impl SegmentSource,
+    entry: &SectionEntry,
+    stages: &mut StageTimes,
+) -> StoreResult<&'s [u8]> {
+    let payload = src.region(entry.offset, entry.len)?;
+    stages.lap(Stage::Read);
+    let found = crc32(payload);
+    stages.lap(Stage::Verify);
+    if found != entry.crc {
+        return Err(StoreError::ChecksumMismatch {
+            region: kind_name(entry.kind),
+            expected: entry.crc,
+            found,
+        });
+    }
+    Ok(payload)
+}
+
 fn decode_column(payload: &[u8], expected_rows: u64) -> StoreResult<Column> {
     let mut r = Reader::new(payload);
     let name = r.str("column name")?;
@@ -442,19 +625,9 @@ fn decode_column(payload: &[u8], expected_rows: u64) -> StoreResult<Column> {
             "column '{name}' declares {rows} row(s), segment meta says {expected_rows}"
         )));
     }
-    let rows = r.check_count(rows, 8, "column values")?;
-    let raw = r.take(rows * 8, "column values")?;
     let data = match dtype {
-        DTYPE_FLOAT => ColumnData::Float(
-            raw.chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-                .collect(),
-        ),
-        DTYPE_ID => ColumnData::Id(
-            raw.chunks_exact(8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-                .collect(),
-        ),
+        DTYPE_FLOAT => ColumnData::Float(r.f64s(rows, "column values")?),
+        DTYPE_ID => ColumnData::Id(r.u64s(rows, "column values")?),
         other => {
             return Err(StoreError::Corrupt(format!(
                 "column '{name}' has unknown dtype tag {other}"
@@ -468,41 +641,48 @@ fn decode_column(payload: &[u8], expected_rows: u64) -> StoreResult<Column> {
 /// Parse and validate segment bytes into a [`Dataset`]. Every check —
 /// magic, version, section-table CRC, per-section bounds and CRCs, payload
 /// structure, cross-section consistency — happens before construction.
-pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
-    if bytes.len() < HEADER_LEN {
+pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
+    decode_from(&mut bytes)
+}
+
+/// The one segment decoder, fed region by region: header and section table
+/// first, then one pass per section (read, CRC, validate, construct) with
+/// the meta section — which anchors every cross-check — ahead of the rest.
+fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
+    let stages = &mut StageTimes::start();
+    let file_len = src.len();
+    if file_len < HEADER_LEN as u64 {
         return Err(StoreError::Truncated {
             what: "segment header",
             needed: HEADER_LEN as u64,
-            available: bytes.len() as u64,
+            available: file_len,
         });
     }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
+    let header = src.region(0, HEADER_LEN)?;
+    let magic: [u8; 4] = header[0..4].try_into().expect("4 bytes");
     if &magic != SEGMENT_MAGIC {
         return Err(StoreError::BadMagic(magic));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let version = le_u32(&header[4..8]);
     if version != SEGMENT_VERSION && version != SEGMENT_VERSION_RANGE {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let has_range_sections = version == SEGMENT_VERSION_RANGE;
-    let section_count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let table_crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    let table_len = section_count
-        .checked_mul(TABLE_ENTRY_LEN)
-        .ok_or(StoreError::Truncated {
-            what: "section table",
-            needed: u64::MAX,
-            available: (bytes.len() - HEADER_LEN) as u64,
-        })?;
-    if bytes.len() - HEADER_LEN < table_len {
+    let section_count = le_u32(&header[8..12]);
+    let table_crc = le_u32(&header[12..16]);
+    // Checked against the file before the table is read or entries reserved.
+    let table_len = section_count as u64 * TABLE_ENTRY_LEN as u64;
+    if file_len - (HEADER_LEN as u64) < table_len {
         return Err(StoreError::Truncated {
             what: "section table",
-            needed: table_len as u64,
-            available: (bytes.len() - HEADER_LEN) as u64,
+            needed: table_len,
+            available: file_len - HEADER_LEN as u64,
         });
     }
-    let table_bytes = &bytes[HEADER_LEN..HEADER_LEN + table_len];
+    let table_bytes = src.region(HEADER_LEN as u64, table_len as usize)?;
+    stages.lap(Stage::Read);
     let found = crc32(table_bytes);
+    stages.lap(Stage::Verify);
     if found != table_crc {
         return Err(StoreError::ChecksumMismatch {
             region: "section table",
@@ -511,59 +691,52 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
         });
     }
 
-    let payload_start = (HEADER_LEN + table_len) as u64;
-    let file_len = bytes.len() as u64;
-    let mut entries = Vec::with_capacity(section_count);
+    let payload_start = HEADER_LEN as u64 + table_len;
+    let mut entries = Vec::with_capacity(section_count as usize);
     for chunk in table_bytes.chunks_exact(TABLE_ENTRY_LEN) {
-        let entry = SectionEntry {
-            kind: u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")),
-            offset: u64::from_le_bytes(chunk[4..12].try_into().expect("8 bytes")),
-            len: u64::from_le_bytes(chunk[12..20].try_into().expect("8 bytes")),
-            crc: u32::from_le_bytes(chunk[20..24].try_into().expect("4 bytes")),
-        };
-        let end = entry.offset.checked_add(entry.len);
-        if entry.offset < payload_start || end.is_none() || end.expect("checked") > file_len {
+        let (kind, offset, len) = (
+            le_u32(&chunk[0..4]),
+            le_u64(&chunk[4..12]),
+            le_u64(&chunk[12..20]),
+        );
+        let in_file =
+            offset >= payload_start && offset.checked_add(len).is_some_and(|end| end <= file_len);
+        let (true, Ok(len_bytes)) = (in_file, usize::try_from(len)) else {
             return Err(StoreError::SectionBounds {
-                kind: entry.kind,
-                offset: entry.offset,
-                len: entry.len,
+                kind,
+                offset,
+                len,
                 file_len,
             });
-        }
+        };
         let kind_ok = matches!(
-            entry.kind,
+            kind,
             KIND_META | KIND_COLUMN | KIND_INDEX | KIND_ID_INDEX | KIND_ZONE_MAPS
-        ) || (entry.kind == KIND_RANGE_INDEX && has_range_sections);
+        ) || (kind == KIND_RANGE_INDEX && has_range_sections);
         if !kind_ok {
-            return Err(StoreError::BadSectionKind(entry.kind));
+            return Err(StoreError::BadSectionKind(kind));
         }
-        entries.push(entry);
-    }
-
-    let payload_of = |e: &SectionEntry| -> StoreResult<&[u8]> {
-        let payload = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-        let found = crc32(payload);
-        if found != e.crc {
-            return Err(StoreError::ChecksumMismatch {
-                region: kind_name(e.kind),
-                expected: e.crc,
-                found,
-            });
-        }
-        Ok(payload)
-    };
-
-    // Meta first: exactly one, and it anchors every cross-check.
-    let metas: Vec<&SectionEntry> = entries.iter().filter(|e| e.kind == KIND_META).collect();
-    if metas.len() != 1 {
-        return Err(StoreError::SectionCount {
-            section: "meta",
-            found: metas.len(),
-            expected: 1,
+        entries.push(SectionEntry {
+            kind,
+            offset,
+            len: len_bytes,
+            crc: le_u32(&chunk[20..24]),
         });
     }
-    let meta = payload_of(metas[0])?;
-    let mut r = Reader::new(meta);
+
+    // Meta first: exactly one, and it anchors every cross-check.
+    let meta_count = entries.iter().filter(|e| e.kind == KIND_META).count();
+    let Some(meta) = entries
+        .iter()
+        .find(|e| e.kind == KIND_META && meta_count == 1)
+    else {
+        return Err(StoreError::SectionCount {
+            section: "meta",
+            found: meta_count,
+            expected: 1,
+        });
+    };
+    let mut r = Reader::new(fetch(src, meta, stages)?);
     let step = r.u64("meta step")?;
     let num_rows = r.u64("meta row count")?;
     let column_tally = r.u32("meta column tally")?;
@@ -584,18 +757,19 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
         0
     };
     r.expect_end("meta")?;
+    stages.lap(Stage::Decode);
 
     let mut columns = Vec::new();
     let mut indexes: Vec<(String, fastbit::BitmapIndex)> = Vec::new();
     let mut id_index = None;
     let mut zone_maps: Vec<(String, fastbit::ZoneMaps)> = Vec::new();
     let mut range_sections: Vec<(String, Vec<fastbit::Wah>)> = Vec::new();
-    for entry in &entries {
+    for entry in entries.iter().filter(|e| e.kind != KIND_META) {
+        let payload = fetch(src, entry, stages)?;
         match entry.kind {
-            KIND_META => {}
-            KIND_COLUMN => columns.push(decode_column(payload_of(entry)?, num_rows)?),
+            KIND_COLUMN => columns.push(decode_column(payload, num_rows)?),
             KIND_INDEX => {
-                let mut r = Reader::new(payload_of(entry)?);
+                let mut r = Reader::new(payload);
                 let name = r.str("index name")?;
                 let idx = persist::read_index(&mut r)?;
                 r.expect_end("index")?;
@@ -611,7 +785,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
                 indexes.push((name, idx));
             }
             KIND_ID_INDEX => {
-                let mut r = Reader::new(payload_of(entry)?);
+                let mut r = Reader::new(payload);
                 let idx = persist::read_id_index(&mut r)?;
                 r.expect_end("id index")?;
                 if idx.num_rows() as u64 != num_rows {
@@ -629,7 +803,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
                 }
             }
             KIND_ZONE_MAPS => {
-                let mut r = Reader::new(payload_of(entry)?);
+                let mut r = Reader::new(payload);
                 let name = r.str("zone map name")?;
                 let maps = persist::read_zone_maps(&mut r)?;
                 r.expect_end("zone maps")?;
@@ -642,7 +816,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
                 zone_maps.push((name, maps));
             }
             KIND_RANGE_INDEX => {
-                let mut r = Reader::new(payload_of(entry)?);
+                let mut r = Reader::new(payload);
                 let name = r.str("range index name")?;
                 let cumulative = persist::read_range_bitmaps(&mut r)?;
                 r.expect_end("range index")?;
@@ -655,6 +829,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
             }
             other => return Err(StoreError::BadSectionKind(other)),
         }
+        stages.lap(Stage::Decode);
     }
 
     if columns.len() as u32 != column_tally
@@ -677,7 +852,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
     }
 
     // Attach the cumulative bitmaps to their owning indexes; the attach
-    // validates lengths, counts and the cumulative population tallies, so a
+    // validates lengths, counts and the cumulative ORs word for word, so a
     // structurally valid but semantically impossible section is rejected
     // here rather than corrupting query answers later.
     for (name, cumulative) in range_sections {
@@ -714,6 +889,7 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Dataset> {
     for (name, maps) in zone_maps {
         dataset.attach_zone_maps(name, Arc::new(maps));
     }
+    stages.lap(Stage::Decode);
     Ok(dataset)
 }
 
@@ -830,29 +1006,34 @@ impl Store {
     /// no segment file is present; a typed [`StoreError`] when a file exists
     /// but fails any validation check.
     pub fn load(&self, step: usize) -> StoreResult<Option<Dataset>> {
-        let path = self.segment_path(step);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
+        let file = match std::fs::File::open(self.segment_path(step)) {
+            Ok(file) => file,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
             Err(e) => return Err(e.into()),
         };
-        match decode_segment(&bytes) {
-            // A segment whose recorded step disagrees with its file name
-            // (a misplaced backup/restore) is corrupt for this slot: serving
-            // it would silently answer step `step` with another step's data.
-            Ok(dataset) if dataset.step() != step => Err(StoreError::Corrupt(format!(
+        let len = file.metadata()?.len();
+        obs::note("bytes", || len.to_string());
+        let mut source = SegmentFile {
+            file,
+            len,
+            pos: 0,
+            buf: Vec::new(),
+        };
+        let dataset = decode_from(&mut source)?;
+        // A segment whose recorded step disagrees with its file name (a
+        // misplaced backup/restore) is corrupt for this slot: serving it
+        // would silently answer step `step` with another step's data.
+        if dataset.step() != step {
+            return Err(StoreError::Corrupt(format!(
                 "segment for step {step} holds step {}",
                 dataset.step()
-            ))),
-            Ok(dataset) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(dataset))
-            }
-            Err(e) => Err(e),
+            )));
         }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(dataset))
     }
 
     /// Drop the segment for `step`, if any — called when the underlying raw
@@ -923,6 +1104,106 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise definition of CRC-32, kept as the oracle the sliced
+    /// implementation is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_definition_at_every_length_and_offset() {
+        // A seeded xorshift buffer; every length 0..=300 (so every remainder
+        // after the 16-byte blocks) at every start offset within a block.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..3 << 20)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=300 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer), crc32_bytewise(&buffer), "3 MiB buffer");
+        assert_eq!(crc32(&buffer[5..]), crc32_bytewise(&buffer[5..]));
+    }
+
+    /// A v1 dataset and the same one with range encodings (v2).
+    fn v1_and_v2(n: usize, step: usize) -> [Dataset; 2] {
+        let v1 = sample_dataset(n, step);
+        let mut v2 = sample_dataset(n, step);
+        assert_eq!(v2.build_range_encodings(), 2);
+        [v1, v2]
+    }
+
+    #[test]
+    fn streamed_load_and_in_memory_decode_build_the_same_dataset() {
+        let dir = temp_store("streamed");
+        let store = Store::open(&dir).unwrap();
+        for (version, ds) in (1u8..).zip(v1_and_v2(700, 3)) {
+            store.save(&ds).unwrap();
+            let bytes = std::fs::read(store.segment_path(3)).unwrap();
+            assert_eq!(bytes[4], version);
+            assert_eq!(bytes, encode_segment(&ds), "save writes encode_segment");
+            let streamed = store.load(3).unwrap().expect("segment present");
+            let in_memory = decode_segment(&bytes).unwrap();
+            assert_eq!(encode_segment(&streamed), bytes, "v{version} streamed");
+            assert_eq!(encode_segment(&in_memory), bytes, "v{version} in memory");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sections_out_of_file_order_load_identically_from_disk() {
+        // A foreign writer may lay payloads out in any order. Move the meta
+        // payload (first in our layout) to the end of the file: the file
+        // source must seek there and back, and agree with the in-memory one.
+        let dir = temp_store("reordered");
+        let store = Store::open(&dir).unwrap();
+        for ds in v1_and_v2(300, 6) {
+            let bytes = encode_segment(&ds);
+            let count = le_u32(&bytes[8..12]) as usize;
+            let payload_start = HEADER_LEN + count * TABLE_ENTRY_LEN;
+            assert_eq!(le_u32(&bytes[HEADER_LEN..HEADER_LEN + 4]), KIND_META);
+            let meta_len = le_u64(&bytes[HEADER_LEN + 12..HEADER_LEN + 20]) as usize;
+            let mut moved = bytes[..payload_start].to_vec();
+            moved.extend_from_slice(&bytes[payload_start + meta_len..]);
+            moved.extend_from_slice(&bytes[payload_start..payload_start + meta_len]);
+            for i in 0..count {
+                let at = HEADER_LEN + i * TABLE_ENTRY_LEN + 4;
+                let offset = if i == 0 {
+                    (bytes.len() - meta_len) as u64
+                } else {
+                    le_u64(&bytes[at..at + 8]) - meta_len as u64
+                };
+                moved[at..at + 8].copy_from_slice(&offset.to_le_bytes());
+            }
+            let table_crc = crc32(&moved[HEADER_LEN..payload_start]);
+            moved[12..16].copy_from_slice(&table_crc.to_le_bytes());
+            std::fs::write(store.segment_path(6), &moved).unwrap();
+            let streamed = store.load(6).unwrap().expect("segment present");
+            assert_eq!(encode_segment(&streamed), bytes);
+            assert_eq!(encode_segment(&decode_segment(&moved).unwrap()), bytes);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

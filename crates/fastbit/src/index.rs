@@ -369,9 +369,8 @@ impl BitmapIndex {
     /// canonical form [`BitmapIndex::build_range_encoding`] produces — so a
     /// checksum-valid but semantically wrong section can never silently
     /// change query answers; it is rejected here with a typed error. The
-    /// check costs one WAH OR per bin, the same as rebuilding, which stays
-    /// cheap for exactly the bitmaps the store's materialization budget
-    /// admits.
+    /// check streams the three bitmaps of each bin side by side
+    /// ([`Wah::is_or_of`]) and builds nothing.
     pub fn attach_range_bitmaps(&mut self, cumulative: Vec<Wah>) -> Result<()> {
         if cumulative.len() != self.bitmaps.len() {
             return Err(FastBitError::Binning(
@@ -381,6 +380,7 @@ impl BitmapIndex {
                 },
             ));
         }
+        let zeros = Wah::zeros(self.num_rows as u64);
         for (i, c) in cumulative.iter().enumerate() {
             if c.len() != self.num_rows as u64 {
                 return Err(FastBitError::LengthMismatch {
@@ -388,12 +388,8 @@ impl BitmapIndex {
                     right: c.len(),
                 });
             }
-            let expected = if i == 0 {
-                Wah::zeros(self.num_rows as u64).or(&self.bitmaps[0])?
-            } else {
-                cumulative[i - 1].or(&self.bitmaps[i])?
-            };
-            if *c != expected {
+            let below = if i == 0 { &zeros } else { &cumulative[i - 1] };
+            if !c.is_or_of(below, &self.bitmaps[i]) {
                 return Err(FastBitError::Execution(format!(
                     "range bitmap {i} does not equal the canonical cumulative OR of bins 0..={i}"
                 )));

@@ -195,6 +195,38 @@ impl<'a> Reader<'a> {
         Ok(count as usize)
     }
 
+    /// Read `count` little-endian values of `N` bytes each in one slice
+    /// conversion. `count` is validated against the remaining input before
+    /// anything is allocated.
+    fn values<const N: usize, T>(
+        &mut self,
+        count: u64,
+        what: &'static str,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> PersistResult<Vec<T>> {
+        let count = self.check_count(count, N as u64, what)?;
+        let raw = self.take(count * N, what)?;
+        Ok(raw
+            .chunks_exact(N)
+            .map(|b| from_le(b.try_into().expect("N-byte chunk")))
+            .collect())
+    }
+
+    /// Read `count` little-endian `u32`s.
+    pub fn u32s(&mut self, count: u64, what: &'static str) -> PersistResult<Vec<u32>> {
+        self.values(count, what, u32::from_le_bytes)
+    }
+
+    /// Read `count` little-endian `u64`s.
+    pub fn u64s(&mut self, count: u64, what: &'static str) -> PersistResult<Vec<u64>> {
+        self.values(count, what, u64::from_le_bytes)
+    }
+
+    /// Read `count` little-endian `f64`s (bit patterns preserved exactly).
+    pub fn f64s(&mut self, count: u64, what: &'static str) -> PersistResult<Vec<f64>> {
+        self.values(count, what, f64::from_le_bytes)
+    }
+
     /// Read a length-prefixed UTF-8 string (length capped at
     /// [`MAX_NAME_LEN`]).
     pub fn str(&mut self, what: &'static str) -> PersistResult<String> {
@@ -233,6 +265,35 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `values` as `N`-byte little-endian fields: the output grows once
+/// and the conversion runs over whole slices.
+fn put_values<const N: usize, T: Copy>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = out.len();
+    out.resize(start + values.len() * N, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&to_le(*v));
+    }
+}
+
+/// Append a slice of little-endian `u32`s.
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_values(out, values, u32::to_le_bytes);
+}
+
+/// Append a slice of little-endian `u64`s.
+pub fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    put_values(out, values, u64::to_le_bytes);
+}
+
+/// Append a slice of little-endian `f64`s (bit patterns preserved exactly).
+pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    put_values(out, values, f64::to_le_bytes);
+}
+
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
@@ -249,9 +310,7 @@ pub fn encode_wah(wah: &Wah, out: &mut Vec<u8>) {
     put_u64(out, wah.len());
     let words = wah.as_words();
     put_u32(out, words.len() as u32);
-    for w in words {
-        put_u32(out, *w);
-    }
+    put_u32s(out, words);
 }
 
 /// Read one WAH vector, validating that the words cover exactly the declared
@@ -259,12 +318,7 @@ pub fn encode_wah(wah: &Wah, out: &mut Vec<u8>) {
 pub fn read_wah(r: &mut Reader<'_>) -> PersistResult<Wah> {
     let nbits = r.u64("wah bit length")?;
     let word_count = r.u32("wah word count")? as u64;
-    let word_count = r.check_count(word_count, 4, "wah words")?;
-    let raw = r.take(word_count * 4, "wah words")?;
-    let words: Vec<u32> = raw
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
-        .collect();
+    let words = r.u32s(word_count, "wah words")?;
     Wah::checked_from_raw_parts(words, nbits).map_err(|detail| PersistError::Invalid {
         what: "wah words",
         detail,
@@ -291,18 +345,14 @@ pub fn encode_index(idx: &BitmapIndex, out: &mut Vec<u8>) {
     out.push(idx.unbinned_matchable() as u8);
     let boundaries = idx.edges().boundaries();
     put_u32(out, boundaries.len() as u32);
-    for b in boundaries {
-        put_f64(out, *b);
-    }
+    put_f64s(out, boundaries);
     put_u32(out, idx.num_bins() as u32);
     for bin in 0..idx.num_bins() {
         encode_wah(idx.bitmap(bin), out);
     }
     let unbinned = idx.unbinned_rows();
     put_u32(out, unbinned.len() as u32);
-    for row in unbinned {
-        put_u32(out, *row);
-    }
+    put_u32s(out, unbinned);
 }
 
 /// Read one bitmap index, validating every structural invariant (boundary
@@ -321,11 +371,7 @@ pub fn read_index(r: &mut Reader<'_>) -> PersistResult<BitmapIndex> {
         }
     };
     let boundary_count = r.u32("index boundary count")? as u64;
-    let boundary_count = r.check_count(boundary_count, 8, "index boundaries")?;
-    let mut boundaries = Vec::with_capacity(boundary_count);
-    for _ in 0..boundary_count {
-        boundaries.push(r.f64("index boundary")?);
-    }
+    let boundaries = r.f64s(boundary_count, "index boundaries")?;
     let edges = BinEdges::from_boundaries(boundaries).map_err(|e| PersistError::Invalid {
         what: "index boundaries",
         detail: e.to_string(),
@@ -338,11 +384,7 @@ pub fn read_index(r: &mut Reader<'_>) -> PersistResult<BitmapIndex> {
         bitmaps.push(read_wah(r)?);
     }
     let unbinned_count = r.u32("index unbinned count")? as u64;
-    let unbinned_count = r.check_count(unbinned_count, 4, "index unbinned rows")?;
-    let mut unbinned = Vec::with_capacity(unbinned_count);
-    for _ in 0..unbinned_count {
-        unbinned.push(r.u32("index unbinned row")?);
-    }
+    let unbinned = r.u32s(unbinned_count, "index unbinned rows")?;
     BitmapIndex::from_parts_with_matchable(edges, bitmaps, num_rows as usize, unbinned, matchable)
         .map_err(|e| PersistError::Invalid {
             what: "index structure",
@@ -405,10 +447,13 @@ pub fn decode_range_bitmaps(bytes: &[u8]) -> PersistResult<Vec<Wah>> {
 /// `(id, row)` pairs.
 pub fn encode_id_index(idx: &IdIndex, out: &mut Vec<u8>) {
     put_u64(out, idx.num_rows() as u64);
-    put_u64(out, idx.pairs().len() as u64);
-    for (id, row) in idx.pairs() {
-        put_u64(out, *id);
-        put_u32(out, *row);
+    let pairs = idx.pairs();
+    put_u64(out, pairs.len() as u64);
+    let start = out.len();
+    out.resize(start + pairs.len() * 12, 0);
+    for (dst, (id, row)) in out[start..].chunks_exact_mut(12).zip(pairs) {
+        dst[..8].copy_from_slice(&id.to_le_bytes());
+        dst[8..].copy_from_slice(&row.to_le_bytes());
     }
 }
 
@@ -418,25 +463,27 @@ pub fn read_id_index(r: &mut Reader<'_>) -> PersistResult<IdIndex> {
     let num_rows = r.u64("id index row count")?;
     let pair_count = r.u64("id index pair count")?;
     let pair_count = r.check_count(pair_count, 12, "id index pairs")?;
-    let mut pairs = Vec::with_capacity(pair_count);
-    let mut prev_id = 0u64;
-    for i in 0..pair_count {
-        let id = r.u64("id index id")?;
-        let row = r.u32("id index row")?;
-        if i > 0 && id < prev_id {
-            return Err(PersistError::Invalid {
-                what: "id index pairs",
-                detail: "pairs are not sorted by id".to_string(),
-            });
-        }
-        if row as u64 >= num_rows {
-            return Err(PersistError::Invalid {
-                what: "id index pairs",
-                detail: format!("row {row} outside row count {num_rows}"),
-            });
-        }
-        prev_id = id;
-        pairs.push((id, row));
+    let raw = r.take(pair_count * 12, "id index pairs")?;
+    let pairs: Vec<(u64, u32)> = raw
+        .chunks_exact(12)
+        .map(|b| {
+            (
+                u64::from_le_bytes(b[..8].try_into().expect("8-byte id")),
+                u32::from_le_bytes(b[8..].try_into().expect("4-byte row")),
+            )
+        })
+        .collect();
+    if pairs.windows(2).any(|w| w[0].0 > w[1].0) {
+        return Err(PersistError::Invalid {
+            what: "id index pairs",
+            detail: "pairs are not sorted by id".to_string(),
+        });
+    }
+    if let Some(&(_, row)) = pairs.iter().find(|&&(_, row)| row as u64 >= num_rows) {
+        return Err(PersistError::Invalid {
+            what: "id index pairs",
+            detail: format!("row {row} outside row count {num_rows}"),
+        });
     }
     Ok(IdIndex::from_sorted_pairs(pairs, num_rows as usize))
 }

@@ -117,6 +117,27 @@ impl WahBuilder {
         }
     }
 
+    /// Append `combine(w)` for the literal words leading `words`, at most
+    /// `limit` of them (the groups the opposing fill has left), and return
+    /// how many were consumed.
+    fn append_against_fill(
+        &mut self,
+        words: &[u32],
+        limit: u64,
+        combine: impl Fn(u32) -> u32,
+    ) -> usize {
+        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+        let mut n = 0;
+        for &w in words.iter().take(limit) {
+            if w & FILL_FLAG != 0 {
+                break;
+            }
+            self.append_group(combine(w) & LITERAL_MASK);
+            n += 1;
+        }
+        n
+    }
+
     /// Finish building. A trailing partial group is stored as a literal with
     /// zero padding bits; the logical length excludes the padding.
     pub fn finish(mut self) -> Wah {
@@ -202,8 +223,18 @@ impl<'a> RunCursor<'a> {
         Some(result)
     }
 
-    fn peek_groups(&self) -> Option<u64> {
-        self.current.map(|r| r.groups)
+    /// The words from the current run's word on. Only meaningful while a run
+    /// is current; the bulk paths use it to walk a literal span as a slice.
+    fn words_from_current(&self) -> &'a [u32] {
+        &self.words[self.pos - 1..]
+    }
+
+    /// Step over `n` literal words, the current run's being the first.
+    fn skip_literals(&mut self, n: usize) {
+        if n > 0 {
+            self.pos += n - 1;
+            self.advance_word();
+        }
     }
 }
 
@@ -339,37 +370,48 @@ impl Wah {
         self.binary_op(other, |a, b| (a ^ b) & LITERAL_MASK)
     }
 
-    /// Bitwise complement over the logical length.
+    /// Bitwise complement over the logical length. Fills are flipped a run
+    /// at a time; only the final partial group is masked.
     pub fn not(&self) -> Wah {
         let total_groups = self.nbits.div_ceil(GROUP_BITS);
+        let tail_bits = self.nbits % GROUP_BITS;
+        let tail_mask = if tail_bits == 0 {
+            LITERAL_MASK
+        } else {
+            (1u32 << tail_bits) - 1
+        };
         let mut builder = WahBuilder::new();
         let mut cursor = RunCursor::new(&self.words);
         let mut groups_done = 0u64;
         while let Some((pattern, groups, _)) = cursor.take(u64::MAX) {
             let flipped = !pattern & LITERAL_MASK;
-            for _ in 0..groups {
-                groups_done += 1;
-                let g = if groups_done == total_groups {
-                    // Mask padding bits beyond the logical length.
-                    let valid = self.nbits - (total_groups - 1) * GROUP_BITS;
-                    if valid == GROUP_BITS {
-                        flipped
-                    } else {
-                        flipped & ((1u32 << valid) - 1)
-                    }
+            groups_done += groups;
+            // The run holding the last group gives it up to be masked.
+            let ends_here = groups > 0 && groups_done == total_groups;
+            let whole = groups - u64::from(ends_here);
+            if whole > 0 {
+                if flipped == 0 || flipped == LITERAL_MASK {
+                    builder.append_fill(flipped != 0, whole);
                 } else {
-                    flipped
-                };
-                builder.append_group(g);
+                    // A literal run is one group.
+                    builder.append_group(flipped);
+                }
+            }
+            if ends_here {
+                builder.append_group(flipped & tail_mask);
             }
         }
-        builder.nbits = self.nbits;
         let mut result = builder.finish();
         result.nbits = self.nbits;
         result
     }
 
-    fn binary_op(&self, other: &Wah, op: fn(u32, u32) -> u32) -> Result<Wah> {
+    /// Combine two equal-length vectors group by group with the *bitwise*
+    /// `op`, emitting through the canonicalizing builder. Spans where both
+    /// sides are fills cost one step; spans of literal words (against
+    /// literals or against one long fill) are walked as slices, without the
+    /// per-group cursor round trip.
+    fn binary_op(&self, other: &Wah, op: impl Fn(u32, u32) -> u32) -> Result<Wah> {
         if self.nbits != other.nbits {
             return Err(FastBitError::LengthMismatch {
                 left: self.nbits,
@@ -379,44 +421,101 @@ impl Wah {
         let mut a = RunCursor::new(&self.words);
         let mut b = RunCursor::new(&other.words);
         let mut builder = WahBuilder::new();
-        loop {
-            let (ga, gb) = match (a.peek_groups(), b.peek_groups()) {
-                (Some(ga), Some(gb)) => (ga, gb),
-                (None, None) => break,
-                // Both operands cover the same number of bits, but the last
-                // partial group may be represented on one side only when the
-                // length is an exact multiple of 31 on the other; treat the
-                // missing side as zero groups exhausted simultaneously.
-                _ => break,
-            };
-            let n = ga.min(gb);
-            let (pa, _, fa) = a.take(n).expect("peeked");
-            let (pb, _, fb) = b.take(n).expect("peeked");
-            let combined = op(pa, pb) & LITERAL_MASK;
-            if fa && fb {
-                // Both sides are fills: emit the whole run at once.
-                if combined == 0 {
-                    builder.append_fill(false, n);
-                } else if combined == LITERAL_MASK {
-                    builder.append_fill(true, n);
-                } else {
-                    // Cannot happen: a fill pattern is all-zero or all-one,
-                    // and any bitwise op of such patterns is too.
-                    for _ in 0..n {
-                        builder.append_group(combined);
-                    }
+        // Both operands cover the same number of groups, so the cursors run
+        // out together; a malformed operand that ends early ends the result.
+        while let (Some(ra), Some(rb)) = (a.current, b.current) {
+            match (ra.is_fill, rb.is_fill) {
+                (true, true) => {
+                    let n = ra.groups.min(rb.groups);
+                    // A bitwise op of two uniform patterns is uniform.
+                    builder.append_fill(op(ra.pattern, rb.pattern) & LITERAL_MASK != 0, n);
+                    a.take(n);
+                    b.take(n);
                 }
-                builder.nbits += n * GROUP_BITS;
-            } else {
-                for _ in 0..n {
-                    builder.append_group(combined);
-                    builder.nbits += GROUP_BITS;
+                (false, false) => {
+                    let mut n = 0;
+                    for (&wa, &wb) in a.words_from_current().iter().zip(b.words_from_current()) {
+                        if (wa | wb) & FILL_FLAG != 0 {
+                            break;
+                        }
+                        builder.append_group(op(wa, wb) & LITERAL_MASK);
+                        n += 1;
+                    }
+                    a.skip_literals(n);
+                    b.skip_literals(n);
+                }
+                (true, false) => {
+                    let n = builder.append_against_fill(b.words_from_current(), ra.groups, |w| {
+                        op(ra.pattern, w)
+                    });
+                    a.take(n as u64);
+                    b.skip_literals(n);
+                }
+                (false, true) => {
+                    let n = builder.append_against_fill(a.words_from_current(), rb.groups, |w| {
+                        op(w, rb.pattern)
+                    });
+                    a.skip_literals(n);
+                    b.take(n as u64);
                 }
             }
         }
         let mut result = builder.finish();
         result.nbits = self.nbits;
         Ok(result)
+    }
+
+    /// Whether `self` equals `a.or(b)` word for word, i.e. is the canonical
+    /// form of the group-wise OR, without building that OR: canonical form
+    /// is a function of the group sequence alone (maximal fills, no literal
+    /// that should be a fill), so it is checked on `self`'s words directly
+    /// and the three run cursors are then streamed side by side. `a` and `b`
+    /// may be in any valid form. Allocation-free.
+    pub fn is_or_of(&self, a: &Wah, b: &Wah) -> bool {
+        if a.nbits != b.nbits || self.nbits != a.nbits || !self.is_canonical() {
+            return false;
+        }
+        let mut a = RunCursor::new(&a.words);
+        let mut b = RunCursor::new(&b.words);
+        let mut c = RunCursor::new(&self.words);
+        loop {
+            let (ra, rb) = match (a.current, b.current) {
+                (Some(ra), Some(rb)) => (ra, rb),
+                // `or` stops where the shorter operand does.
+                _ => return c.current.is_none(),
+            };
+            let Some(rc) = c.current else {
+                return false;
+            };
+            let n = ra.groups.min(rb.groups).min(rc.groups);
+            if n > 0 && ra.pattern | rb.pattern != rc.pattern {
+                return false;
+            }
+            // A zero-group fill in an operand is skipped by `take(0)`.
+            a.take(n);
+            b.take(n);
+            c.take(n);
+        }
+    }
+
+    /// Whether the words are what the canonicalizing builder emits for this
+    /// group sequence: no literal that is all-zero or all-one, no empty
+    /// fill, and no fill that could have been merged into the one before.
+    fn is_canonical(&self) -> bool {
+        // Branch-free per word, so the pass runs at memory speed.
+        let mut prev = 0u32;
+        let mut bad = false;
+        for &w in &self.words {
+            let fill = w & FILL_FLAG != 0;
+            let bad_literal = !fill & ((w == 0) | (w == LITERAL_MASK));
+            let mergeable = (prev & FILL_FLAG != 0)
+                & ((prev ^ w) & FILL_ONE_FLAG == 0)
+                & (prev & FILL_COUNT_MASK != FILL_COUNT_MASK);
+            let bad_fill = fill & ((w & FILL_COUNT_MASK == 0) | mergeable);
+            bad |= bad_literal | bad_fill;
+            prev = w;
+        }
+        !bad
     }
 
     /// Expand into a dense little-endian `u64` word bitmap: bit `i` of the
@@ -490,35 +589,29 @@ impl Wah {
     /// population counts rely on. Returns a description of the violation.
     pub fn checked_from_raw_parts(words: Vec<u32>, nbits: u64) -> std::result::Result<Wah, String> {
         let expected_groups = nbits.div_ceil(GROUP_BITS);
+        // One branch-free pass: every persisted bitmap of a segment load
+        // comes through here.
         let mut groups = 0u64;
-        let mut last_pattern = 0u32;
+        let mut empty_fill = false;
         for &w in &words {
-            if w & FILL_FLAG != 0 {
-                let count = (w & FILL_COUNT_MASK) as u64;
-                if count == 0 {
-                    return Err("fill word with zero group count".to_string());
-                }
-                groups += count;
-                last_pattern = if w & FILL_ONE_FLAG != 0 {
-                    LITERAL_MASK
-                } else {
-                    0
-                };
-            } else {
-                groups += 1;
-                last_pattern = w;
-            }
-            if groups > expected_groups {
-                return Err(format!(
-                    "words cover more than the expected {expected_groups} group(s)"
-                ));
-            }
+            let fill = w & FILL_FLAG != 0;
+            let count = if fill { w & FILL_COUNT_MASK } else { 1 };
+            empty_fill |= count == 0;
+            groups = groups.saturating_add(count as u64);
+        }
+        if empty_fill {
+            return Err("fill word with zero group count".to_string());
         }
         if groups != expected_groups {
             return Err(format!(
                 "words cover {groups} group(s), expected {expected_groups}"
             ));
         }
+        let last_pattern = match words.last() {
+            Some(&w) if w & FILL_FLAG == 0 => w,
+            Some(&w) if w & FILL_ONE_FLAG != 0 => LITERAL_MASK,
+            _ => 0,
+        };
         let tail = nbits % GROUP_BITS;
         if tail != 0 && last_pattern & !((1u32 << tail) - 1) != 0 {
             return Err("padding bits beyond the logical length are set".to_string());
@@ -833,6 +926,132 @@ mod tests {
                 "case {case} len {len}"
             );
             assert_eq!(w.count_ones() + w.not().count_ones(), bits.len() as u64);
+        }
+    }
+
+    /// NOT against the uncompressed oracle, on vectors built from runs (so
+    /// long fills, fills ending exactly on and off a group boundary) and on
+    /// multi-million-bit single fills, where a per-group walk would crawl.
+    #[test]
+    fn not_matches_bitvec_and_is_an_involution_on_long_fills() {
+        let mut rng = StdRng::seed_from_u64(0x1207);
+        let check = |w: &Wah| {
+            let mut oracle = w.to_bitvec();
+            oracle.not_assign();
+            let n = w.not();
+            assert_eq!(n.len(), w.len());
+            assert_eq!(n.to_bitvec(), oracle, "len {}", w.len());
+            // The complement is canonical: it equals its own OR with zeros.
+            assert_eq!(Wah::zeros(w.len()).or(&n).unwrap(), n, "len {}", w.len());
+            assert_eq!(n.not().to_bitvec(), w.to_bitvec(), "len {}", w.len());
+        };
+        for case in 0..120 {
+            let mut builder = WahBuilder::new();
+            for _ in 0..rng.gen_range(1..12usize) {
+                let count = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_range(1..40u64),
+                    1 => 31 * rng.gen_range(1..2000u64),
+                    2 => 31 * rng.gen_range(1..2000u64) + rng.gen_range(1..31u64),
+                    _ => rng.gen_range(1..100_000u64),
+                };
+                builder.push_run(rng.gen_range(0..2u32) == 1, count);
+            }
+            let w = builder.finish();
+            check(&w);
+            // The same bits in non-canonical words: the final partial group
+            // of `from_bools` is a literal even when it is all-zero.
+            if case % 10 == 0 {
+                let bv = w.to_bitvec();
+                let bools: Vec<bool> = (0..bv.len()).map(|i| bv.get(i)).collect();
+                check(&Wah::from_bools(&bools));
+            }
+        }
+        for nbits in [31 * 100_000, 5_000_000, 5_000_017] {
+            for w in [Wah::zeros(nbits), Wah::ones(nbits)] {
+                let n = w.not();
+                assert!(n.num_words() <= 2, "{} words", n.num_words());
+                assert_eq!(n.count_ones() + w.count_ones(), nbits);
+                assert_eq!(n.not().count_ones(), w.count_ones());
+                check(&w);
+            }
+        }
+    }
+
+    /// Re-express a vector's words non-canonically without changing a bit:
+    /// fills of one group become literals, longer fills are split in two,
+    /// and empty fills are sprinkled in.
+    fn decanonicalize(w: &Wah, rng: &mut StdRng) -> Wah {
+        let mut words = Vec::new();
+        for &word in w.as_words() {
+            if rng.gen_range(0..4u32) == 0 {
+                words.push(FILL_FLAG | (rng.gen_range(0..2u32) * FILL_ONE_FLAG));
+            }
+            let count = word & FILL_COUNT_MASK;
+            if word & FILL_FLAG == 0 || rng.gen_range(0..2u32) == 0 {
+                words.push(word);
+            } else if count == 1 {
+                words.push(if word & FILL_ONE_FLAG != 0 {
+                    LITERAL_MASK
+                } else {
+                    0
+                });
+            } else {
+                let head = rng.gen_range(1..count);
+                words.push((word & !FILL_COUNT_MASK) | head);
+                words.push((word & !FILL_COUNT_MASK) | (count - head));
+            }
+        }
+        Wah::from_raw_parts(words, w.len())
+    }
+
+    #[test]
+    fn is_or_of_agrees_with_materialized_or() {
+        let mut rng = StdRng::seed_from_u64(0x0F05);
+        for case in 0..300 {
+            // Lengths on and off the group boundary, some with long fills.
+            let len = match case % 3 {
+                0 => 31 * rng.gen_range(1..40usize),
+                1 => interesting_length(&mut rng, case),
+                _ => rng.gen_range(1..3000usize),
+            };
+            let da = DENSITIES[case % DENSITIES.len()];
+            let db = DENSITIES[(case / DENSITIES.len()) % DENSITIES.len()];
+            let a = Wah::from_bools(&random_bools(&mut rng, len, da));
+            let b = Wah::from_bools(&random_bools(&mut rng, len, db));
+            let c = a.or(&b).unwrap();
+            let agree = |c: &Wah, a: &Wah, b: &Wah, what: &str| {
+                assert_eq!(
+                    c.is_or_of(a, b),
+                    a.or(b).is_ok_and(|or| or == *c),
+                    "case {case} len {len} densities {da}/{db}: {what}"
+                );
+            };
+            assert!(c.is_or_of(&a, &b), "case {case} len {len}");
+            agree(&c, &a, &b, "canonical OR");
+            // Operands may be in any valid form; the answer does not change.
+            let (a2, b2) = (decanonicalize(&a, &mut rng), decanonicalize(&b, &mut rng));
+            assert!(c.is_or_of(&a2, &b2), "case {case}: non-canonical operands");
+            agree(&c, &a2, &b2, "non-canonical operands");
+            // The right bits in the wrong words are not the canonical OR.
+            let c2 = decanonicalize(&c, &mut rng);
+            agree(&c2, &a, &b, "non-canonical candidate");
+            assert_eq!(c2.is_or_of(&a, &b), c2 == c, "case {case}");
+            // Every single-bit mutation of the candidate must be rejected.
+            let bv = c.to_bitvec();
+            let bits: Vec<bool> = (0..len).map(|i| bv.get(i)).collect();
+            for _ in 0..4 {
+                let mut flipped = bits.clone();
+                let at = rng.gen_range(0..len);
+                flipped[at] = !flipped[at];
+                let wrong = Wah::zeros(len as u64)
+                    .or(&Wah::from_bools(&flipped))
+                    .unwrap();
+                assert!(!wrong.is_or_of(&a, &b), "case {case}: bit {at} flipped");
+                agree(&wrong, &a, &b, "single-bit mutation");
+            }
+            // Length mismatches are a plain no.
+            assert!(!c.is_or_of(&a, &Wah::zeros(len as u64 + 1)));
+            assert!(!Wah::zeros(len as u64 + 1).is_or_of(&a, &b));
         }
     }
 

@@ -24,5 +24,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, LatencyHistogram, Registry};
 pub use trace::{
-    count, is_active, note, span, RequestGuard, SpanGuard, SpanRecord, Trace, TraceConfig, Tracer,
+    count, is_active, note, record, span, RequestGuard, SpanGuard, SpanRecord, Trace, TraceConfig,
+    Tracer,
 };

@@ -214,6 +214,26 @@ pub fn span(name: &'static str) -> SpanGuard {
     })
 }
 
+/// Record an already closed span of `elapsed` under the innermost open span:
+/// for a stage whose time was summed over interleaved steps (read a section,
+/// verify it, decode it, next section) and so has no single scope a
+/// [`SpanGuard`] could cover. No-op when no trace is active on this thread.
+pub fn record(name: &'static str, elapsed: std::time::Duration) {
+    ACTIVE.with(|a| {
+        if let Some(trace) = a.borrow_mut().as_mut() {
+            trace.spans.push(OpenSpan {
+                name,
+                depth: trace.stack.len() as u16,
+                start: Instant::now(),
+                elapsed_us: elapsed.as_micros() as u64,
+                closed: true,
+                counts: Vec::new(),
+                notes: Vec::new(),
+            });
+        }
+    });
+}
+
 /// Add `v` to the counter `name` of the innermost open span. No-op when no
 /// trace is active on this thread.
 pub fn count(name: &'static str, v: u64) {
@@ -512,10 +532,31 @@ mod tests {
     }
 
     #[test]
+    fn recorded_spans_nest_under_the_open_span_without_opening() {
+        let tracer = all_tracer();
+        {
+            let _g = tracer.begin("SELECT x");
+            let _load = span("load");
+            record("read", Duration::from_micros(40));
+            record("decode", Duration::from_micros(7));
+            // A recorded span is closed: notes still land on `load`.
+            note("bytes", || "12".to_string());
+        }
+        let t = tracer.last().unwrap();
+        assert_eq!(
+            t.structure(),
+            "request _; .load _ bytes=12; ..read _; ..decode _"
+        );
+        assert_eq!(t.span("read").unwrap().elapsed_us, 40);
+        assert_eq!(t.span("decode").unwrap().elapsed_us, 7);
+    }
+
+    #[test]
     fn hooks_are_inert_without_an_active_trace() {
         assert!(!is_active());
         let _s = span("orphan");
         count("ignored", 1);
+        record("ignored", Duration::from_micros(1));
         note("ignored", || {
             panic!("note closure must not run when inactive")
         });

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use datastore::Catalog;
+use datastore::{Catalog, Store};
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
 use vdx_server::{Server, ServerConfig};
@@ -122,5 +122,80 @@ fn warm_replays_share_one_deterministic_structure() {
     let last = state.tracer().last().unwrap();
     let by_id = state.tracer().get(last.id).unwrap();
     assert_eq!(by_id.structure(), last.structure());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_load_trace_splits_read_verify_decode_and_names_a_corrupt_segment() {
+    let (catalog, dir) = fixture("store_load");
+    let mut catalog = Arc::into_inner(catalog).expect("sole owner");
+    catalog.attach_store(Store::open(dir.join("store")).unwrap());
+    let catalog = Arc::new(catalog);
+    let server = Server::bind(catalog.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let handle = server.handle();
+    let state = handle.state();
+    let select = |query: &str| {
+        state.dataset_cache().clear();
+        let (reply, _) = state.handle_line(&format!("SELECT\t2\t{query}"));
+        assert!(reply.starts_with("OK\tSELECT\t"), "{reply}");
+        state.tracer().last().expect("sampled")
+    };
+
+    // Cold: no segment yet, so the raw files are ingested and written back.
+    let cold = select("px > 0");
+    let load = cold.span("load").expect("cold load span");
+    assert!(load.notes.contains(&("source", "raw".to_string())));
+    assert!(cold.span("read").is_none(), "{}", cold.render_line());
+
+    // Warm restart path: the segment answers, and the load says where its
+    // time went and how many bytes it moved.
+    let segment = catalog.store().unwrap().segment_path(2);
+    let segment_len = std::fs::metadata(&segment).unwrap().len();
+    let warm = select("px > 1");
+    let load = warm.span("load").expect("store load span");
+    assert_eq!(
+        load.notes,
+        vec![
+            ("step", "2".to_string()),
+            ("bytes", segment_len.to_string()),
+            ("source", "store".to_string()),
+        ]
+    );
+    let at = warm.spans.iter().position(|s| s.name == "load").unwrap();
+    let children: Vec<_> = warm.spans[at + 1..at + 4]
+        .iter()
+        .map(|s| (s.name, s.depth))
+        .collect();
+    let depth = load.depth + 1;
+    assert_eq!(
+        children,
+        vec![("read", depth), ("verify", depth), ("decode", depth)],
+        "{}",
+        warm.render_line()
+    );
+    let stages: u64 = warm.spans[at + 1..at + 4]
+        .iter()
+        .map(|s| s.elapsed_us)
+        .sum();
+    assert!(
+        stages <= load.elapsed_us,
+        "the stages partition the load: {}",
+        warm.render_line()
+    );
+
+    // A corrupt segment is no longer swallowed: the fallback names it.
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&segment, &bytes).unwrap();
+    let healed = select("px > 2");
+    let load = healed.span("load").expect("fallback load span");
+    assert!(
+        load.notes
+            .contains(&("segment_error", "checksum_mismatch".to_string()))
+            && load.notes.contains(&("source", "raw".to_string())),
+        "{}",
+        healed.render_line()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
