@@ -469,6 +469,20 @@ impl RequestGuard<'_> {
     pub fn armed(&self) -> bool {
         self.armed
     }
+
+    /// Drop this request's trace unrecorded and hand its sampling turn
+    /// back, as if [`Tracer::begin`] had never been called: for a handler
+    /// that looked at a request and passed it on to one that will begin its
+    /// own trace, so the request is recorded (or not) exactly once.
+    pub fn discard(mut self) {
+        if self.armed {
+            ACTIVE.with(|a| a.borrow_mut().take());
+            self.armed = false;
+        }
+        if self.tracer.config.sample_every > 0 {
+            self.tracer.seq.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Drop for RequestGuard<'_> {
@@ -582,6 +596,32 @@ mod tests {
         assert!(!g.armed());
         drop(g);
         assert_eq!(disabled.recorded(), 0);
+    }
+
+    #[test]
+    fn discard_records_nothing_and_returns_the_sampling_turn() {
+        let tracer = Tracer::new(TraceConfig {
+            sample_every: 2,
+            ..TraceConfig::default()
+        });
+        let looked = tracer.begin("SELECT\t0\tpx > 0");
+        assert!(looked.armed());
+        {
+            let _parse = span("parse");
+        }
+        looked.discard();
+        assert!(!is_active(), "the discarded trace left the thread");
+        assert_eq!(tracer.recorded(), 0);
+        // The handler the request was passed on to gets the same turn.
+        let served = tracer.begin("SELECT\t0\tpx > 0");
+        assert!(served.armed());
+        drop(served);
+        assert_eq!(tracer.recorded(), 1);
+        assert_eq!(tracer.last().unwrap().structure(), "request _");
+        let unsampled = tracer.begin("PING");
+        assert!(!unsampled.armed());
+        unsampled.discard();
+        assert!(!tracer.begin("PING").armed(), "still the unsampled turn");
     }
 
     #[test]

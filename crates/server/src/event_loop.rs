@@ -18,6 +18,14 @@
 //!   a completion channel plus a [`polling::Waker`]. The loop is generic
 //!   over the [`LineService`], so the single-process server and the
 //!   cluster router share it unchanged.
+//! * The **reactor tier** skips both hand-offs when it can: before a line is
+//!   dispatched, the reactor offers it to [`LineService::answer_inline`],
+//!   and a reply the service already holds in memory (for the server:
+//!   `PING`, `INFO`, a memoised `SELECT`/`HIST`/`TRACK`) is appended to the
+//!   write buffer right there, counted in `reactor_replies`. The invariant
+//!   that keeps one thread serving every socket: the reactor answers only
+//!   from resident memory and never evaluates, compiles, loads or touches
+//!   disk; anything else goes to the workers.
 //!
 //! Scheduling and bounds:
 //!
@@ -25,14 +33,17 @@
 //!   for replies. Requests from one connection execute strictly one at a
 //!   time and in arrival order (so replies are trivially in request order
 //!   and multi-line replies such as `METRICS` never interleave); pipelining
-//!   buys the *queueing*, not reordering. Once a connection has
+//!   buys the *queueing*, not reordering. The reactor tier answers a line
+//!   only when nothing of its connection is on a worker, so it cannot
+//!   overtake an earlier request either. Once a connection has
 //!   `max_pipeline` lines waiting, the reactor drops its read interest —
 //!   backpressure by deferred reads, never unbounded buffering.
 //! * **Admission control** — at most `queue_depth` requests may be
 //!   dispatched-and-unfinished across all connections. Past that, a request
 //!   is answered `ERR busy …` directly by the reactor (counted in
 //!   `busy_rejections`; it never reaches a worker, the tracer, or the
-//!   per-verb metrics).
+//!   per-verb metrics). A request the reactor tier answers was never
+//!   dispatched work: it neither counts toward `queue_depth` nor is refused.
 //! * **Fairness** — the worker channel is FIFO over *requests*, not
 //!   connections, and one connection can occupy at most one worker, so an
 //!   open-range `HIST` cannot starve another client's `PING` as long as a
@@ -157,6 +168,9 @@ struct Reactor<S: LineService> {
     /// control gauge; only the reactor thread touches it).
     queued: usize,
     job_tx: mpsc::Sender<Job>,
+    /// Connection tokens of the current [`Reactor::sweep`], kept between
+    /// loop iterations so a sweep does not allocate.
+    sweep_tokens: Vec<u64>,
 }
 
 /// Run the event loop until a graceful shutdown completes. This is the
@@ -218,6 +232,7 @@ pub(crate) fn run<S: LineService>(
         next_token: FIRST_CONN_TOKEN,
         queued: 0,
         job_tx,
+        sweep_tokens: Vec::new(),
     };
 
     let mut events: Vec<Event> = Vec::new();
@@ -387,16 +402,11 @@ impl<S: LineService> Reactor<S> {
         };
         conn.dispatched = false;
         conn.last_activity = Instant::now();
-        append_reply(conn, &done.reply);
-        if done.close {
-            // QUIT/SHUTDOWN discard any pipelined requests behind them,
-            // exactly as the blocking path stops reading after one.
-            conn.closing = true;
-            conn.pending.clear();
-        }
+        deliver(conn, &done.reply, done.close);
     }
 
-    /// Dispatch the connection's next queued item, if it is allowed one.
+    /// Answer or dispatch the connection's queued items, in order, while
+    /// none of them is on a worker.
     fn pump(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -407,6 +417,13 @@ impl<S: LineService> Reactor<S> {
             };
             match item {
                 PendingItem::Request(line) => {
+                    // The reactor tier comes before admission control: an
+                    // answer from resident memory is not dispatched work.
+                    if let Some((reply, close)) = self.state.answer_inline(&line) {
+                        self.state.conn_metrics().note_reactor_reply();
+                        deliver(conn, &reply, close);
+                        continue;
+                    }
                     if self.queued >= self.limits.queue_depth {
                         // Admission control: refuse in order, right here —
                         // the request never reaches a worker.
@@ -534,25 +551,35 @@ impl<S: LineService> Reactor<S> {
     /// changed, and run at least every [`TICK`].
     fn sweep(&mut self) {
         let now = Instant::now();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
+        let mut tokens = std::mem::take(&mut self.sweep_tokens);
+        tokens.clear();
+        tokens.extend(self.conns.keys());
+        for &token in &tokens {
             self.pump(token);
             self.check_timeouts(token, now);
             self.flush_conn(token);
             self.update_interest(token);
         }
-        let dead: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.dead)
-            .map(|(t, _)| *t)
-            .collect();
-        for token in dead {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-                self.state.conn_metrics().note_closed();
+        self.sweep_tokens = tokens;
+        let (poller, metrics) = (&self.poller, self.state.conn_metrics());
+        self.conns.retain(|_, conn| {
+            if conn.dead {
+                let _ = poller.deregister(conn.stream.as_raw_fd());
+                metrics.note_closed();
             }
-        }
+            !conn.dead
+        });
+    }
+}
+
+/// Queue a finished request's reply; `close` (QUIT/SHUTDOWN) discards any
+/// pipelined requests behind it, exactly as the blocking path stops reading
+/// after one.
+fn deliver(conn: &mut Conn, reply: &str, close: bool) {
+    append_reply(conn, reply);
+    if close {
+        conn.closing = true;
+        conn.pending.clear();
     }
 }
 

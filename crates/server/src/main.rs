@@ -389,10 +389,14 @@ fn smoke(args: &[String]) -> Result<(), String> {
     }
     let stats = client.stats().map_err(|e| e.to_string())?;
     println!(
-        "smoke: caches ds_hits={} qc_hits={} evaluations={}",
+        "smoke: caches ds_hits={} qc_hits={} evaluations={} reactor_replies={}",
         stats.get("ds_hits").map(String::as_str).unwrap_or("?"),
         stats.get("qc_hits").map(String::as_str).unwrap_or("?"),
         stats.get("evaluations").map(String::as_str).unwrap_or("?"),
+        stats
+            .get("reactor_replies")
+            .map(String::as_str)
+            .unwrap_or("?"),
     );
     if store_dir.is_some() {
         println!(

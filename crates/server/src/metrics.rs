@@ -95,13 +95,16 @@ impl OpMetrics {
 /// event-loop). These count *connections and admission decisions*, not
 /// requests — a connection that sends a hundred pipelined requests moves
 /// `accepted` once; a request refused by admission control moves
-/// `busy_rejections` without ever reaching the per-verb [`OpMetrics`].
+/// `busy_rejections` without ever reaching the per-verb [`OpMetrics`]; a
+/// request the reactor answers itself moves `reactor_replies` *and* its
+/// per-verb instruments, like any served request.
 #[derive(Debug)]
 pub struct ConnMetrics {
     accepted: Arc<Counter>,
     open: Arc<Gauge>,
     errors: Arc<Counter>,
     busy_rejections: Arc<Counter>,
+    reactor_replies: Arc<Counter>,
     idle_disconnects: Arc<Counter>,
     lines_too_long: Arc<Counter>,
 }
@@ -129,6 +132,12 @@ impl ConnMetrics {
             busy_rejections: registry.counter(
                 "vdx_busy_rejections_total",
                 "Requests refused with `ERR busy` because the dispatch queue was full.",
+                &[],
+            ),
+            reactor_replies: registry.counter(
+                "vdx_reactor_replies_total",
+                "Requests the event loop's reactor answered from resident memory \
+                 without dispatching them to a worker.",
                 &[],
             ),
             idle_disconnects: registry.counter(
@@ -165,6 +174,11 @@ impl ConnMetrics {
         self.busy_rejections.inc();
     }
 
+    /// Note a request answered on the reactor thread.
+    pub fn note_reactor_reply(&self) {
+        self.reactor_replies.inc();
+    }
+
     /// Note an idle-timeout eviction.
     pub fn note_idle_disconnect(&self) {
         self.idle_disconnects.inc();
@@ -193,6 +207,11 @@ impl ConnMetrics {
     /// `ERR busy` rejections since startup.
     pub fn busy_rejections(&self) -> u64 {
         self.busy_rejections.get()
+    }
+
+    /// Requests answered on the reactor thread since startup.
+    pub fn reactor_replies(&self) -> u64 {
+        self.reactor_replies.get()
     }
 
     /// Idle-timeout evictions since startup.

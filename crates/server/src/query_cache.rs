@@ -11,7 +11,9 @@
 //! `evaluations` counter.
 //!
 //! Entries are capped per shard with LRU eviction; replies are shared as
-//! `Arc<str>` so a hit is one clone of a pointer.
+//! `Arc<str>` so a hit is one clone of a pointer — which the event loop's
+//! reactor appends straight to the connection's write buffer, probing with
+//! [`QueryCache::probe`] so a miss it hands on to a worker is counted once.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -82,19 +84,23 @@ impl QueryCache {
 
     /// Fetch the memoized reply for `key`, if any.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// [`QueryCache::get`] that counts a hit but never a miss: for a lookup
+    /// whose miss is handed on to a `get` of the same key, so the request
+    /// still moves exactly one of the two counters.
+    pub fn probe(&self, key: &str) -> Option<Arc<str>> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock();
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.reply))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = shard.entries.get_mut(key)?;
+        entry.last_used = now;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.reply))
     }
 
     /// Memoize `reply` under `key`, evicting the least-recently-used entry
@@ -173,6 +179,10 @@ mod tests {
         assert_eq!(&*hit, "OK\tSELECT\t0\t");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
+        assert!(cache.probe("select:1:px > 2").is_none());
+        assert_eq!(&*cache.probe("select:1:px > 1").unwrap(), "OK\tSELECT\t0\t");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (2, 1), "a probe never counts a miss");
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!   in which one reactor thread owns every socket nonblocking; a connection
 //!   holds a buffer, not a thread, so thousands of idle clients cost no
 //!   workers and a fresh request is dispatched to the worker pool the moment
-//!   its line arrives. Pipelining, admission control (`ERR busy`), idle and
-//!   write-stall timeouts live here.
+//!   its line arrives — unless its reply is already resident (`PING`,
+//!   `INFO`, a query-cache hit), which the reactor answers itself through
+//!   [`LineService::answer_inline`] with the same bytes and accounting.
+//!   Pipelining, admission control (`ERR busy`), idle and write-stall
+//!   timeouts live here.
 //! * **threaded** — the historical model: the accept loop hands each
 //!   connection to a fixed pool of worker threads over an `mpsc` channel,
 //!   and a worker blocks on its connection until the client leaves. Simple,
@@ -34,10 +37,11 @@
 //! flips a flag and unblocks the accept loop; workers finish the
 //! connections they hold and the run loop joins them before returning.
 
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use datastore::{Catalog, DatasetCache, DatasetCacheConfig};
 use fastbit::{parse_query, HistEngine};
@@ -327,9 +331,55 @@ impl ServerState {
         }
     }
 
+    /// The body of [`LineService::answer_inline`] once the request is
+    /// traced and in flight: the parse, the probe and the per-verb record,
+    /// or `None` having recorded no metric and no query-cache miss.
+    fn resident_reply(&self, line: &str, trace: &obs::RequestGuard<'_>) -> Option<Arc<str>> {
+        let request = {
+            let _parse = obs::span("parse");
+            protocol::parse_request(line).ok()?
+        };
+        trace.set_verb(request.verb());
+        let started = Instant::now();
+        let m = &self.metrics;
+        let (reply, metric, meta) = match request {
+            Request::Ping => (Arc::from("OK\tPONG"), &m.ping, true),
+            Request::Info => (
+                Arc::from(protocol::info_reply(&self.explorer.steps())),
+                &m.info,
+                true,
+            ),
+            Request::Select { step, query } => {
+                let key = select_key(step, &query).ok()?;
+                (self.cached(&key, false)?, &m.select, false)
+            }
+            Request::Hist {
+                step,
+                column,
+                bins,
+                condition,
+            } => {
+                let key = hist_key(step, &column, bins, condition.as_deref()).ok()?;
+                (self.cached(&key, false)?, &m.hist, false)
+            }
+            Request::Track { ids } => (self.cached(&track_key(&ids), false)?, &m.track, false),
+            _ => return None,
+        };
+        self.record(metric, meta, started.elapsed());
+        Some(reply)
+    }
+
+    /// Record one successful request under `metric` — and, for metadata
+    /// verbs (`meta`), additionally under the historical `meta_*` aggregate.
+    fn record(&self, metric: &crate::metrics::OpMetrics, meta: bool, elapsed: Duration) {
+        metric.record(elapsed);
+        if meta {
+            self.metrics.meta.record(elapsed);
+        }
+    }
+
     /// Run `op`, record its latency (or error) under the metric picked by
-    /// `metric` — and, for metadata verbs (`meta`), additionally under the
-    /// historical `meta_*` aggregate — and map errors to `ERR` replies.
+    /// `metric` and map errors to `ERR` replies.
     fn timed(
         &self,
         op: impl FnOnce(&Self) -> Result<String, String>,
@@ -339,11 +389,7 @@ impl ServerState {
         let started = Instant::now();
         match op(self) {
             Ok(reply) => {
-                let elapsed = started.elapsed();
-                metric(&self.metrics).record(elapsed);
-                if meta {
-                    self.metrics.meta.record(elapsed);
-                }
+                self.record(metric(&self.metrics), meta, started.elapsed());
                 (reply, false)
             }
             Err(msg) => {
@@ -357,18 +403,22 @@ impl ServerState {
     }
 
     /// Look `key` up in the query cache under a `query_cache` span noting
-    /// whether it hit.
-    fn cached(&self, key: &str) -> Option<std::sync::Arc<str>> {
+    /// whether it hit; a miss is counted only when `count_miss` (see
+    /// [`QueryCache::probe`]).
+    fn cached(&self, key: &str, count_miss: bool) -> Option<Arc<str>> {
         let _qc = obs::span("query_cache");
-        let hit = self.queries.get(key);
+        let hit = if count_miss {
+            self.queries.get(key)
+        } else {
+            self.queries.probe(key)
+        };
         obs::count("hit", u64::from(hit.is_some()));
         hit
     }
 
     fn op_select(&self, step: usize, query: &str) -> Result<String, String> {
-        let expr = parse_query(query).map_err(|e| e.to_string())?;
-        let key = format!("select:{step}:{}", expr.cache_key());
-        if let Some(reply) = self.cached(&key) {
+        let key = select_key(step, query)?;
+        if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
         self.metrics.note_evaluation();
@@ -403,12 +453,8 @@ impl ServerState {
         bins: usize,
         condition: Option<&str>,
     ) -> Result<String, String> {
-        let cond_key = condition
-            .map(|c| parse_query(c).map_err(|e| e.to_string()))
-            .transpose()?
-            .map_or_else(|| "*".to_string(), |c| c.cache_key());
-        let key = format!("hist:{step}:{column}:{bins}:{cond_key}");
-        if let Some(reply) = self.cached(&key) {
+        let key = hist_key(step, column, bins, condition)?;
+        if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
         self.metrics.note_evaluation();
@@ -425,14 +471,8 @@ impl ServerState {
     }
 
     fn op_track(&self, ids: &[u64]) -> Result<String, String> {
-        // Tracking walks every timestep through the pipeline Tracker (disk
-        // I/O bound when cold), so the deterministic reply is worth
-        // memoizing by the exact id list.
-        let key = format!(
-            "track:{}",
-            ids.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-        );
-        if let Some(reply) = self.cached(&key) {
+        let key = track_key(ids);
+        if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
         self.metrics.note_evaluation();
@@ -570,6 +610,7 @@ impl ServerState {
         fields.push(format!("connections_open={}", self.conn.open()));
         fields.push(format!("connection_errors={}", self.conn.errors()));
         fields.push(format!("busy_rejections={}", self.conn.busy_rejections()));
+        fields.push(format!("reactor_replies={}", self.conn.reactor_replies()));
         fields.push(format!("idle_disconnects={}", self.conn.idle_disconnects()));
         fields.push(format!("lines_too_long={}", self.conn.lines_too_long()));
         fields.push(format!("uptime_s={}", self.started.elapsed().as_secs()));
@@ -584,9 +625,74 @@ impl ServerState {
     }
 }
 
+/// Query-cache key of a `SELECT`: the step and the normalized query.
+fn select_key(step: usize, query: &str) -> Result<String, String> {
+    let expr = parse_query(query).map_err(|e| e.to_string())?;
+    Ok(format!("select:{step}:{}", expr.cache_key()))
+}
+
+/// Query-cache key of a `HIST`: step, column, bins and the normalized
+/// condition (`*` for none).
+fn hist_key(
+    step: usize,
+    column: &str,
+    bins: usize,
+    condition: Option<&str>,
+) -> Result<String, String> {
+    let cond_key = condition
+        .map(|c| parse_query(c).map_err(|e| e.to_string()))
+        .transpose()?
+        .map_or_else(|| "*".to_string(), |c| c.cache_key());
+    Ok(format!("hist:{step}:{column}:{bins}:{cond_key}"))
+}
+
+/// Query-cache key of a `TRACK`: the exact id list. Tracking walks every
+/// timestep (disk I/O bound when cold), so the deterministic reply is worth
+/// memoizing; the key is written into one buffer sized for typical ids.
+fn track_key(ids: &[u64]) -> String {
+    let mut key = String::with_capacity("track:".len() + ids.len() * 8);
+    key.push_str("track:");
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            key.push(',');
+        }
+        let _ = write!(key, "{id}");
+    }
+    key
+}
+
 impl LineService for ServerState {
     fn handle_line(&self, line: &str) -> (String, bool) {
         ServerState::handle_line(self, line)
+    }
+
+    /// Answer `line` when its reply is already resident — `PING`, `INFO`, or
+    /// a `SELECT`/`HIST`/`TRACK` whose reply the query cache holds — with
+    /// the trace, per-verb metric and in-flight gauge `handle_line` would
+    /// have recorded, plus `reactor=1` on the trace's `request` span.
+    /// Anything else (a miss, a parse error, any other verb) returns `None`
+    /// having recorded nothing, so the worker that serves it next accounts
+    /// it exactly once: the probe counts only query-cache hits, and the
+    /// trace is discarded with its sampling turn.
+    fn answer_inline(&self, line: &str) -> Option<(Arc<str>, bool)> {
+        // Only these verbs can have a resident reply: anything else (a
+        // REFINE's id list, say) is not even parsed or traced here.
+        let verb = line.split('\t').next().unwrap_or_default().trim();
+        if !["PING", "INFO", "SELECT", "HIST", "TRACK"]
+            .iter()
+            .any(|v| verb.eq_ignore_ascii_case(v))
+        {
+            return None;
+        }
+        let trace = self.tracer.begin(line);
+        self.metrics.inflight().inc();
+        let reply = self.resident_reply(line, &trace);
+        self.metrics.inflight().dec();
+        match reply {
+            Some(_) => obs::count("reactor", 1),
+            None => trace.discard(),
+        }
+        reply.map(|reply| (reply, false))
     }
 
     fn conn_metrics(&self) -> &ConnMetrics {

@@ -24,11 +24,25 @@ use crate::server::IoMode;
 /// A request-line handler servable by either connection layer.
 ///
 /// Implementations must be cheap to call concurrently: both layers invoke
-/// [`LineService::handle_line`] from a pool of worker threads.
+/// [`LineService::handle_line`] from a pool of worker threads, and the event
+/// loop calls [`LineService::answer_inline`] from its reactor thread.
 pub trait LineService: Send + Sync + 'static {
     /// Serve one request line; returns the reply and whether the connection
     /// should close after the reply is written.
     fn handle_line(&self, line: &str) -> (String, bool);
+
+    /// The reactor tier: answer `line` on the event loop's own thread, or
+    /// return `None` to have it dispatched to a worker through
+    /// [`LineService::handle_line`] as usual. An answer must come only from
+    /// memory that is already resident — the reactor serves every socket,
+    /// so this never evaluates, compiles, loads or touches disk — and must
+    /// be the reply `handle_line` would give, accounted the same way.
+    /// Called only when none of the connection's earlier requests is still
+    /// on a worker, so replies stay in request order. The default answers
+    /// nothing; the threaded layer never calls it.
+    fn answer_inline(&self, _line: &str) -> Option<(Arc<str>, bool)> {
+        None
+    }
 
     /// The connection-layer metrics this service reports into.
     fn conn_metrics(&self) -> &ConnMetrics;

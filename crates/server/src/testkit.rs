@@ -100,6 +100,31 @@ pub fn spawn_server(catalog: Arc<Catalog>, dir: PathBuf, config: ServerConfig) -
     TestServer { handle, join, dir }
 }
 
+/// The requests whose replies [`TIER_CROSSING_CONVERSATION`] expects to be
+/// memoized: send them, one at a time, to a fresh server first.
+pub const TIER_CROSSING_PREFILL: [&str; 3] =
+    ["SELECT\t0\tpx > 0", "HIST\t1\ty\t4\tpx > 0", "TRACK\t1,2"];
+
+/// One pipelined conversation (catalog of at least two timesteps, after
+/// [`TIER_CROSSING_PREFILL`]) that alternates between what the event loop's
+/// reactor answers itself and what it dispatches to a worker: a query-cache
+/// hit `SELECT`, a `REFINE` (never memoized), a missing `SELECT`, `PING`, a
+/// hit conditional `HIST`, `INFO`, a hit `TRACK`, then `QUIT` and two lines
+/// the `QUIT` must discard. Replies must come back in request order even
+/// though a reactor answer is ready long before a worker's.
+pub const TIER_CROSSING_CONVERSATION: [&str; 10] = [
+    "SELECT\t0\tpx > 0",
+    "REFINE\t0\t1,2,3\tpx > 0",
+    "SELECT\t1\tpx > 0 && y > 0",
+    "PING",
+    "HIST\t1\ty\t4\tpx > 0",
+    "INFO",
+    "TRACK\t1,2",
+    "QUIT",
+    "SELECT\t0\tpx > 0",
+    "PING",
+];
+
 /// One backend replica process of a [`TestCluster`].
 #[derive(Debug)]
 pub struct TestBackend {

@@ -283,29 +283,105 @@ fn pipelined_bursts_reply_in_request_order() {
     server.shutdown_and_clean();
 }
 
+/// The reactor tier keeps request order and per-request accounting: one
+/// pipelined burst alternating between lines the reactor answers from
+/// memory (hits, `PING`, `INFO`) and lines that go to a worker (`REFINE`, a
+/// query-cache miss, `QUIT`) replies exactly as the worker path does one
+/// line at a time, drops what follows `QUIT`, and moves every counter once
+/// per request.
+#[test]
+fn reactor_answers_keep_pipeline_order_and_accounting() {
+    let server = spawn_server(
+        "reactor_order",
+        ServerConfig {
+            workers: 2,
+            io_mode: IoMode::Async,
+            ..Default::default()
+        },
+    );
+    let state = server.state();
+    let mut prefill = Client::connect(server.addr()).unwrap();
+    for line in testkit::TIER_CROSSING_PREFILL {
+        assert!(prefill.request(line).unwrap().starts_with("OK\t"), "{line}");
+    }
+    drop(prefill);
+
+    let counters = || {
+        let (m, qc) = (state.metrics(), state.query_cache().stats());
+        [
+            m.select.count(),
+            m.refine.count(),
+            m.hist.count(),
+            m.track.count(),
+            m.ping.count(),
+            m.info.count(),
+            qc.hits,
+            qc.misses,
+            m.evaluations(),
+            state.tracer().recorded(),
+            state.conn_metrics().reactor_replies(),
+        ]
+    };
+    let before = counters();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let burst = testkit::TIER_CROSSING_CONVERSATION.join("\n") + "\n";
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut transcript = String::new();
+    stream.read_to_string(&mut transcript).unwrap();
+
+    // Every counter moves before its reply leaves, so the deltas are final
+    // once the connection has closed: per-verb counts, 3 hits and 1 miss,
+    // 2 evaluations (REFINE, the miss), one trace per request up to QUIT,
+    // and 5 reactor answers.
+    let moved: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(moved, [2, 1, 1, 1, 1, 1, 3, 1, 2, 8, 5]);
+    assert_eq!(state.metrics().inflight().get(), 0, "paired inc and dec");
+
+    // The sequential oracle: the worker path, one line at a time, up to
+    // and including QUIT.
+    let quit = testkit::TIER_CROSSING_CONVERSATION
+        .iter()
+        .position(|l| *l == "QUIT")
+        .unwrap();
+    let expected: String = testkit::TIER_CROSSING_CONVERSATION[..=quit]
+        .iter()
+        .map(|line| state.handle_line(line).0 + "\n")
+        .collect();
+    assert_eq!(transcript, expected);
+
+    server.shutdown_and_clean();
+}
+
 /// Admission control: with `queue_depth: 1`, connections bursting
 /// concurrently cannot all be in flight, so losers are refused with the
 /// typed `ERR busy …` reply — written by the reactor, counted in
-/// `busy_rejections`, and never reaching a worker. The reactor can in
-/// principle serialize a small burst perfectly, so the burst escalates
-/// until a rejection actually lands.
+/// `busy_rejections`, and never reaching a worker. The burst is `STATS`,
+/// which always goes to a worker; the reactor can in principle serialize a
+/// small burst perfectly, so it escalates until a rejection actually lands.
+/// `PING`s interleaved in the same saturated window are answered by the
+/// reactor itself: never refused, never counted toward the queue.
 #[test]
 fn saturated_queue_answers_busy() {
-    const BURST: usize = 50;
+    const PAIRS: usize = 25;
     let server = spawn_server(
         "busy",
         ServerConfig {
             workers: 1,
             io_mode: IoMode::Async,
             queue_depth: 1,
-            max_pipeline: BURST,
+            max_pipeline: 2 * PAIRS,
             ..Default::default()
         },
     );
     let addr = server.addr();
 
-    let burst = "PING\n".repeat(BURST);
+    let burst = "STATS\nPING\n".repeat(PAIRS);
     let mut total_busys = 0usize;
+    let mut total_pings = 0usize;
     for attempt in 0..4 {
         let conns = 2usize << attempt;
         let mut streams = Vec::new();
@@ -318,26 +394,32 @@ fn saturated_queue_answers_busy() {
             streams.push(stream);
         }
 
-        let mut pongs = 0usize;
+        let mut stats = 0usize;
         let mut busys = 0usize;
         for stream in streams {
             let mut reader = BufReader::new(stream);
-            for _ in 0..BURST {
+            for _ in 0..PAIRS {
                 match read_raw_line(&mut reader).unwrap().as_str() {
-                    "OK\tPONG" => pongs += 1,
+                    reply if reply.starts_with("OK\tSTATS\t") => stats += 1,
                     "ERR\tbusy (server request queue is full, retry later)" => busys += 1,
-                    other => panic!("unexpected reply: {other:?}"),
+                    other => panic!("unexpected STATS reply: {other:?}"),
                 }
+                assert_eq!(
+                    read_raw_line(&mut reader).as_deref(),
+                    Some("OK\tPONG"),
+                    "a PING in a saturated window is answered, in order"
+                );
             }
         }
         assert_eq!(
-            pongs + busys,
-            conns * BURST,
+            stats + busys,
+            conns * PAIRS,
             "every request got exactly one reply"
         );
         total_busys += busys;
+        total_pings += conns * PAIRS;
         if busys >= 1 {
-            assert!(pongs >= 1, "rejection must not silence the whole burst");
+            assert!(stats >= 1, "rejection must not silence the whole burst");
             break;
         }
     }
@@ -345,10 +427,9 @@ fn saturated_queue_answers_busy() {
         total_busys >= 1,
         "an escalating 2..16-connection burst never tripped admission control"
     );
-    assert_eq!(
-        server.state().conn_metrics().busy_rejections(),
-        total_busys as u64
-    );
+    let conn = server.state().conn_metrics();
+    assert_eq!(conn.busy_rejections(), total_busys as u64);
+    assert_eq!(conn.reactor_replies(), total_pings as u64);
 
     server.shutdown_and_clean();
 }

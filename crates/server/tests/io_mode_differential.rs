@@ -6,6 +6,7 @@
 //! into `ServerState::handle_line` and the shared framing module; this
 //! suite is what keeps anyone from quietly forking the semantics.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
@@ -15,7 +16,7 @@ use std::time::Duration;
 use datastore::Catalog;
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
-use vdx_server::{IoMode, Server, ServerConfig, ServerHandle};
+use vdx_server::{parse_stats, IoMode, Server, ServerConfig, ServerHandle};
 
 fn fixture(tag: &str) -> (Arc<Catalog>, PathBuf) {
     let dir = std::env::temp_dir().join(format!("vdx_io_diff_{tag}_{}", std::process::id()));
@@ -201,6 +202,59 @@ fn conversation_transcripts_match_across_modes() {
             String::from_utf8_lossy(bytes)
         );
     }
+
+    for (_, handle, join) in servers {
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The event loop answers query-cache hits, `PING` and `INFO` on its
+/// reactor and everything else on a worker; the threaded layer answers all
+/// of it on a worker. A pipelined conversation crossing between the two
+/// tiers must still produce the same transcript, and move the query cache,
+/// the evaluation counter and every per-verb count identically.
+#[test]
+fn reactor_tier_matches_the_threaded_layer_bytes_and_counts() {
+    let (catalog, dir) = fixture("tiers");
+    let servers = both_modes(&catalog);
+    let conversation = vdx_server::testkit::TIER_CROSSING_CONVERSATION.join("\n") + "\n";
+
+    let mut runs = Vec::new();
+    for (io_mode, handle, _) in &servers {
+        let state = handle.state();
+        for line in vdx_server::testkit::TIER_CROSSING_PREFILL {
+            assert!(state.handle_line(line).0.starts_with("OK\t"), "{line}");
+        }
+        let before = parse_stats(&state.handle_line("STATS").0);
+        let transcript = converse(handle, conversation.as_bytes());
+        let after = parse_stats(&state.handle_line("STATS").0);
+        let delta = |key: &str| -> u64 {
+            let read = |stats: &HashMap<String, String>| stats[key].parse::<u64>().unwrap();
+            read(&after) - read(&before)
+        };
+        let mut counters: Vec<(String, u64)> = after
+            .keys()
+            .filter(|k| {
+                k.ends_with("_count")
+                    || ["qc_hits", "qc_misses", "evaluations"].contains(&k.as_str())
+            })
+            .map(|k| (k.clone(), delta(k)))
+            .collect();
+        counters.sort();
+        let reactor = if *io_mode == IoMode::Async { 5 } else { 0 };
+        assert_eq!(delta("reactor_replies"), reactor, "[{io_mode}]");
+        assert_eq!(delta("qc_hits"), 3, "[{io_mode}]");
+        runs.push((transcript, counters));
+    }
+
+    let (threaded, asynch) = (&runs[0], &runs[1]);
+    assert_eq!(
+        String::from_utf8_lossy(&threaded.0),
+        String::from_utf8_lossy(&asynch.0)
+    );
+    assert_eq!(threaded.1, asynch.1, "counter deltas: threaded vs async");
 
     for (_, handle, join) in servers {
         handle.shutdown();

@@ -147,6 +147,7 @@ fn every_stats_field_is_documented() {
         "connections_open",
         "connection_errors",
         "busy_rejections",
+        "reactor_replies",
         "idle_disconnects",
         "lines_too_long",
     ] {
@@ -307,6 +308,7 @@ fn every_metric_family_is_documented() {
         "vdx_connections_open",
         "vdx_connection_errors_total",
         "vdx_busy_rejections_total",
+        "vdx_reactor_replies_total",
         "vdx_idle_disconnects_total",
         "vdx_lines_too_long_total",
     ] {

@@ -125,6 +125,41 @@ fn warm_replays_share_one_deterministic_structure() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Over async TCP a warm replay is answered by the event loop's reactor
+/// (no worker hand-off), and its trace says so with `reactor=1` on the
+/// `request` span — otherwise the skeleton is exactly the one the worker
+/// path records for the same memo hit.
+#[test]
+fn warm_replay_over_async_tcp_is_answered_on_the_reactor() {
+    let (catalog, dir) = fixture("reactor");
+    let (handle, join) = Server::bind(catalog, "127.0.0.1:0", ServerConfig::default())
+        .unwrap()
+        .spawn();
+    let state = handle.state();
+    let request = "HIST\t1\tpx\t16\ty > 0";
+    let (cold, _) = state.handle_line(request);
+    let (_, _) = state.handle_line(request);
+    let worker_skeleton = state.tracer().last().unwrap().structure();
+    assert!(!worker_skeleton.contains("reactor"), "{worker_skeleton}");
+
+    let mut client = vdx_server::Client::connect(handle.addr()).unwrap();
+    for _ in 0..3 {
+        assert_eq!(client.request(request).unwrap(), cold);
+        // The trace is recorded before the reply is written.
+        let trace = state.tracer().last().unwrap();
+        assert_eq!(
+            trace.structure(),
+            worker_skeleton.replacen("request _", "request _ reactor=1", 1)
+        );
+        assert_eq!(trace.verb, "HIST");
+    }
+    assert_eq!(state.conn_metrics().reactor_replies(), 3);
+    drop(client);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn store_load_trace_splits_read_verify_decode_and_names_a_corrupt_segment() {
     let (catalog, dir) = fixture("store_load");
