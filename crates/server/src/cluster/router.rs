@@ -18,8 +18,9 @@
 //!   every group concurrently and merge the partials exactly
 //!   ([`super::merge`]).
 //! * **Local verbs** (`PING`/`STATS`/`METRICS`/`TRACE`/`SLOWLOG`/`QUIT`/
-//!   `SHUTDOWN`) answer from router state; `REBALANCE` reloads the shard
-//!   map file and swaps the topology atomically.
+//!   `SHUTDOWN`) are the request lifecycle's own ([`crate::service`]),
+//!   answered from the router's front — `PING` on its reactor; `REBALANCE`
+//!   reloads the shard map file and swaps the topology atomically.
 //!
 //! **Failover:** each group's replicas hold the same timesteps, and routed
 //! verbs are read-only/idempotent, so a transport failure retries the next
@@ -29,9 +30,8 @@
 //! request outcomes and, optionally, a background `PING` prober; a cluster
 //! with any unhealthy replica reports `cluster_degraded=1` in `STATS`.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -40,11 +40,10 @@ use obs::{Counter, LatencyHistogram, Registry};
 use super::backend::Replica;
 use super::merge;
 use super::shard_map::ShardMap;
-use crate::framing;
-use crate::metrics::{ConnMetrics, OpMetrics, ServerMetrics};
+use crate::metrics::{ConnMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
 use crate::server::IoMode;
-use crate::service::{ConnConfig, LineService};
+use crate::service::{ConnConfig, Front, LineService};
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
@@ -151,54 +150,13 @@ impl Topology {
     }
 }
 
-/// Which scatter-gather merge a fanned-out verb uses.
-#[derive(Debug, Clone, Copy)]
-enum FanoutVerb {
-    Track,
-    Info,
-    Save,
-    Warm,
-}
-
-impl FanoutVerb {
-    fn metric(self, m: &ServerMetrics) -> &OpMetrics {
-        match self {
-            FanoutVerb::Track => &m.track,
-            FanoutVerb::Info => &m.info,
-            FanoutVerb::Save => &m.save,
-            FanoutVerb::Warm => &m.warm,
-        }
-    }
-
-    /// Whether the single server counts this verb under the `meta_*`
-    /// aggregate (TRACK is a data verb there; the rest are metadata).
-    fn is_meta(self) -> bool {
-        !matches!(self, FanoutVerb::Track)
-    }
-
-    fn merge(self, replies: &[String]) -> Result<String, String> {
-        match self {
-            FanoutVerb::Track => merge::merge_track(replies),
-            FanoutVerb::Info => merge::merge_info(replies),
-            FanoutVerb::Save => merge::merge_sum2("SAVE", replies),
-            FanoutVerb::Warm => merge::merge_sum2("WARM", replies),
-        }
-    }
-}
-
 /// Shared router state visible to every connection worker.
 #[derive(Debug)]
 pub struct RouterState {
+    front: Front,
     topology: Arc<RwLock<Topology>>,
     map_path: Option<PathBuf>,
     config: RouterConfig,
-    metrics: ServerMetrics,
-    conn: ConnMetrics,
-    registry: Arc<Registry>,
-    tracer: Arc<obs::Tracer>,
-    started: Instant,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
     fanouts: Arc<Counter>,
     forwards: Arc<Counter>,
     failovers: Arc<Counter>,
@@ -211,22 +169,22 @@ impl RouterState {
     /// router's own backend traffic is never counted here, so workload
     /// reconciliation against router `STATS` stays exact).
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.front.metrics
     }
 
     /// The connection-layer metrics of the router's own listener.
     pub fn conn_metrics(&self) -> &ConnMetrics {
-        &self.conn
+        &self.front.conn
     }
 
     /// The metrics registry rendered by the `METRICS` verb.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.front.registry
     }
 
     /// The request tracer behind `TRACE` and `SLOWLOG`.
     pub fn tracer(&self) -> &obs::Tracer {
-        &self.tracer
+        &self.front.tracer
     }
 
     /// Total requests forwarded to backend shards (including failover
@@ -265,180 +223,55 @@ impl RouterState {
         healthy < total
     }
 
-    pub(crate) fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Serve one request line (the router's [`LineService`] entry point).
+    /// Serve one request line through the shared request lifecycle
+    /// ([`LineService::handle_line`]).
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let trace = self.tracer.begin(line);
-        self.metrics.inflight().inc();
-        let result = self.dispatch(line, &trace);
-        self.metrics.inflight().dec();
-        drop(trace);
-        result
-    }
-
-    fn dispatch(&self, line: &str, trace: &obs::RequestGuard<'_>) -> (String, bool) {
-        let parsed = {
-            let _parse = obs::span("parse");
-            protocol::parse_request(line)
-        };
-        let request = match parsed {
-            Ok(r) => r,
-            Err(msg) => {
-                self.metrics.meta.record_error();
-                return (protocol::err_reply(&msg), false);
-            }
-        };
-        trace.set_verb(request.verb());
-        match request {
-            Request::Quit => ("OK\tBYE".to_string(), true),
-            Request::Shutdown => {
-                self.trigger_shutdown();
-                ("OK\tBYE".to_string(), true)
-            }
-            Request::Ping => self.timed(|_| Ok("OK\tPONG".to_string()), |m| &m.ping, true),
-            Request::Stats => self.timed(|s| Ok(s.stats_reply()), |m| &m.stats, true),
-            Request::Metrics => self.timed(
-                |s| Ok(protocol::metrics_reply(&s.registry.render())),
-                |m| &m.metrics,
-                true,
-            ),
-            Request::Trace { id } => self.timed(|s| s.op_trace(id), |m| &m.trace, true),
-            Request::SlowLog { limit } => self.timed(
-                |s| Ok(protocol::slowlog_reply(&s.tracer.slowlog(limit))),
-                |m| &m.slowlog,
-                true,
-            ),
-            Request::Rebalance => self.timed(|s| s.op_rebalance(), |m| &m.meta, false),
-            Request::Select { step, .. } => self.routed_step(step, line, |m| &m.select),
-            Request::Refine { step, .. } => self.routed_step(step, line, |m| &m.refine),
-            Request::Hist { step, .. } => self.routed_step(step, line, |m| &m.hist),
-            Request::Track { .. } => self.routed_fanout(line, FanoutVerb::Track),
-            Request::Info => self.routed_fanout(line, FanoutVerb::Info),
-            Request::Save => self.routed_fanout(line, FanoutVerb::Save),
-            Request::Warm => self.routed_fanout(line, FanoutVerb::Warm),
-        }
-    }
-
-    /// Run a router-local operation under the same timing/error accounting
-    /// as [`crate::ServerState`]'s verbs.
-    fn timed(
-        &self,
-        op: impl FnOnce(&Self) -> Result<String, String>,
-        metric: impl FnOnce(&ServerMetrics) -> &OpMetrics,
-        meta: bool,
-    ) -> (String, bool) {
-        let started = Instant::now();
-        match op(self) {
-            Ok(reply) => {
-                let elapsed = started.elapsed();
-                metric(&self.metrics).record(elapsed);
-                if meta {
-                    self.metrics.meta.record(elapsed);
-                }
-                (reply, false)
-            }
-            Err(msg) => {
-                metric(&self.metrics).record_error();
-                if meta {
-                    self.metrics.meta.record_error();
-                }
-                (protocol::err_reply(&msg), false)
-            }
-        }
-    }
-
-    /// Account one forwarded reply against the client-facing metrics: `OK`
-    /// records latency, a backend `ERR busy` passthrough counts as a busy
-    /// rejection (exactly as the local admission control would — op metrics
-    /// untouched, so reconciliation sees busy and errors disjointly), any
-    /// other `ERR` counts as an op error.
-    fn note_client_reply(&self, metric: &OpMetrics, meta: bool, started: Instant, reply: &str) {
-        if reply == framing::busy_reply() {
-            self.conn.note_busy_rejection();
-        } else if reply.starts_with("OK") {
-            let elapsed = started.elapsed();
-            metric.record(elapsed);
-            if meta {
-                self.metrics.meta.record(elapsed);
-            }
-        } else {
-            metric.record_error();
-            if meta {
-                self.metrics.meta.record_error();
-            }
-        }
+        LineService::handle_line(self, line)
     }
 
     /// Forward a per-step verb to the owning group, passing reply bytes
     /// through untouched.
-    fn routed_step(
-        &self,
-        step: usize,
-        line: &str,
-        metric: impl FnOnce(&ServerMetrics) -> &OpMetrics,
-    ) -> (String, bool) {
-        let started = Instant::now();
-        let reply = {
-            let _forward = obs::span("forward");
-            let topology = self.topology.read().expect("topology poisoned");
-            // A step no group owns goes to group 0: its catalog lacks the
-            // step too, so the backend's `unknown timestep` error bytes
-            // match the single-process server's.
-            let g = topology.map.group_for_step(step).unwrap_or(0);
-            match self.forward_to_group(&topology.groups[g], g, line) {
-                Ok(reply) => reply,
-                Err(msg) => protocol::err_reply(&msg),
-            }
-        };
-        self.note_client_reply(metric(&self.metrics), false, started, &reply);
-        (reply, false)
+    fn routed_step(&self, step: usize, line: &str) -> String {
+        let _forward = obs::span("forward");
+        let topology = self.topology.read().expect("topology poisoned");
+        // A step no group owns goes to group 0: its catalog lacks the step
+        // too, so the backend's `unknown timestep` error bytes match the
+        // single-process server's.
+        let g = topology.map.group_for_step(step).unwrap_or(0);
+        self.forward_to_group(&topology.groups[g], g, line)
+            .unwrap_or_else(|msg| protocol::err_reply(&msg))
     }
 
-    /// Fan a verb out to every group concurrently and merge the partials.
-    fn routed_fanout(&self, line: &str, verb: FanoutVerb) -> (String, bool) {
-        let started = Instant::now();
+    /// Fan a verb out to every group concurrently and `merge` the partials
+    /// exactly.
+    fn routed_fanout(&self, line: &str, merge: fn(&[String]) -> Result<String, String>) -> String {
         self.fanouts.inc();
-        let reply = {
-            let topology = self.topology.read().expect("topology poisoned");
-            let results: Vec<Result<String, String>> = {
-                let _forward = obs::span("forward");
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = topology
-                        .groups
-                        .iter()
-                        .enumerate()
-                        .map(|(g, group)| {
-                            scope.spawn(move || self.forward_to_group(group, g, line))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fan-out thread panicked"))
-                        .collect()
-                })
-            };
-            // The first whole-group failure (in group order) wins; otherwise
-            // merge the partials exactly.
-            match results.into_iter().collect::<Result<Vec<String>, String>>() {
-                Ok(replies) => {
-                    let _merge = obs::span("merge");
-                    verb.merge(&replies)
-                        .unwrap_or_else(|msg| protocol::err_reply(&msg))
-                }
-                Err(msg) => protocol::err_reply(&msg),
-            }
+        let topology = self.topology.read().expect("topology poisoned");
+        let results: Vec<Result<String, String>> = {
+            let _forward = obs::span("forward");
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = topology
+                    .groups
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| scope.spawn(move || self.forward_to_group(group, g, line)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("fan-out thread panicked"))
+                    .collect()
+            })
         };
-        self.note_client_reply(verb.metric(&self.metrics), verb.is_meta(), started, &reply);
-        (reply, false)
+        // The first whole-group failure (in group order) wins; otherwise
+        // merge the partials exactly.
+        results
+            .into_iter()
+            .collect::<Result<Vec<String>, String>>()
+            .and_then(|replies| {
+                let _merge = obs::span("merge");
+                merge(&replies)
+            })
+            .unwrap_or_else(|msg| protocol::err_reply(&msg))
     }
 
     /// Forward one request line to group `g` with replica failover: healthy
@@ -487,7 +320,7 @@ impl RouterState {
             .as_ref()
             .ok_or("no shard map file to reload (router was built from an in-memory map)")?;
         let map = ShardMap::load(path)?;
-        let fresh = Topology::build(map, &self.config, &self.registry);
+        let fresh = Topology::build(map, &self.config, &self.front.registry);
         let reply = format!(
             "OK\tREBALANCE\t{}\t{}",
             fresh.groups.len(),
@@ -503,52 +336,30 @@ impl RouterState {
         self.rebalances.inc();
         Ok(reply)
     }
+}
 
-    /// `TRACE LAST` / `TRACE <id>` over the router's own trace ring.
-    fn op_trace(&self, id: Option<u64>) -> Result<String, String> {
-        let trace = match id {
-            None => self
-                .tracer
-                .last()
-                .ok_or("no trace recorded yet (is --trace-sample 0?)")?,
-            Some(id) => self
-                .tracer
-                .get(id)
-                .ok_or_else(|| format!("no trace {id} in the ring or slowlog"))?,
-        };
-        Ok(protocol::trace_reply(&trace))
+impl LineService for RouterState {
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    fn stats_reply(&self) -> String {
-        let mut fields = Vec::new();
-        ServerMetrics::append_op_fields(&mut fields, "select", &self.metrics.select);
-        ServerMetrics::append_op_fields(&mut fields, "refine", &self.metrics.refine);
-        ServerMetrics::append_op_fields(&mut fields, "hist", &self.metrics.hist);
-        ServerMetrics::append_op_fields(&mut fields, "track", &self.metrics.track);
-        ServerMetrics::append_op_fields(&mut fields, "meta", &self.metrics.meta);
-        ServerMetrics::append_op_fields(&mut fields, "ping", &self.metrics.ping);
-        ServerMetrics::append_op_fields(&mut fields, "info", &self.metrics.info);
-        ServerMetrics::append_op_fields(&mut fields, "stats", &self.metrics.stats);
-        ServerMetrics::append_op_fields(&mut fields, "save", &self.metrics.save);
-        ServerMetrics::append_op_fields(&mut fields, "warm", &self.metrics.warm);
-        ServerMetrics::append_op_fields(&mut fields, "metrics", &self.metrics.metrics);
-        ServerMetrics::append_op_fields(&mut fields, "trace", &self.metrics.trace);
-        ServerMetrics::append_op_fields(&mut fields, "slowlog", &self.metrics.slowlog);
-        fields.push(format!("io_mode={}", self.config.io_mode));
-        fields.push(format!("connections_accepted={}", self.conn.accepted()));
-        fields.push(format!("connections_open={}", self.conn.open()));
-        fields.push(format!("connection_errors={}", self.conn.errors()));
-        fields.push(format!("busy_rejections={}", self.conn.busy_rejections()));
-        fields.push(format!("idle_disconnects={}", self.conn.idle_disconnects()));
-        fields.push(format!("lines_too_long={}", self.conn.lines_too_long()));
-        fields.push(format!("uptime_s={}", self.started.elapsed().as_secs()));
-        fields.push(format!(
-            "inflight_requests={}",
-            self.metrics.inflight().get()
-        ));
-        fields.push(format!("traces_recorded={}", self.tracer.recorded()));
-        fields.push(format!("trace_ring_len={}", self.tracer.ring_len()));
-        fields.push(format!("slowlog_len={}", self.tracer.slowlog_len()));
+    fn answer(&self, request: Request, line: &str) -> String {
+        match request {
+            Request::Select { step, .. }
+            | Request::Refine { step, .. }
+            | Request::Hist { step, .. } => self.routed_step(step, line),
+            Request::Track { .. } => self.routed_fanout(line, merge::merge_track),
+            Request::Info => self.routed_fanout(line, merge::merge_info),
+            Request::Save => self.routed_fanout(line, |r| merge::merge_sum2("SAVE", r)),
+            Request::Warm => self.routed_fanout(line, |r| merge::merge_sum2("WARM", r)),
+            // REBALANCE; the front answers every other verb.
+            _ => self
+                .op_rebalance()
+                .unwrap_or_else(|msg| protocol::err_reply(&msg)),
+        }
+    }
+
+    fn stats_fields(&self, fields: &mut Vec<String>) {
         let topology = self.topology.read().expect("topology poisoned");
         let (total, healthy) = topology.replica_counts();
         fields.push(format!("cluster_groups={}", topology.groups.len()));
@@ -573,21 +384,6 @@ impl RouterState {
             fields.push(format!("shard{g}_p50_us={}", quantile(0.5)));
             fields.push(format!("shard{g}_p99_us={}", quantile(0.99)));
         }
-        format!("OK\tSTATS\t{}", fields.join("\t"))
-    }
-}
-
-impl LineService for RouterState {
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        RouterState::handle_line(self, line)
-    }
-
-    fn conn_metrics(&self) -> &ConnMetrics {
-        RouterState::conn_metrics(self)
-    }
-
-    fn shutdown_requested(&self) -> bool {
-        RouterState::shutdown_requested(self)
     }
 }
 
@@ -600,12 +396,12 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The bound address (use this to connect when binding to port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.front.addr
     }
 
     /// Request a graceful stop: the accept loop exits, workers drain.
     pub fn shutdown(&self) {
-        self.state.trigger_shutdown();
+        self.state.front.trigger_shutdown();
     }
 
     /// Shared router state (metrics, cluster counters) for inspection.
@@ -647,31 +443,9 @@ impl Router {
         addr: &str,
         config: RouterConfig,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let registry = Arc::new(Registry::new());
-        let metrics = ServerMetrics::new(&registry);
-        let conn = ConnMetrics::new(&registry);
-        let tracer = Arc::new(obs::Tracer::new(obs::TraceConfig {
-            sample_every: config.trace_sample,
-            slow_us: config.slow_ms.saturating_mul(1000),
-            ..obs::TraceConfig::default()
-        }));
-        let started = Instant::now();
-        registry.gauge_fn(
-            "vdx_uptime_seconds",
-            "Seconds since the server started.",
-            &[],
-            move || started.elapsed().as_secs_f64(),
-        );
-        {
-            let tracer = Arc::clone(&tracer);
-            registry.counter_fn(
-                "vdx_traces_recorded_total",
-                "Request traces recorded by the sampler.",
-                &[],
-                move || tracer.recorded(),
-            );
-        }
+        let (listener, front) =
+            Front::bind(addr, config.io_mode, config.trace_sample, config.slow_ms)?;
+        let registry = &front.registry;
         let fanouts = registry.counter(
             "vdx_cluster_fanouts_total",
             "Scatter-gather fan-outs to every shard group.",
@@ -697,7 +471,7 @@ impl Router {
             "Successful REBALANCE shard-map reloads.",
             &[],
         );
-        let topology = Arc::new(RwLock::new(Topology::build(map, &config, &registry)));
+        let topology = Arc::new(RwLock::new(Topology::build(map, &config, registry)));
         {
             let t = Arc::clone(&topology);
             registry.gauge_fn(
@@ -738,16 +512,10 @@ impl Router {
             );
         }
         let state = Arc::new(RouterState {
+            front,
             topology,
             map_path,
             config,
-            metrics,
-            conn,
-            registry,
-            tracer,
-            started,
-            addr: listener.local_addr()?,
-            shutdown: AtomicBool::new(false),
             fanouts,
             forwards,
             failovers,
@@ -759,7 +527,7 @@ impl Router {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.front.addr
     }
 
     /// A control handle usable from other threads.
@@ -774,9 +542,7 @@ impl Router {
     pub fn run(self) -> std::io::Result<()> {
         let prober = spawn_prober(&self.state);
         let conn = self.state.config.conn.clone();
-        let io_mode = self.state.config.io_mode;
-        let result =
-            crate::service::run_listener(self.listener, Arc::clone(&self.state), io_mode, &conn);
+        let result = crate::service::run_listener(self.listener, Arc::clone(&self.state), &conn);
         if let Some(join) = prober {
             let _ = join.join();
         }
@@ -804,7 +570,7 @@ fn spawn_prober(state: &Arc<RouterState>) -> Option<std::thread::JoinHandle<()>>
     let state = Arc::clone(state);
     Some(std::thread::spawn(move || {
         let interval = Duration::from_millis(interval_ms);
-        while !state.shutdown_requested() {
+        while !state.front.shutdown_requested() {
             let replicas: Vec<Arc<Replica>> = {
                 let topology = state.topology.read().expect("topology poisoned");
                 topology
@@ -814,7 +580,7 @@ fn spawn_prober(state: &Arc<RouterState>) -> Option<std::thread::JoinHandle<()>>
                     .collect()
             };
             for replica in replicas {
-                if state.shutdown_requested() {
+                if state.front.shutdown_requested() {
                     return;
                 }
                 let healthy = replica.probe();
@@ -822,7 +588,7 @@ fn spawn_prober(state: &Arc<RouterState>) -> Option<std::thread::JoinHandle<()>>
             }
             // Sleep in short slices so shutdown stays prompt.
             let mut slept = Duration::ZERO;
-            while slept < interval && !state.shutdown_requested() {
+            while slept < interval && !state.front.shutdown_requested() {
                 let slice = (interval - slept).min(Duration::from_millis(50));
                 std::thread::sleep(slice);
                 slept += slice;

@@ -12,20 +12,23 @@
 //!   connection's read buffer (incremental line framing via
 //!   [`framing::LineSplitter`]), write buffer, and pipeline queue.
 //! * **Workers** never touch sockets. They receive complete request lines
-//!   over an `mpsc` channel, run [`LineService::handle_line`] — the same
-//!   entry point the threaded layer calls, which is what makes the two
-//!   modes byte-identical — and push the reply back to the reactor through
-//!   a completion channel plus a [`polling::Waker`]. The loop is generic
-//!   over the [`LineService`], so the single-process server and the
-//!   cluster router share it unchanged.
+//!   over an `mpsc` channel, run [`LineService::handle_line`] — the one
+//!   request lifecycle in [`crate::service`], the same entry point the
+//!   threaded layer calls, which is what makes the two modes
+//!   byte-identical — and push the reply back to the reactor through a
+//!   completion channel plus a [`polling::Waker`]. The loop is generic over
+//!   the [`LineService`], so the single-process server and the cluster
+//!   router share it unchanged.
 //! * The **reactor tier** skips both hand-offs when it can: before a line is
 //!   dispatched, the reactor offers it to [`LineService::answer_inline`],
-//!   and a reply the service already holds in memory (for the server:
-//!   `PING`, `INFO`, a memoised `SELECT`/`HIST`/`TRACK`) is appended to the
-//!   write buffer right there, counted in `reactor_replies`. The invariant
-//!   that keeps one thread serving every socket: the reactor answers only
-//!   from resident memory and never evaluates, compiles, loads or touches
-//!   disk; anything else goes to the workers.
+//!   and a reply already resident in memory (`PING` for every service;
+//!   for the server also `INFO` and a memoised `SELECT`/`HIST`/`TRACK`) is
+//!   appended to the write buffer right there, counted in
+//!   `reactor_replies` and traced, gauged and recorded by the same
+//!   lifecycle as a worker's answer. The invariant that keeps one thread
+//!   serving every socket: the reactor answers only from resident memory
+//!   and never evaluates, compiles, loads or touches disk; anything else
+//!   goes to the workers.
 //!
 //! Scheduling and bounds:
 //!
@@ -257,7 +260,7 @@ pub(crate) fn run<S: LineService>(
         while let Ok(done) = done_rx.try_recv() {
             reactor.complete(done);
         }
-        let shutting = reactor.state.shutdown_requested();
+        let shutting = reactor.state.front().shutdown_requested();
         if shutting && drain_deadline.is_none() {
             // Stop accepting; existing connections finish what they have
             // queued (and get their replies) but take nothing new.
@@ -282,7 +285,7 @@ pub(crate) fn run<S: LineService>(
     // workers by dropping the job channel.
     for (_, conn) in reactor.conns.drain() {
         let _ = reactor.poller.deregister(conn.stream.as_raw_fd());
-        reactor.state.conn_metrics().note_closed();
+        reactor.state.front().conn.note_closed();
     }
     drop(reactor);
     for worker in workers {
@@ -310,7 +313,7 @@ impl<S: LineService> Reactor<S> {
                         continue;
                     }
                     self.next_token += 1;
-                    self.state.conn_metrics().note_accepted();
+                    self.state.front().conn.note_accepted();
                     let now = Instant::now();
                     self.conns.insert(
                         token,
@@ -356,7 +359,7 @@ impl<S: LineService> Reactor<S> {
                 Ok(n) => {
                     conn.last_activity = Instant::now();
                     conn.splitter.extend(&buf[..n]);
-                    if !extract_lines(conn, self.state.conn_metrics(), self.limits.max_line) {
+                    if !extract_lines(conn, &self.state.front().conn, self.limits.max_line) {
                         break;
                     }
                     if conn.pending.len() >= self.limits.max_pipeline {
@@ -369,7 +372,7 @@ impl<S: LineService> Reactor<S> {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.state.conn_metrics().note_error();
+                    self.state.front().conn.note_error();
                     conn.dead = true;
                     return;
                 }
@@ -382,8 +385,8 @@ impl<S: LineService> Reactor<S> {
                     conn.pending.push_back(PendingItem::Request(line));
                 }
                 Some(LineRead::TooLong) => {
-                    self.state.conn_metrics().note_line_too_long();
-                    self.state.conn_metrics().note_error();
+                    self.state.front().conn.note_line_too_long();
+                    self.state.front().conn.note_error();
                     conn.pending
                         .push_back(PendingItem::Teardown(framing::line_too_long_reply(
                             self.limits.max_line,
@@ -420,15 +423,15 @@ impl<S: LineService> Reactor<S> {
                     // The reactor tier comes before admission control: an
                     // answer from resident memory is not dispatched work.
                     if let Some((reply, close)) = self.state.answer_inline(&line) {
-                        self.state.conn_metrics().note_reactor_reply();
+                        self.state.front().conn.note_reactor_reply();
                         deliver(conn, &reply, close);
                         continue;
                     }
                     if self.queued >= self.limits.queue_depth {
                         // Admission control: refuse in order, right here —
                         // the request never reaches a worker.
-                        self.state.conn_metrics().note_busy_rejection();
-                        append_reply(conn, &framing::busy_reply());
+                        self.state.front().conn.note_busy_rejection();
+                        append_reply(conn, framing::BUSY_REPLY);
                         continue;
                     }
                     if self.job_tx.send(Job { token, line }).is_ok() {
@@ -461,7 +464,7 @@ impl<S: LineService> Reactor<S> {
         while conn.write_pos < conn.write_buf.len() {
             match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
                 Ok(0) => {
-                    self.state.conn_metrics().note_error();
+                    self.state.front().conn.note_error();
                     conn.dead = true;
                     return;
                 }
@@ -472,7 +475,7 @@ impl<S: LineService> Reactor<S> {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.state.conn_metrics().note_error();
+                    self.state.front().conn.note_error();
                     conn.dead = true;
                     return;
                 }
@@ -487,7 +490,7 @@ impl<S: LineService> Reactor<S> {
         } else if conn.write_buf.len() - conn.write_pos > self.limits.write_buf_limit {
             // The peer reads slower than it queries; cut it loose rather
             // than buffer without bound.
-            self.state.conn_metrics().note_error();
+            self.state.front().conn.note_error();
             conn.dead = true;
         }
     }
@@ -504,7 +507,7 @@ impl<S: LineService> Reactor<S> {
             if conn.write_pos < conn.write_buf.len()
                 && now.duration_since(conn.last_write_progress) >= stall
             {
-                self.state.conn_metrics().note_error();
+                self.state.front().conn.note_error();
                 conn.dead = true;
                 return;
             }
@@ -515,7 +518,7 @@ impl<S: LineService> Reactor<S> {
                 && conn.pending.is_empty()
                 && conn.write_buf.is_empty();
             if quiescent && now.duration_since(conn.last_activity) >= idle {
-                self.state.conn_metrics().note_idle_disconnect();
+                self.state.front().conn.note_idle_disconnect();
                 append_reply(conn, &framing::idle_timeout_reply(self.limits.idle_ms));
                 conn.closing = true;
             }
@@ -561,7 +564,7 @@ impl<S: LineService> Reactor<S> {
             self.update_interest(token);
         }
         self.sweep_tokens = tokens;
-        let (poller, metrics) = (&self.poller, self.state.conn_metrics());
+        let (poller, metrics) = (&self.poller, &self.state.front().conn);
         self.conns.retain(|_, conn| {
             if conn.dead {
                 let _ = poller.deregister(conn.stream.as_raw_fd());

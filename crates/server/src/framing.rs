@@ -207,9 +207,7 @@ pub fn idle_timeout_reply(ms: u64) -> String {
 
 /// The typed reply for a request rejected by admission control (the global
 /// dispatch queue is full).
-pub fn busy_reply() -> String {
-    "ERR\tbusy (server request queue is full, retry later)".to_string()
-}
+pub const BUSY_REPLY: &str = "ERR\tbusy (server request queue is full, retry later)";
 
 #[cfg(test)]
 mod tests {

@@ -73,16 +73,24 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) ->
         .unwrap_or(default)
 }
 
-fn server_config(args: &[String]) -> ServerConfig {
-    let defaults = ServerConfig::default();
-    ServerConfig {
+/// The transport flags `serve` and `route` share.
+fn conn_config(args: &[String]) -> ConnConfig {
+    let defaults = ConnConfig::default();
+    ConnConfig {
         workers: parsed_flag(args, "--workers", defaults.workers),
-        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
         max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes),
         idle_timeout_ms: parsed_flag(args, "--idle-timeout-ms", defaults.idle_timeout_ms),
         write_timeout_ms: parsed_flag(args, "--write-timeout-ms", defaults.write_timeout_ms),
         max_pipeline: parsed_flag(args, "--max-pipeline", defaults.max_pipeline),
         queue_depth: parsed_flag(args, "--queue-depth", defaults.queue_depth),
+        ..defaults
+    }
+}
+
+fn server_config(args: &[String]) -> ServerConfig {
+    let defaults = ServerConfig::with_conn(conn_config(args));
+    ServerConfig {
+        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
         nodes: parsed_flag(args, "--nodes", defaults.nodes),
         threads: parsed_flag(args, "--threads", defaults.threads),
         chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows),
@@ -157,22 +165,9 @@ fn route(args: &[String]) -> Result<(), String> {
     let map_path = flag(args, "--shard-map").ok_or("route requires --shard-map FILE.toml")?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7879".to_string());
     let defaults = RouterConfig::default();
-    let conn_defaults = ConnConfig::default();
     let config = RouterConfig {
         io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
-        conn: ConnConfig {
-            workers: parsed_flag(args, "--workers", conn_defaults.workers),
-            max_line_bytes: parsed_flag(args, "--max-line-bytes", conn_defaults.max_line_bytes),
-            idle_timeout_ms: parsed_flag(args, "--idle-timeout-ms", conn_defaults.idle_timeout_ms),
-            write_timeout_ms: parsed_flag(
-                args,
-                "--write-timeout-ms",
-                conn_defaults.write_timeout_ms,
-            ),
-            max_pipeline: parsed_flag(args, "--max-pipeline", conn_defaults.max_pipeline),
-            queue_depth: parsed_flag(args, "--queue-depth", conn_defaults.queue_depth),
-            ..conn_defaults
-        },
+        conn: conn_config(args),
         backend_timeout_ms: parsed_flag(args, "--backend-timeout-ms", defaults.backend_timeout_ms),
         backend_inflight: parsed_flag(args, "--backend-inflight", defaults.backend_inflight),
         health_interval_ms: parsed_flag(args, "--health-interval-ms", defaults.health_interval_ms),

@@ -16,6 +16,8 @@ use std::time::Duration;
 
 use obs::{Counter, Gauge, LatencyHistogram, Registry};
 
+use crate::protocol::Request;
+
 /// Counters and a latency histogram for one operation type.
 #[derive(Debug)]
 pub struct OpMetrics {
@@ -293,6 +295,29 @@ impl ServerMetrics {
         }
     }
 
+    /// The instrument `request` is recorded under, and whether it also
+    /// counts toward the `meta` aggregate (every metadata verb does; the
+    /// data verbs and `REBALANCE`, which records under `meta` itself, do
+    /// not). `None` for `QUIT` and `SHUTDOWN`, which are not recorded.
+    pub fn op(&self, request: &Request) -> Option<(&OpMetrics, bool)> {
+        Some(match request {
+            Request::Select { .. } => (&self.select, false),
+            Request::Refine { .. } => (&self.refine, false),
+            Request::Hist { .. } => (&self.hist, false),
+            Request::Track { .. } => (&self.track, false),
+            Request::Rebalance => (&self.meta, false),
+            Request::Ping => (&self.ping, true),
+            Request::Info => (&self.info, true),
+            Request::Stats => (&self.stats, true),
+            Request::Save => (&self.save, true),
+            Request::Warm => (&self.warm, true),
+            Request::Metrics => (&self.metrics, true),
+            Request::Trace { .. } => (&self.trace, true),
+            Request::SlowLog { .. } => (&self.slowlog, true),
+            Request::Quit | Request::Shutdown => return None,
+        })
+    }
+
     /// Note one real query evaluation (cache miss path).
     pub fn note_evaluation(&self) {
         self.evaluations.inc();
@@ -304,7 +329,9 @@ impl ServerMetrics {
     }
 
     /// The in-flight request gauge: incremented when a request line enters
-    /// `handle_line`, decremented when its reply is ready.
+    /// the request lifecycle ([`crate::LineService::handle_line`] or the
+    /// reactor tier's [`crate::LineService::answer_inline`]), decremented
+    /// when its reply is ready.
     pub fn inflight(&self) -> &Gauge {
         &self.inflight
     }
@@ -412,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn conn_metrics_register_all_six_families() {
+    fn conn_metrics_register_all_seven_families() {
         let registry = Registry::new();
         let c = ConnMetrics::new(&registry);
         c.note_accepted();
@@ -420,12 +447,14 @@ mod tests {
         c.note_closed();
         c.note_error();
         c.note_busy_rejection();
+        c.note_reactor_reply();
         c.note_idle_disconnect();
         c.note_line_too_long();
         assert_eq!(c.accepted(), 2);
         assert_eq!(c.open(), 1);
         assert_eq!(c.errors(), 1);
         assert_eq!(c.busy_rejections(), 1);
+        assert_eq!(c.reactor_replies(), 1);
         assert_eq!(c.idle_disconnects(), 1);
         assert_eq!(c.lines_too_long(), 1);
         let text = registry.render();
@@ -434,6 +463,7 @@ mod tests {
             "vdx_connections_open 1",
             "vdx_connection_errors_total 1",
             "vdx_busy_rejections_total 1",
+            "vdx_reactor_replies_total 1",
             "vdx_idle_disconnects_total 1",
             "vdx_lines_too_long_total 1",
         ] {

@@ -3,7 +3,8 @@
 //! Two interchangeable connection layers serve the same protocol against
 //! the same shared state (selected by [`ServerConfig::io_mode`], replies
 //! byte-identical by construction because both call
-//! [`ServerState::handle_line`]):
+//! [`LineService::handle_line`], the request lifecycle in
+//! [`crate::service`]):
 //!
 //! * **async** (the default) — a readiness event loop ([`crate::event_loop`])
 //!   in which one reactor thread owns every socket nonblocking; a connection
@@ -11,7 +12,8 @@
 //!   workers and a fresh request is dispatched to the worker pool the moment
 //!   its line arrives — unless its reply is already resident (`PING`,
 //!   `INFO`, a query-cache hit), which the reactor answers itself through
-//!   [`LineService::answer_inline`] with the same bytes and accounting.
+//!   [`LineService::answer_inline`] with the same bytes and accounting
+//!   (`ServerState`'s [`LineService::answer_resident`] holds the last two).
 //!   Pipelining, admission control (`ERR busy`), idle and write-stall
 //!   timeouts live here.
 //! * **threaded** — the historical model: the accept loop hands each
@@ -38,20 +40,17 @@
 //! connections they hold and the run loop joins them before returning.
 
 use std::fmt::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use datastore::{Catalog, DatasetCache, DatasetCacheConfig};
 use fastbit::{parse_query, HistEngine};
 use vdx_core::{DataExplorer, ExplorerConfig};
 
-use crate::framing;
 use crate::metrics::{ConnMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
 use crate::query_cache::QueryCache;
-use crate::service::{ConnConfig, LineService};
+use crate::service::{ConnConfig, Front, LineService};
 
 /// Which connection layer a [`Server`] runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +145,31 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
+    /// The default configuration with the transport limits of `conn`
+    /// ([`ServerConfig::default`] is this over [`ConnConfig::default`], so
+    /// the server's and the router's transport defaults cannot drift).
+    pub fn with_conn(conn: ConnConfig) -> ServerConfig {
+        ServerConfig {
+            workers: conn.workers,
+            io_mode: IoMode::Async,
+            max_line_bytes: conn.max_line_bytes,
+            idle_timeout_ms: conn.idle_timeout_ms,
+            write_timeout_ms: conn.write_timeout_ms,
+            max_pipeline: conn.max_pipeline,
+            queue_depth: conn.queue_depth,
+            write_buf_limit: conn.write_buf_limit,
+            nodes: 2,
+            threads: 1,
+            chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
+            index_accel: false,
+            engine: HistEngine::FastBit,
+            dataset_cache: DatasetCacheConfig::default(),
+            query_cache_entries: 1024,
+            trace_sample: 1,
+            slow_ms: 100,
+        }
+    }
+
     /// The transport subset of this configuration, handed to the shared
     /// connection layers in [`crate::service`].
     pub fn conn(&self) -> ConnConfig {
@@ -163,25 +187,7 @@ impl ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            workers: 4,
-            io_mode: IoMode::Async,
-            max_line_bytes: framing::MAX_REQUEST_LINE_BYTES,
-            idle_timeout_ms: 300_000,
-            write_timeout_ms: 30_000,
-            max_pipeline: 128,
-            queue_depth: 1024,
-            write_buf_limit: 64 << 20,
-            nodes: 2,
-            threads: 1,
-            chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
-            index_accel: false,
-            engine: HistEngine::FastBit,
-            dataset_cache: DatasetCacheConfig::default(),
-            query_cache_entries: 1024,
-            trace_sample: 1,
-            slow_ms: 100,
-        }
+        Self::with_conn(ConnConfig::default())
     }
 }
 
@@ -193,17 +199,10 @@ impl Default for ServerConfig {
 /// the library behaviour — replies are byte-identical by construction.
 #[derive(Debug)]
 pub struct ServerState {
+    front: Front,
     explorer: DataExplorer,
     datasets: Arc<DatasetCache>,
     queries: Arc<QueryCache>,
-    metrics: ServerMetrics,
-    conn: ConnMetrics,
-    io_mode: IoMode,
-    registry: Arc<obs::Registry>,
-    tracer: Arc<obs::Tracer>,
-    started: Instant,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
 }
 
 impl ServerState {
@@ -219,187 +218,35 @@ impl ServerState {
 
     /// The per-verb server metrics.
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.front.metrics
     }
 
     /// The connection-layer metrics (accepted/open/errors/admission).
     pub fn conn_metrics(&self) -> &ConnMetrics {
-        &self.conn
+        &self.front.conn
     }
 
     /// The connection layer this server runs.
     pub fn io_mode(&self) -> IoMode {
-        self.io_mode
-    }
-
-    /// True once a graceful shutdown has been requested.
-    pub(crate) fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.front.io_mode
     }
 
     /// The metrics registry every layer reports into (rendered by the
     /// `METRICS` verb).
     pub fn registry(&self) -> &obs::Registry {
-        &self.registry
+        &self.front.registry
     }
 
     /// The request tracer behind `TRACE` and `SLOWLOG`.
     pub fn tracer(&self) -> &obs::Tracer {
-        &self.tracer
+        &self.front.tracer
     }
 
-    fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Serve one request line; returns the reply and whether the connection
-    /// should close afterwards. The whole request runs inside a sampled
-    /// trace (the guard assembles the span tree when it drops, after the
-    /// reply is ready) and under the in-flight gauge.
+    /// Serve one request line through the shared request lifecycle
+    /// ([`LineService::handle_line`]); returns the reply and whether the
+    /// connection should close afterwards.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let trace = self.tracer.begin(line);
-        self.metrics.inflight().inc();
-        let result = self.dispatch(line, &trace);
-        self.metrics.inflight().dec();
-        drop(trace);
-        result
-    }
-
-    fn dispatch(&self, line: &str, trace: &obs::RequestGuard<'_>) -> (String, bool) {
-        let parsed = {
-            let _parse = obs::span("parse");
-            protocol::parse_request(line)
-        };
-        let request = match parsed {
-            Ok(r) => r,
-            Err(msg) => {
-                self.metrics.meta.record_error();
-                return (protocol::err_reply(&msg), false);
-            }
-        };
-        trace.set_verb(request.verb());
-        match request {
-            Request::Quit => ("OK\tBYE".to_string(), true),
-            Request::Shutdown => {
-                self.trigger_shutdown();
-                ("OK\tBYE".to_string(), true)
-            }
-            Request::Ping => self.timed(|_| Ok("OK\tPONG".to_string()), |m| &m.ping, true),
-            Request::Info => self.timed(
-                |s| Ok(protocol::info_reply(&s.explorer.steps())),
-                |m| &m.info,
-                true,
-            ),
-            Request::Stats => self.timed(|s| Ok(s.stats_reply()), |m| &m.stats, true),
-            Request::Select { step, query } => {
-                self.timed(|s| s.op_select(step, &query), |m| &m.select, false)
-            }
-            Request::Refine { step, ids, query } => {
-                self.timed(|s| s.op_refine(step, &ids, &query), |m| &m.refine, false)
-            }
-            Request::Hist {
-                step,
-                column,
-                bins,
-                condition,
-            } => self.timed(
-                |s| s.op_hist(step, &column, bins, condition.as_deref()),
-                |m| &m.hist,
-                false,
-            ),
-            Request::Track { ids } => self.timed(|s| s.op_track(&ids), |m| &m.track, false),
-            Request::Save => self.timed(|s| s.op_save(), |m| &m.save, true),
-            Request::Warm => self.timed(|s| s.op_warm(), |m| &m.warm, true),
-            Request::Metrics => self.timed(
-                |s| Ok(protocol::metrics_reply(&s.registry.render())),
-                |m| &m.metrics,
-                true,
-            ),
-            Request::Trace { id } => self.timed(|s| s.op_trace(id), |m| &m.trace, true),
-            Request::SlowLog { limit } => self.timed(
-                |s| Ok(protocol::slowlog_reply(&s.tracer.slowlog(limit))),
-                |m| &m.slowlog,
-                true,
-            ),
-            Request::Rebalance => self.timed(
-                |_| Err("not a router (REBALANCE reloads a cluster shard map)".to_string()),
-                |m| &m.meta,
-                false,
-            ),
-        }
-    }
-
-    /// The body of [`LineService::answer_inline`] once the request is
-    /// traced and in flight: the parse, the probe and the per-verb record,
-    /// or `None` having recorded no metric and no query-cache miss.
-    fn resident_reply(&self, line: &str, trace: &obs::RequestGuard<'_>) -> Option<Arc<str>> {
-        let request = {
-            let _parse = obs::span("parse");
-            protocol::parse_request(line).ok()?
-        };
-        trace.set_verb(request.verb());
-        let started = Instant::now();
-        let m = &self.metrics;
-        let (reply, metric, meta) = match request {
-            Request::Ping => (Arc::from("OK\tPONG"), &m.ping, true),
-            Request::Info => (
-                Arc::from(protocol::info_reply(&self.explorer.steps())),
-                &m.info,
-                true,
-            ),
-            Request::Select { step, query } => {
-                let key = select_key(step, &query).ok()?;
-                (self.cached(&key, false)?, &m.select, false)
-            }
-            Request::Hist {
-                step,
-                column,
-                bins,
-                condition,
-            } => {
-                let key = hist_key(step, &column, bins, condition.as_deref()).ok()?;
-                (self.cached(&key, false)?, &m.hist, false)
-            }
-            Request::Track { ids } => (self.cached(&track_key(&ids), false)?, &m.track, false),
-            _ => return None,
-        };
-        self.record(metric, meta, started.elapsed());
-        Some(reply)
-    }
-
-    /// Record one successful request under `metric` — and, for metadata
-    /// verbs (`meta`), additionally under the historical `meta_*` aggregate.
-    fn record(&self, metric: &crate::metrics::OpMetrics, meta: bool, elapsed: Duration) {
-        metric.record(elapsed);
-        if meta {
-            self.metrics.meta.record(elapsed);
-        }
-    }
-
-    /// Run `op`, record its latency (or error) under the metric picked by
-    /// `metric` and map errors to `ERR` replies.
-    fn timed(
-        &self,
-        op: impl FnOnce(&Self) -> Result<String, String>,
-        metric: impl FnOnce(&ServerMetrics) -> &crate::metrics::OpMetrics,
-        meta: bool,
-    ) -> (String, bool) {
-        let started = Instant::now();
-        match op(self) {
-            Ok(reply) => {
-                self.record(metric(&self.metrics), meta, started.elapsed());
-                (reply, false)
-            }
-            Err(msg) => {
-                metric(&self.metrics).record_error();
-                if meta {
-                    self.metrics.meta.record_error();
-                }
-                (protocol::err_reply(&msg), false)
-            }
-        }
+        LineService::handle_line(self, line)
     }
 
     /// Look `key` up in the query cache under a `query_cache` span noting
@@ -421,7 +268,7 @@ impl ServerState {
         if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
-        self.metrics.note_evaluation();
+        self.front.metrics.note_evaluation();
         let beam = self
             .explorer
             .select(step, query)
@@ -437,7 +284,7 @@ impl ServerState {
     fn op_refine(&self, step: usize, ids: &[u64], query: &str) -> Result<String, String> {
         // Not memoized: the key would have to embed the whole id set.
         let expr = parse_query(query).map_err(|e| e.to_string())?;
-        self.metrics.note_evaluation();
+        self.front.metrics.note_evaluation();
         let refined = self
             .explorer
             .refine_ids(step, ids, &expr)
@@ -457,7 +304,7 @@ impl ServerState {
         if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
-        self.metrics.note_evaluation();
+        self.front.metrics.note_evaluation();
         let hist = self
             .explorer
             .histogram1d(step, column, bins, condition)
@@ -475,7 +322,7 @@ impl ServerState {
         if let Some(reply) = self.cached(&key, true) {
             return Ok(reply.to_string());
         }
-        self.metrics.note_evaluation();
+        self.front.metrics.note_evaluation();
         let tracking = self.explorer.track(ids).map_err(|e| e.to_string())?;
         let reply = {
             let _ser = obs::span("serialize");
@@ -529,100 +376,6 @@ impl ServerState {
         }
         Ok(format!("OK\tWARM\t{warmed}\t{}", steps.len()))
     }
-
-    /// `TRACE LAST` / `TRACE <id>`: fetch a recorded trace. The request's
-    /// own trace is still open while this runs (the guard drops after the
-    /// reply), so `LAST` always refers to the previously finished request.
-    fn op_trace(&self, id: Option<u64>) -> Result<String, String> {
-        let trace = match id {
-            None => self
-                .tracer
-                .last()
-                .ok_or("no trace recorded yet (is --trace-sample 0?)")?,
-            Some(id) => self
-                .tracer
-                .get(id)
-                .ok_or_else(|| format!("no trace {id} in the ring or slowlog"))?,
-        };
-        Ok(protocol::trace_reply(&trace))
-    }
-
-    fn stats_reply(&self) -> String {
-        let ds = self.datasets.stats();
-        let qc = self.queries.stats();
-        let par = self.explorer.par_stats();
-        let plans = self.explorer.plan_cache_stats();
-        let store = self
-            .explorer
-            .catalog()
-            .store()
-            .map(|s| s.stats())
-            .unwrap_or_default();
-        let enc = fastbit::encoding_stats();
-        let (enc_equality_bytes, enc_range_bytes) = self.datasets.encoding_bytes();
-        let mut fields = vec![
-            format!("par_threads={}", self.explorer.par_exec().threads()),
-            format!("par_chunk_rows={}", self.explorer.par_exec().chunk_rows()),
-            format!("par_queries={}", par.queries),
-            format!("par_chunks_pruned_empty={}", par.chunks_pruned_empty),
-            format!("par_chunks_pruned_full={}", par.chunks_pruned_full),
-            format!("par_chunks_scanned={}", par.chunks_scanned),
-            format!("par_chunks_indexed={}", par.chunks_indexed),
-            format!("enc_equality_queries={}", enc.equality_queries),
-            format!("enc_range_queries={}", enc.range_queries),
-            format!("enc_equality_bytes={enc_equality_bytes}"),
-            format!("enc_range_bytes={enc_range_bytes}"),
-            format!("ds_hits={}", ds.hits),
-            format!("ds_misses={}", ds.misses),
-            format!("ds_evictions={}", ds.evictions),
-            format!("ds_resident_bytes={}", ds.resident_bytes),
-            format!("ds_peak_resident_bytes={}", ds.peak_resident_bytes),
-            format!("ds_budget_bytes={}", self.datasets.max_bytes()),
-            format!("store_hits={}", store.hits),
-            format!("store_misses={}", store.misses),
-            format!("store_bytes_written={}", store.bytes_written),
-            format!("store_indexes_built={}", store.indexes_built),
-            format!("qc_hits={}", qc.hits),
-            format!("qc_misses={}", qc.misses),
-            format!("qc_evictions={}", qc.evictions),
-            format!("qc_len={}", qc.len),
-            format!("plan_cache_hits={}", plans.hits),
-            format!("plan_cache_misses={}", plans.misses),
-            format!("plan_cache_evictions={}", plans.evictions),
-            format!("plan_cache_len={}", plans.len),
-            format!("evaluations={}", self.metrics.evaluations()),
-        ];
-        ServerMetrics::append_op_fields(&mut fields, "select", &self.metrics.select);
-        ServerMetrics::append_op_fields(&mut fields, "refine", &self.metrics.refine);
-        ServerMetrics::append_op_fields(&mut fields, "hist", &self.metrics.hist);
-        ServerMetrics::append_op_fields(&mut fields, "track", &self.metrics.track);
-        ServerMetrics::append_op_fields(&mut fields, "meta", &self.metrics.meta);
-        ServerMetrics::append_op_fields(&mut fields, "ping", &self.metrics.ping);
-        ServerMetrics::append_op_fields(&mut fields, "info", &self.metrics.info);
-        ServerMetrics::append_op_fields(&mut fields, "stats", &self.metrics.stats);
-        ServerMetrics::append_op_fields(&mut fields, "save", &self.metrics.save);
-        ServerMetrics::append_op_fields(&mut fields, "warm", &self.metrics.warm);
-        ServerMetrics::append_op_fields(&mut fields, "metrics", &self.metrics.metrics);
-        ServerMetrics::append_op_fields(&mut fields, "trace", &self.metrics.trace);
-        ServerMetrics::append_op_fields(&mut fields, "slowlog", &self.metrics.slowlog);
-        fields.push(format!("io_mode={}", self.io_mode));
-        fields.push(format!("connections_accepted={}", self.conn.accepted()));
-        fields.push(format!("connections_open={}", self.conn.open()));
-        fields.push(format!("connection_errors={}", self.conn.errors()));
-        fields.push(format!("busy_rejections={}", self.conn.busy_rejections()));
-        fields.push(format!("reactor_replies={}", self.conn.reactor_replies()));
-        fields.push(format!("idle_disconnects={}", self.conn.idle_disconnects()));
-        fields.push(format!("lines_too_long={}", self.conn.lines_too_long()));
-        fields.push(format!("uptime_s={}", self.started.elapsed().as_secs()));
-        fields.push(format!(
-            "inflight_requests={}",
-            self.metrics.inflight().get()
-        ));
-        fields.push(format!("traces_recorded={}", self.tracer.recorded()));
-        fields.push(format!("trace_ring_len={}", self.tracer.ring_len()));
-        fields.push(format!("slowlog_len={}", self.tracer.slowlog_len()));
-        format!("OK\tSTATS\t{}", fields.join("\t"))
-    }
 }
 
 /// Query-cache key of a `SELECT`: the step and the normalized query.
@@ -662,45 +415,98 @@ fn track_key(ids: &[u64]) -> String {
 }
 
 impl LineService for ServerState {
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        ServerState::handle_line(self, line)
+    const RESIDENT_VERBS: &'static [&'static str] = &["INFO", "SELECT", "HIST", "TRACK"];
+
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    /// Answer `line` when its reply is already resident — `PING`, `INFO`, or
-    /// a `SELECT`/`HIST`/`TRACK` whose reply the query cache holds — with
-    /// the trace, per-verb metric and in-flight gauge `handle_line` would
-    /// have recorded, plus `reactor=1` on the trace's `request` span.
-    /// Anything else (a miss, a parse error, any other verb) returns `None`
-    /// having recorded nothing, so the worker that serves it next accounts
-    /// it exactly once: the probe counts only query-cache hits, and the
-    /// trace is discarded with its sampling turn.
-    fn answer_inline(&self, line: &str) -> Option<(Arc<str>, bool)> {
-        // Only these verbs can have a resident reply: anything else (a
-        // REFINE's id list, say) is not even parsed or traced here.
-        let verb = line.split('\t').next().unwrap_or_default().trim();
-        if !["PING", "INFO", "SELECT", "HIST", "TRACK"]
-            .iter()
-            .any(|v| verb.eq_ignore_ascii_case(v))
-        {
-            return None;
+    fn answer(&self, request: Request, _line: &str) -> String {
+        let result = match request {
+            Request::Info => Ok(protocol::info_reply(&self.explorer.steps())),
+            Request::Select { step, query } => self.op_select(step, &query),
+            Request::Refine { step, ids, query } => self.op_refine(step, &ids, &query),
+            Request::Hist {
+                step,
+                column,
+                bins,
+                condition,
+            } => self.op_hist(step, &column, bins, condition.as_deref()),
+            Request::Track { ids } => self.op_track(&ids),
+            Request::Save => self.op_save(),
+            Request::Warm => self.op_warm(),
+            // REBALANCE; the front answers every other verb.
+            _ => Err("not a router (REBALANCE reloads a cluster shard map)".to_string()),
+        };
+        result.unwrap_or_else(|msg| protocol::err_reply(&msg))
+    }
+
+    fn stats_fields(&self, fields: &mut Vec<String>) {
+        let ds = self.datasets.stats();
+        let qc = self.queries.stats();
+        let par = self.explorer.par_stats();
+        let plans = self.explorer.plan_cache_stats();
+        let store = self
+            .explorer
+            .catalog()
+            .store()
+            .map(|s| s.stats())
+            .unwrap_or_default();
+        let enc = fastbit::encoding_stats();
+        let (enc_equality_bytes, enc_range_bytes) = self.datasets.encoding_bytes();
+        fields.extend([
+            format!("par_threads={}", self.explorer.par_exec().threads()),
+            format!("par_chunk_rows={}", self.explorer.par_exec().chunk_rows()),
+            format!("par_queries={}", par.queries),
+            format!("par_chunks_pruned_empty={}", par.chunks_pruned_empty),
+            format!("par_chunks_pruned_full={}", par.chunks_pruned_full),
+            format!("par_chunks_scanned={}", par.chunks_scanned),
+            format!("par_chunks_indexed={}", par.chunks_indexed),
+            format!("enc_equality_queries={}", enc.equality_queries),
+            format!("enc_range_queries={}", enc.range_queries),
+            format!("enc_equality_bytes={enc_equality_bytes}"),
+            format!("enc_range_bytes={enc_range_bytes}"),
+            format!("ds_hits={}", ds.hits),
+            format!("ds_misses={}", ds.misses),
+            format!("ds_evictions={}", ds.evictions),
+            format!("ds_resident_bytes={}", ds.resident_bytes),
+            format!("ds_peak_resident_bytes={}", ds.peak_resident_bytes),
+            format!("ds_budget_bytes={}", self.datasets.max_bytes()),
+            format!("store_hits={}", store.hits),
+            format!("store_misses={}", store.misses),
+            format!("store_bytes_written={}", store.bytes_written),
+            format!("store_indexes_built={}", store.indexes_built),
+            format!("qc_hits={}", qc.hits),
+            format!("qc_misses={}", qc.misses),
+            format!("qc_evictions={}", qc.evictions),
+            format!("qc_len={}", qc.len),
+            format!("plan_cache_hits={}", plans.hits),
+            format!("plan_cache_misses={}", plans.misses),
+            format!("plan_cache_evictions={}", plans.evictions),
+            format!("plan_cache_len={}", plans.len),
+            format!("evaluations={}", self.front.metrics.evaluations()),
+        ]);
+    }
+
+    /// `INFO`, or a `SELECT`/`HIST`/`TRACK` whose reply the query cache
+    /// holds. The probe counts hits only, so a miss — and a query that does
+    /// not even parse — is counted once, by the worker that serves it next.
+    fn answer_resident(&self, request: &Request) -> Option<Arc<str>> {
+        match request {
+            Request::Info => Some(Arc::from(protocol::info_reply(&self.explorer.steps()))),
+            Request::Select { step, query } => self.cached(&select_key(*step, query).ok()?, false),
+            Request::Hist {
+                step,
+                column,
+                bins,
+                condition,
+            } => {
+                let key = hist_key(*step, column, *bins, condition.as_deref()).ok()?;
+                self.cached(&key, false)
+            }
+            Request::Track { ids } => self.cached(&track_key(ids), false),
+            _ => None,
         }
-        let trace = self.tracer.begin(line);
-        self.metrics.inflight().inc();
-        let reply = self.resident_reply(line, &trace);
-        self.metrics.inflight().dec();
-        match reply {
-            Some(_) => obs::count("reactor", 1),
-            None => trace.discard(),
-        }
-        reply.map(|reply| (reply, false))
-    }
-
-    fn conn_metrics(&self) -> &ConnMetrics {
-        ServerState::conn_metrics(self)
-    }
-
-    fn shutdown_requested(&self) -> bool {
-        ServerState::shutdown_requested(self)
     }
 }
 
@@ -713,12 +519,12 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (use this to connect when binding to port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.front.addr
     }
 
     /// Request a graceful stop: the accept loop exits, workers drain.
     pub fn shutdown(&self) {
-        self.state.trigger_shutdown();
+        self.state.front.trigger_shutdown();
     }
 
     /// Shared server state (caches, metrics) for inspection.
@@ -743,7 +549,8 @@ impl Server {
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
+        let (listener, front) =
+            Front::bind(addr, config.io_mode, config.trace_sample, config.slow_ms)?;
         let datasets = Arc::new(DatasetCache::new(config.dataset_cache.clone()));
         let explorer = DataExplorer::from_catalog(
             catalog,
@@ -758,47 +565,16 @@ impl Server {
         )
         .with_dataset_cache(Arc::clone(&datasets));
         let queries = Arc::new(QueryCache::new(config.query_cache_entries));
-        let tracer = Arc::new(obs::Tracer::new(obs::TraceConfig {
-            sample_every: config.trace_sample,
-            slow_us: config.slow_ms.saturating_mul(1000),
-            ..obs::TraceConfig::default()
-        }));
         // One registry per server: every layer registers its instruments or
-        // snapshot collectors here, and the `METRICS` verb renders it.
-        let registry = Arc::new(obs::Registry::new());
-        let metrics = ServerMetrics::new(&registry);
-        let conn = ConnMetrics::new(&registry);
-        explorer.register_metrics(&registry);
-        datasets.register_metrics(&registry);
-        queries.register_metrics(&registry);
-        let started = Instant::now();
-        registry.gauge_fn(
-            "vdx_uptime_seconds",
-            "Seconds since the server started.",
-            &[],
-            move || started.elapsed().as_secs_f64(),
-        );
-        {
-            let tracer = Arc::clone(&tracer);
-            registry.counter_fn(
-                "vdx_traces_recorded_total",
-                "Request traces recorded by the sampler.",
-                &[],
-                move || tracer.recorded(),
-            );
-        }
+        // snapshot collectors there, and the `METRICS` verb renders it.
+        explorer.register_metrics(&front.registry);
+        datasets.register_metrics(&front.registry);
+        queries.register_metrics(&front.registry);
         let state = Arc::new(ServerState {
+            front,
             explorer,
             datasets,
             queries,
-            metrics,
-            conn,
-            io_mode: config.io_mode,
-            registry,
-            tracer,
-            started,
-            addr: listener.local_addr()?,
-            shutdown: AtomicBool::new(false),
         });
         Ok(Server {
             listener,
@@ -809,7 +585,7 @@ impl Server {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.front.addr
     }
 
     /// A control handle usable from other threads.
@@ -821,12 +597,7 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain workers and return.
     pub fn run(self) -> std::io::Result<()> {
-        crate::service::run_listener(
-            self.listener,
-            self.state,
-            self.config.io_mode,
-            &self.config.conn(),
-        )
+        crate::service::run_listener(self.listener, self.state, &self.config.conn())
     }
 
     /// Run on a background thread, returning the control handle and the

@@ -230,6 +230,52 @@ fn rebalance_on_a_plain_server_is_a_typed_error() {
     server.shutdown_and_clean();
 }
 
+/// `PING` is the request lifecycle's own verb, so a router answers it on its
+/// reactor like a single server does, without forwarding anything; a
+/// `SELECT` still goes through a router worker to the owning backend.
+#[test]
+fn router_answers_ping_on_its_reactor_without_a_forward() {
+    let cluster = spawn_cluster(
+        "cfail_ping",
+        PARTICLES,
+        4,
+        8,
+        2,
+        1,
+        backend_config(),
+        router_config(),
+    );
+    let mut client = Client::connect(cluster.addr()).expect("connect router");
+    let mut stats = || parse_stats(&client.request("STATS").unwrap());
+    let delta = |before: &HashMap<String, String>, after: &HashMap<String, String>, key| {
+        stat(after, key) - stat(before, key)
+    };
+
+    let before = stats();
+    assert_eq!(cluster.router.state().handle_line("PING").0, "OK\tPONG");
+    let in_process = stats();
+    assert_eq!(delta(&before, &in_process, "reactor_replies"), 0);
+    assert_eq!(delta(&before, &in_process, "ping_count"), 1);
+
+    let mut over_tcp = Client::connect(cluster.addr()).expect("connect router");
+    assert_eq!(over_tcp.request("PING").unwrap(), "OK\tPONG");
+    let after_ping = stats();
+    assert_eq!(delta(&in_process, &after_ping, "reactor_replies"), 1);
+    assert_eq!(delta(&in_process, &after_ping, "ping_count"), 1);
+    assert_eq!(delta(&in_process, &after_ping, "cluster_forwards"), 0);
+
+    let reply = over_tcp.request("SELECT\t1\tpx > 0").unwrap();
+    assert!(reply.starts_with("OK\tSELECT\t"), "{reply}");
+    let after_select = stats();
+    assert_eq!(delta(&after_ping, &after_select, "reactor_replies"), 0);
+    assert_eq!(delta(&after_ping, &after_select, "cluster_forwards"), 1);
+    assert_eq!(delta(&after_ping, &after_select, "select_count"), 1);
+
+    assert_eq!(over_tcp.request("QUIT").unwrap(), "OK\tBYE");
+    assert_eq!(client.request("QUIT").unwrap(), "OK\tBYE");
+    cluster.shutdown_and_clean();
+}
+
 /// Kill a replica while concurrent clients replay the scripted workload:
 /// with a surviving replica in every group there is exactly one acceptable
 /// reply per request — the canonical bytes. Zero wrong bytes, no hangs,

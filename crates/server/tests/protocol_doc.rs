@@ -224,8 +224,12 @@ fn every_router_stats_field_and_metric_family_is_documented() {
             "router STATS field '{key}' is not documented in docs/PROTOCOL.md"
         );
     }
-    // And the other direction: the cluster fields the docs promise.
+    // And the other direction: the common fields every front reports, and
+    // the cluster fields the docs promise.
     for promised in [
+        "reactor_replies",
+        "inflight_requests",
+        "traces_recorded",
         "cluster_groups",
         "cluster_replicas",
         "cluster_replicas_healthy",
