@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use datastore::{Catalog, Dataset, DatasetCache};
 use fastbit::{
-    parse_query, BinSpec, HistEngine, ParExec, ParStatsSnapshot, PlanCache, PlanCacheStats,
-    QueryExpr,
+    parse_query, BinSpec, HistEngine, IdIndex, ParExec, ParStatsSnapshot, PlanCache,
+    PlanCacheStats, QueryExpr,
 };
 use histogram::{Binning, Hist2D};
 use lwfa::{SimConfig, Simulation};
@@ -355,6 +355,58 @@ impl DataExplorer {
             }
             None => Ok(self.analyzer().track(ids)?),
         }
+    }
+
+    /// Matches per tracked particle over every timestep, as `(id, points)`
+    /// pairs in ascending id order with ids found nowhere left out: the
+    /// `(trace.id, trace.points.len())` of [`DataExplorer::track`], without
+    /// the trace points. With a shared cache under the `FastBit` engine,
+    /// each timestep is counted from an identifier index alone — a resident
+    /// dataset's, else the one [`Catalog::load_id_index`] reads — and
+    /// nothing is admitted into the cache. Otherwise the counts come from
+    /// [`DataExplorer::track`].
+    pub fn track_counts(&self, ids: &[u64]) -> Result<Vec<(u64, u64)>> {
+        let cache = match &self.cache {
+            Some(cache) if self.config.engine == HistEngine::FastBit => cache,
+            _ => {
+                let tracking = self.track(ids)?;
+                return Ok(tracking
+                    .traces
+                    .iter()
+                    .map(|t| (t.id, t.points.len() as u64))
+                    .collect());
+            }
+        };
+        let mut wanted = ids.to_vec();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let count = |idx: &IdIndex| -> Vec<u64> {
+            wanted
+                .iter()
+                .map(|&id| idx.rows_for(id).count() as u64)
+                .collect()
+        };
+        let steps = self.catalog.steps();
+        let (per_step, _) = NodePool::new(self.config.nodes).run(steps.len(), |i| {
+            Ok(match cache.get_resident(steps[i]) {
+                Some(dataset) => match dataset.id_index() {
+                    Some(idx) => count(idx),
+                    None => count(&IdIndex::build(dataset.table().id_column("id")?)),
+                },
+                None => count(&self.catalog.load_id_index(steps[i])?),
+            })
+        })?;
+        let mut totals = vec![0u64; wanted.len()];
+        for counts in per_step {
+            for (total, n) in totals.iter_mut().zip(counts) {
+                *total += n;
+            }
+        }
+        Ok(wanted
+            .into_iter()
+            .zip(totals)
+            .filter(|&(_, n)| n > 0)
+            .collect())
     }
 
     /// Compute a 1D histogram of `column` at `step` with `bins` uniform

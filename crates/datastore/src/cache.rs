@@ -239,6 +239,33 @@ impl DatasetCache {
         loaded
     }
 
+    /// Timestep `step` if it is resident (or still alive in a caller since
+    /// a recent load), without loading or admitting anything: one hit or
+    /// one miss is counted either way, and a step another thread is still
+    /// loading is a miss rather than a wait. For callers that can answer
+    /// from less than a whole dataset when `step` is cold.
+    pub fn get_resident(&self, step: usize) -> Option<Arc<Dataset>> {
+        let _cache = obs::span("dataset_cache");
+        obs::note("step", || step.to_string());
+        let mut shard = self.shard(step).shard.lock();
+        let found = match shard.entries.get_mut(&step) {
+            Some(entry) => {
+                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(&entry.dataset))
+            }
+            None => shard.recent.get(&step).and_then(Weak::upgrade),
+        };
+        drop(shard);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        obs::count("hit", u64::from(found.is_some()));
+        found
+    }
+
     /// Insert a freshly loaded dataset, evicting LRU entries *first* so the
     /// shard (and hence the whole cache) never holds more than its budget
     /// slice — the resident counter and its peak watermark cannot overshoot

@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
+use fastbit::IdIndex;
 use histogram::Binning;
 use parking_lot::Mutex;
 
@@ -15,6 +16,24 @@ use crate::error::{DataStoreError, Result};
 use crate::format;
 use crate::store::Store;
 use crate::table::ParticleTable;
+
+/// What a store read gave: its value, or `None` when the caller must fall
+/// back to raw ingestion. A segment that exists but failed validation is
+/// counted as a store miss (the fallback's save atomically replaces it).
+fn from_store<T>(store: &Store, read: crate::store::StoreResult<Option<T>>) -> Option<T> {
+    match read {
+        Ok(Some(value)) => {
+            obs::note("source", || "store".to_string());
+            Some(value)
+        }
+        Ok(None) => None,
+        Err(e) => {
+            obs::note("segment_error", || e.kind().to_string());
+            store.note_miss();
+            None
+        }
+    }
+}
 
 /// One timestep known to a catalog.
 #[derive(Debug, Clone)]
@@ -263,19 +282,49 @@ impl Catalog {
                 return self.load_raw(entry, projection, with_indexes);
             }
         };
-        match store.load(step) {
-            Ok(Some(dataset)) => {
-                obs::note("source", || "store".to_string());
-                return Ok(dataset);
-            }
-            Ok(None) => {}
-            // A segment exists but failed validation: fall back to the raw
-            // source of truth; the save below atomically replaces it.
-            Err(e) => {
-                obs::note("segment_error", || e.kind().to_string());
-                store.note_miss();
-            }
+        if let Some(dataset) = from_store(store, store.load(step)) {
+            return Ok(dataset);
         }
+        self.ingest_and_persist(entry, store)
+    }
+
+    /// Load only timestep `step`'s identifier index — what an `ID IN (…)`
+    /// count needs — reading no column when a valid segment or sidecar
+    /// holds the index.
+    ///
+    /// With a [`Store`] attached, the segment's header, table, meta and
+    /// id-index sections are read and validated ([`Store::load_id_index`]);
+    /// when there is no segment, or it is invalid, this falls back to the
+    /// full raw ingestion of [`Catalog::load`], which rewrites the segment.
+    /// Without a store, the `.vdj` sidecar is read (or, lacking one, the
+    /// identifier column, indexed on the fly).
+    pub fn load_id_index(&self, step: usize) -> Result<IdIndex> {
+        let _load = obs::span("load");
+        obs::note("step", || step.to_string());
+        obs::note("part", || "id_index".to_string());
+        let entry = self.entry(step)?;
+        let dataset = match &self.store {
+            Some(store) => match from_store(store, store.load_id_index(step)) {
+                Some(idx) => return Ok(idx),
+                None => self.ingest_and_persist(entry, store)?,
+            },
+            None => {
+                obs::note("source", || "raw".to_string());
+                if let Some(path) = &entry.id_index_path {
+                    return format::read_id_index(path);
+                }
+                self.load_raw(entry, Some(&["id"]), false)?
+            }
+        };
+        match dataset.id_index() {
+            Some(idx) => Ok(idx.clone()),
+            None => Ok(IdIndex::build(dataset.table().id_column("id")?)),
+        }
+    }
+
+    /// The cold half of a store-backed load: ingest the raw files, build
+    /// whatever the segment should carry, and write it back.
+    fn ingest_and_persist(&self, entry: &TimestepEntry, store: &Store) -> Result<Dataset> {
         obs::note("source", || "raw".to_string());
         let mut dataset = self.load_raw(entry, None, true)?;
         if dataset.indexed_columns().is_empty() {

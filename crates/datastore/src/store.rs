@@ -31,7 +31,12 @@
 //!
 //! Every payload carries its own CRC-32 in the table, and the table itself
 //! is covered by the header CRC, so *any* single-byte corruption anywhere in
-//! a segment is detected before a `Dataset` is constructed.
+//! a segment is detected before a `Dataset` is constructed. [`crc32`] folds
+//! inputs of 128 bytes or more by carry-less multiplication where the CPU
+//! supports it (detected at run time on x86-64; the call into the kernel is
+//! this module's one `unsafe`) and runs a slicing-by-16 table otherwise;
+//! both compute the bytewise definition's values, so segment bytes do not
+//! depend on which one ran.
 //!
 //! Writes go to a uniquely named `<segment>.<n>.tmp` file first and are
 //! renamed into place, so a crash mid-write can never leave a truncated
@@ -45,6 +50,14 @@
 //! and turned into its part of the dataset before the next is read, so a
 //! load's transient memory is its largest section rather than the file.
 //! [`decode_segment`] runs the same routine over bytes already in memory.
+//!
+//! An identifier lookup needs far less than a dataset: [`Store::load_id_index`]
+//! (and [`decode_segment_id_index`] over bytes in memory) runs the decoder's
+//! own validator over the header, the section table — whose per-kind section
+//! counts are held to meta's tallies — and the meta section, then reads,
+//! checksums and validates the identifier-index section alone. Every other
+//! payload is skipped unread, so a flip inside one cannot reach the index,
+//! while anything the reader does read is checked as the full load checks it.
 
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -129,11 +142,29 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`, sixteen bytes per step
-/// (slicing-by-16); the values are those of the bytewise definition.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`; the values are those of the
+/// bytewise definition. Inputs of at least 128 bytes go through a
+/// carry-less-multiply folding kernel where the CPU has one (detected at
+/// run time); everything else goes through a slicing-by-16 table.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Advance the raw (uninverted) CRC-32 register `crc` over `bytes`.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available` has just confirmed that this CPU has the
+        // `pclmulqdq` and `sse4.1` features the kernel is compiled for.
+        return unsafe { clmul::update(crc, bytes) };
+    }
+    crc32_update_table(crc, bytes)
+}
+
+/// The table fallback: sixteen bytes per step (slicing-by-16), then the
+/// remainder a byte at a time, over the raw CRC-32 register.
+fn crc32_update_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
         let block = u128::from_le_bytes(block.try_into().expect("16-byte block")) ^ crc as u128;
@@ -145,7 +176,107 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 by carry-less multiplication: the input is folded 64 bytes per
+/// step into four 128-bit lanes, the lanes into one, that one down to 32
+/// bits by a Barrett reduction, and the last partial block goes through the
+/// table (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction", Intel, 2009; the bit-reflected variant).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input handed to the kernel, which needs one whole 64-byte
+    /// block to fill its four lanes; shorter inputs stay on the table.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // Folding constants for the IEEE polynomial P, bit-reflected as 33-bit
+    // values: K1 = x^(4*128+32) mod P and K2 = x^(4*128-32) mod P carry a
+    // lane across 512 bits, K3 = x^(128+32) mod P and K4 = x^(128-32) mod P
+    // across 128 bits, K5 = x^64 mod P across 64 bits; P_X is P itself and
+    // U_PRIME is floor(x^64 / P), the Barrett constant.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P_X: i64 = 0x1_db71_0641;
+    const U_PRIME: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU can run [`update`].
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// One 16-byte block as a little-endian 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8]) -> __m128i {
+        let lo = i64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+        let hi = i64::from_le_bytes(block[8..16].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// Carry `acc` forward by the distance `keys` encodes onto `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Advance the raw CRC-32 register `crc` over `bytes`, which must hold
+    /// at least [`MIN_LEN`] bytes.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> u32 {
+        let mut wide = bytes.chunks_exact(64);
+        let first = wide.next().expect("at least MIN_LEN bytes");
+        let mut lanes = [
+            load(&first[0..16]),
+            load(&first[16..32]),
+            load(&first[32..48]),
+            load(&first[48..64]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for chunk in &mut wide {
+            for (lane, block) in lanes.iter_mut().zip(chunk.chunks_exact(16)) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a, b, c, d] = lanes;
+        let mut acc = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
+        let mut narrow = wide.remainder().chunks_exact(16);
+        for block in &mut narrow {
+            acc = fold(acc, load(block), k3k4);
+        }
+
+        // 128 -> 96 -> 64 bits: fold the low half by K4, then the low 32
+        // bits of that by K5.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+            _mm_srli_si128(acc, 8),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction 64 -> 32 bits; reflected, so the result is the
+        // upper half of the low 64 bits.
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::crc32_update_table(crc, narrow.remainder())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -645,11 +776,30 @@ pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
     decode_from(&mut bytes)
 }
 
-/// The one segment decoder, fed region by region: header and section table
-/// first, then one pass per section (read, CRC, validate, construct) with
-/// the meta section — which anchors every cross-check — ahead of the rest.
-fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
-    let stages = &mut StageTimes::start();
+/// Parse and validate only what an identifier lookup needs from segment
+/// bytes: the header, the section table, the meta section and the
+/// identifier-index section, each checked exactly as [`decode_segment`]
+/// checks it. The other sections' payloads are never read.
+pub fn decode_segment_id_index(mut bytes: &[u8]) -> StoreResult<fastbit::IdIndex> {
+    Ok(read_id_index_from(&mut bytes)?.1)
+}
+
+/// A segment's header, section table and meta section, validated — the one
+/// validator that both [`decode_from`] and [`read_id_index_from`] run
+/// before touching any other payload.
+struct SegmentHead {
+    /// Every table entry, bounds- and kind-checked, in table order.
+    entries: Vec<SectionEntry>,
+    /// The step recorded in meta.
+    step: u64,
+    /// The row count recorded in meta, which every section must match.
+    num_rows: u64,
+}
+
+/// Read and validate the header, the section table and the meta section;
+/// the table's per-kind section counts are held to meta's tallies here, so
+/// a reader that skips sections still rejects a segment whose table lies.
+fn read_head(src: &mut impl SegmentSource, stages: &mut StageTimes) -> StoreResult<SegmentHead> {
     let file_len = src.len();
     if file_len < HEADER_LEN as u64 {
         return Err(StoreError::Truncated {
@@ -725,7 +875,8 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
     }
 
     // Meta first: exactly one, and it anchors every cross-check.
-    let meta_count = entries.iter().filter(|e| e.kind == KIND_META).count();
+    let tally = |kind: u32| entries.iter().filter(|e| e.kind == kind).count();
+    let meta_count = tally(KIND_META);
     let Some(meta) = entries
         .iter()
         .find(|e| e.kind == KIND_META && meta_count == 1)
@@ -759,6 +910,83 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
     r.expect_end("meta")?;
     stages.lap(Stage::Decode);
 
+    let (columns, indexes, zones, ranges, id_indexes) = (
+        tally(KIND_COLUMN),
+        tally(KIND_INDEX),
+        tally(KIND_ZONE_MAPS),
+        tally(KIND_RANGE_INDEX),
+        tally(KIND_ID_INDEX),
+    );
+    if id_indexes > 1 {
+        return Err(StoreError::SectionCount {
+            section: "id index",
+            found: id_indexes,
+            expected: 1,
+        });
+    }
+    if columns != column_tally as usize
+        || indexes != index_tally as usize
+        || zones != zone_tally as usize
+        || ranges != range_tally as usize
+        || (id_indexes == 1) != has_id_index
+    {
+        return Err(StoreError::Corrupt(format!(
+            "section tallies disagree with meta: {columns} column(s) (meta {column_tally}), \
+             {indexes} index(es) (meta {index_tally}), {zones} zone map(s) (meta {zone_tally}), \
+             {ranges} range index(es) (meta {range_tally}), id index {} (meta {has_id_index})",
+            id_indexes == 1
+        )));
+    }
+    Ok(SegmentHead {
+        entries,
+        step,
+        num_rows,
+    })
+}
+
+/// Decode an identifier-index payload, held to the meta row count.
+fn decode_id_index(payload: &[u8], num_rows: u64) -> StoreResult<fastbit::IdIndex> {
+    let mut r = Reader::new(payload);
+    let idx = persist::read_id_index(&mut r)?;
+    r.expect_end("id index")?;
+    if idx.num_rows() as u64 != num_rows {
+        return Err(StoreError::Corrupt(format!(
+            "id index covers {} row(s), segment meta says {num_rows}",
+            idx.num_rows()
+        )));
+    }
+    Ok(idx)
+}
+
+/// The identifier-index reader: the validated head, then the one id-index
+/// payload, read and checked — every other section is skipped unread.
+/// Returns the step meta records with the index.
+fn read_id_index_from(src: &mut impl SegmentSource) -> StoreResult<(u64, fastbit::IdIndex)> {
+    let stages = &mut StageTimes::start();
+    let head = read_head(src, stages)?;
+    let Some(entry) = head.entries.iter().find(|e| e.kind == KIND_ID_INDEX) else {
+        return Err(StoreError::SectionCount {
+            section: "id index",
+            found: 0,
+            expected: 1,
+        });
+    };
+    let idx = decode_id_index(fetch(src, entry, stages)?, head.num_rows)?;
+    stages.lap(Stage::Decode);
+    Ok((head.step, idx))
+}
+
+/// The one segment decoder, fed region by region: the validated head
+/// first, then one pass per remaining section (read, CRC, validate,
+/// construct).
+fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
+    let stages = &mut StageTimes::start();
+    let SegmentHead {
+        entries,
+        step,
+        num_rows,
+    } = read_head(src, stages)?;
+
     let mut columns = Vec::new();
     let mut indexes: Vec<(String, fastbit::BitmapIndex)> = Vec::new();
     let mut id_index = None;
@@ -784,24 +1012,7 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
                 }
                 indexes.push((name, idx));
             }
-            KIND_ID_INDEX => {
-                let mut r = Reader::new(payload);
-                let idx = persist::read_id_index(&mut r)?;
-                r.expect_end("id index")?;
-                if idx.num_rows() as u64 != num_rows {
-                    return Err(StoreError::Corrupt(format!(
-                        "id index covers {} row(s), segment meta says {num_rows}",
-                        idx.num_rows()
-                    )));
-                }
-                if id_index.replace(idx).is_some() {
-                    return Err(StoreError::SectionCount {
-                        section: "id index",
-                        found: 2,
-                        expected: 1,
-                    });
-                }
-            }
+            KIND_ID_INDEX => id_index = Some(decode_id_index(payload, num_rows)?),
             KIND_ZONE_MAPS => {
                 let mut r = Reader::new(payload);
                 let name = r.str("zone map name")?;
@@ -830,25 +1041,6 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
             other => return Err(StoreError::BadSectionKind(other)),
         }
         stages.lap(Stage::Decode);
-    }
-
-    if columns.len() as u32 != column_tally
-        || indexes.len() as u32 != index_tally
-        || zone_maps.len() as u32 != zone_tally
-        || range_sections.len() as u32 != range_tally
-        || id_index.is_some() != has_id_index
-    {
-        return Err(StoreError::Corrupt(format!(
-            "section tallies disagree with meta: {} column(s) (meta {column_tally}), \
-             {} index(es) (meta {index_tally}), {} zone map(s) (meta {zone_tally}), \
-             {} range index(es) (meta {range_tally}), id index {} (meta {})",
-            columns.len(),
-            indexes.len(),
-            zone_maps.len(),
-            range_sections.len(),
-            id_index.is_some(),
-            has_id_index
-        )));
     }
 
     // Attach the cumulative bitmaps to their owning indexes; the attach
@@ -893,6 +1085,18 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
     Ok(dataset)
 }
 
+/// A segment whose recorded step disagrees with its file name (a misplaced
+/// backup/restore) is corrupt for this slot: serving it would silently
+/// answer step `step` with another step's data.
+fn check_step(step: usize, recorded: u64) -> StoreResult<()> {
+    if recorded != step as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "segment for step {step} holds step {recorded}"
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // The store directory
 // ---------------------------------------------------------------------------
@@ -900,9 +1104,10 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
 /// Point-in-time snapshot of store effectiveness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Loads answered from a valid segment file.
+    /// Loads and identifier-index reads answered from a valid segment file.
     pub hits: u64,
-    /// Loads that found no (valid) segment and fell back to raw ingestion.
+    /// Loads and identifier-index reads that found no (valid) segment and
+    /// fell back to raw ingestion.
     pub misses: u64,
     /// Total segment bytes written over the store's lifetime.
     pub bytes_written: u64,
@@ -1006,6 +1211,34 @@ impl Store {
     /// no segment file is present; a typed [`StoreError`] when a file exists
     /// but fails any validation check.
     pub fn load(&self, step: usize) -> StoreResult<Option<Dataset>> {
+        let Some(mut source) = self.open_segment(step)? else {
+            return Ok(None);
+        };
+        let dataset = decode_from(&mut source)?;
+        check_step(step, dataset.step() as u64)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(dataset))
+    }
+
+    /// Read only the identifier index of the segment for `step`: the
+    /// header, the section table, the meta section and the id-index section,
+    /// each validated exactly as [`Store::load`] validates it, the recorded
+    /// step included. Counts as a hit when it succeeds and as a miss when
+    /// no segment file is present (`Ok(None)`); a segment without an
+    /// identifier index is a typed [`StoreError::SectionCount`].
+    pub fn load_id_index(&self, step: usize) -> StoreResult<Option<fastbit::IdIndex>> {
+        let Some(mut source) = self.open_segment(step)? else {
+            return Ok(None);
+        };
+        let (recorded, idx) = read_id_index_from(&mut source)?;
+        check_step(step, recorded)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(idx))
+    }
+
+    /// Open the segment file for `step` for reading, counting a miss when
+    /// there is none.
+    fn open_segment(&self, step: usize) -> StoreResult<Option<SegmentFile>> {
         let file = match std::fs::File::open(self.segment_path(step)) {
             Ok(file) => file,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -1016,24 +1249,12 @@ impl Store {
         };
         let len = file.metadata()?.len();
         obs::note("bytes", || len.to_string());
-        let mut source = SegmentFile {
+        Ok(Some(SegmentFile {
             file,
             len,
             pos: 0,
             buf: Vec::new(),
-        };
-        let dataset = decode_from(&mut source)?;
-        // A segment whose recorded step disagrees with its file name (a
-        // misplaced backup/restore) is corrupt for this slot: serving it
-        // would silently answer step `step` with another step's data.
-        if dataset.step() != step {
-            return Err(StoreError::Corrupt(format!(
-                "segment for step {step} holds step {}",
-                dataset.step()
-            )));
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(dataset))
+        }))
     }
 
     /// Drop the segment for `step`, if any — called when the underlying raw
@@ -1106,8 +1327,8 @@ mod tests {
         );
     }
 
-    /// The bytewise definition of CRC-32, kept as the oracle the sliced
-    /// implementation is held to.
+    /// The bytewise definition of CRC-32, kept as the oracle the kernel and
+    /// the table fallback are held to.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -1119,21 +1340,27 @@ mod tests {
         !crc
     }
 
-    #[test]
-    fn crc32_equals_the_bytewise_definition_at_every_length_and_offset() {
-        // A seeded xorshift buffer; every length 0..=300 (so every remainder
-        // after the 16-byte blocks) at every start offset within a block.
+    /// A seeded xorshift buffer of 3 MiB.
+    fn crc_buffer() -> Vec<u8> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let buffer: Vec<u8> = (0..3 << 20)
+        (0..3 << 20)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 (state >> 32) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_definition_at_every_length_and_offset() {
+        // Every length 0..=1100 at every start offset within a block: below
+        // and across the kernel's 128-byte threshold, every count of 64-byte
+        // folds up to 17, and every 16-byte and sub-16-byte tail after them.
+        let buffer = crc_buffer();
         for offset in 0..16 {
-            for len in 0..=300 {
+            for len in 0..=1100 {
                 let bytes = &buffer[offset..offset + len];
                 assert_eq!(
                     crc32(bytes),
@@ -1144,6 +1371,26 @@ mod tests {
         }
         assert_eq!(crc32(&buffer), crc32_bytewise(&buffer), "3 MiB buffer");
         assert_eq!(crc32(&buffer[5..]), crc32_bytewise(&buffer[5..]));
+    }
+
+    #[test]
+    fn crc32_table_fallback_equals_the_bytewise_definition() {
+        // Where the kernel runs it shadows the table for inputs of 128 bytes
+        // or more, so the fallback is held to the oracle directly.
+        let table = |bytes: &[u8]| !crc32_update_table(0xFFFF_FFFF, bytes);
+        let buffer = crc_buffer();
+        for offset in 0..16 {
+            for len in 0..=600 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    table(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(table(&buffer[3..]), crc32_bytewise(&buffer[3..]));
+        assert_eq!(table(b"123456789"), 0xCBF4_3926);
     }
 
     /// A v1 dataset and the same one with range encodings (v2).

@@ -134,3 +134,82 @@ fn oversized_budget_thrash_never_deadlocks() {
     assert!(s.peak_resident_bytes <= cache.max_bytes() as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Rows per requested id at `step`, the way a counts-only TRACK finds them:
+/// from a resident dataset's identifier index when the cache holds one,
+/// else from the identifier index alone, without admitting anything.
+fn count_ids(cache: &DatasetCache, catalog: &Catalog, step: usize, ids: &[u64]) -> Vec<usize> {
+    let count = |idx: &fastbit::IdIndex| ids.iter().map(|&id| idx.rows_for(id).count()).collect();
+    match cache.get_resident(step) {
+        Some(dataset) => count(dataset.id_index().expect("indexed catalog")),
+        None => count(&catalog.load_id_index(step).unwrap()),
+    }
+}
+
+#[test]
+fn counts_only_track_ticks_one_lookup_per_step_and_admits_nothing() {
+    let steps = 6usize;
+    let (catalog, dir) = stress_catalog("counts_only", steps);
+    let mut with_store = Catalog::open(&dir).unwrap();
+    with_store.attach_store(datastore::Store::open(dir.join("store")).unwrap());
+    let ids = [0u64, 7, 399, 400, 7, 1_000_000];
+    for catalog in [catalog, Arc::new(with_store)] {
+        let unit = catalog.load(0, None, true).unwrap().resident_size_bytes();
+        let cache = DatasetCache::new(DatasetCacheConfig {
+            max_bytes: unit * 2 + unit / 3,
+            shards: 1,
+        });
+        cache.get_or_load(&catalog, 3).unwrap();
+        let (before, len) = (cache.stats(), cache.len());
+        for round in 0..3 {
+            for step in 0..steps {
+                let full = catalog.load(step, None, true).unwrap();
+                let expected: Vec<usize> = ids
+                    .iter()
+                    .map(|&id| full.select_ids(&[id]).unwrap().count() as usize)
+                    .collect();
+                assert_eq!(count_ids(&cache, &catalog, step, &ids), expected);
+            }
+            let after = cache.stats();
+            let rounds = round as u64 + 1;
+            assert_eq!(after.hits, before.hits + rounds, "step 3 is resident");
+            assert_eq!(after.misses, before.misses + rounds * (steps as u64 - 1));
+            assert_eq!(cache.len(), len, "nothing admitted");
+            assert_eq!(after.resident_bytes, before.resident_bytes);
+            assert_eq!(after.evictions, before.evictions, "nothing evicted");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn counts_only_lookups_racing_a_single_flight_load_neither_block_nor_double_count() {
+    const ITERS: usize = 40;
+    let (catalog, dir) = stress_catalog("counts_race", 2);
+    for budget in [1024, 64 << 20] {
+        let cache = DatasetCache::new(DatasetCacheConfig {
+            max_bytes: budget,
+            shards: 1,
+        });
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..ITERS {
+                        assert_eq!(cache.get_or_load(&catalog, 1).unwrap().step(), 1);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for _ in 0..ITERS {
+                    assert_eq!(count_ids(&cache, &catalog, 1, &[5, 6, 5]), [1, 1, 1]);
+                }
+            });
+        });
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 3 * ITERS as u64, "budget {budget}");
+        let retained = usize::from(budget > 1024);
+        assert_eq!(cache.len(), retained, "only get_or_load admits");
+        assert!(s.peak_resident_bytes <= budget as u64);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,12 +6,14 @@
 //! (so the structural validators are exercised, not just the CRCs), bogus
 //! versions and section kinds — and every case must come back as a typed
 //! [`StoreError`], never a panic, never an unbounded allocation, never
-//! silently wrong data. Plus the crash-atomicity contract: leftover `.tmp`
+//! silently wrong data. The identifier-index reader, which skips every
+//! section but meta and the id index, gets the same truncation and
+//! byte-flip battery. Plus the crash-atomicity contract: leftover `.tmp`
 //! files are ignored as data and swept on open.
 
 use datastore::store::{
-    crc32, decode_segment, encode_segment, Store, StoreError, HEADER_LEN, SEGMENT_VERSION,
-    SEGMENT_VERSION_RANGE, TABLE_ENTRY_LEN,
+    crc32, decode_segment, decode_segment_id_index, encode_segment, Store, StoreError, HEADER_LEN,
+    SEGMENT_VERSION, SEGMENT_VERSION_RANGE, TABLE_ENTRY_LEN,
 };
 use datastore::{Column, Dataset, ParticleTable};
 use histogram::Binning;
@@ -452,5 +454,148 @@ fn leftover_tmp_files_are_ignored_and_cleaned() {
         reopened.load(7).unwrap().is_some(),
         "the properly renamed segment is untouched"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The byte ranges the identifier-index reader must validate: the header,
+/// the section table, and the meta and id-index payloads.
+fn id_reader_regions(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let table = section_table(bytes);
+    let head = 0..HEADER_LEN + table.len() * TABLE_ENTRY_LEN;
+    let read = table
+        .into_iter()
+        .filter(|&(kind, _, _)| kind == 1 || kind == 4)
+        .map(|(_, offset, len)| offset as usize..(offset + len) as usize);
+    std::iter::once(head).chain(read).collect()
+}
+
+#[test]
+fn id_index_reader_rejects_every_truncation() {
+    for bytes in [segment_bytes(), segment_bytes_v2()] {
+        for cut in 0..bytes.len() {
+            let err = decode_segment_id_index(&bytes[..cut])
+                .map(|_| ())
+                .expect_err(&format!("prefix of {cut} bytes must not read"));
+            assert!(!err.to_string().is_empty());
+        }
+    }
+}
+
+#[test]
+fn id_index_reader_checks_what_it_reads_and_ignores_what_it_skips() {
+    for bytes in [segment_bytes(), segment_bytes_v2()] {
+        let pristine = decode_segment_id_index(&bytes).expect("untouched segment reads");
+        let full = decode_segment(&bytes).unwrap();
+        assert_eq!(pristine.pairs(), full.id_index().unwrap().pairs());
+        assert_eq!(pristine.num_rows(), 48);
+        let regions = id_reader_regions(&bytes);
+        for at in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 0xFF;
+            let read = decode_segment_id_index(&corrupt);
+            if regions.iter().any(|r| r.contains(&at)) {
+                assert!(
+                    read.is_err(),
+                    "flipping byte {at} it reads must be detected"
+                );
+            } else {
+                let idx = read.unwrap_or_else(|e| panic!("byte {at} is skipped: {e}"));
+                assert_eq!(idx.pairs(), pristine.pairs(), "byte {at}");
+                assert_eq!(idx.num_rows(), pristine.num_rows());
+                assert!(
+                    decode_segment(&corrupt).is_err(),
+                    "full decode of byte {at}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn id_index_reader_shares_the_structural_validators() {
+    let bytes = segment_bytes();
+    let table = section_table(&bytes);
+
+    // Meta row count contradicting the id index, CRC recomputed.
+    let meta_idx = table.iter().position(|&(kind, _, _)| kind == 1).unwrap();
+    let mut patched = bytes.clone();
+    let rows_at = table[meta_idx].1 as usize + 8;
+    patched[rows_at..rows_at + 8].copy_from_slice(&12_345u64.to_le_bytes());
+    fix_section_crc(&mut patched, meta_idx);
+    match decode_segment_id_index(&patched) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("id index covers"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    // A column retagged as a second id index: the table's tally is checked
+    // before any id-index payload is read.
+    let column_idx = table.iter().position(|&(kind, _, _)| kind == 2).unwrap();
+    let mut patched = bytes.clone();
+    let at = HEADER_LEN + column_idx * TABLE_ENTRY_LEN;
+    patched[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+    fix_table_crc(&mut patched);
+    for err in [
+        decode_segment_id_index(&patched).map(|_| ()).unwrap_err(),
+        decode_segment(&patched).map(|_| ()).unwrap_err(),
+    ] {
+        assert!(
+            matches!(
+                err,
+                StoreError::SectionCount {
+                    section: "id index",
+                    found: 2,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    // A column retagged as a zone map: a skipped section's count still
+    // disagrees with meta's tally.
+    let mut patched = bytes.clone();
+    patched[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+    fix_table_crc(&mut patched);
+    assert!(matches!(
+        decode_segment_id_index(&patched),
+        Err(StoreError::Corrupt(_))
+    ));
+
+    // No id-index section at all (meta flag and table both say so): a
+    // typed error, not an empty index.
+    let ds = {
+        let full = sample_dataset();
+        let mut bare = Dataset::from_table(full.table().clone(), 7);
+        bare.build_indexes(&Binning::EqualWidth { bins: 4 })
+            .unwrap();
+        bare
+    };
+    let bare = encode_segment(&ds);
+    decode_segment(&bare).expect("a segment without an id index is valid");
+    assert!(matches!(
+        decode_segment_id_index(&bare),
+        Err(StoreError::SectionCount { found: 0, .. })
+    ));
+}
+
+#[test]
+fn store_id_index_reads_count_hits_and_check_the_step() {
+    let dir = std::env::temp_dir().join(format!("vdx_id_reader_store_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Store::open(&dir).unwrap();
+    store.save(&sample_dataset()).unwrap();
+    let idx = store.load_id_index(7).unwrap().expect("segment present");
+    assert_eq!(idx.pairs(), sample_dataset().id_index().unwrap().pairs());
+    assert!(store.load_id_index(3).unwrap().is_none(), "no segment");
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+
+    // Step 7's segment under step 8's name holds the wrong step.
+    std::fs::copy(store.segment_path(7), store.segment_path(8)).unwrap();
+    assert!(matches!(
+        store.load_id_index(8),
+        Err(StoreError::Corrupt(_))
+    ));
+    assert_eq!(store.stats().hits, 1, "a rejected read is no hit");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -299,6 +299,8 @@ fn smoke(args: &[String]) -> Result<(), String> {
         "INFO".to_string(),
         format!("SELECT\t{last}\tpx > {threshold}"),
         format!("HIST\t{last}\tpx\t32"),
+        // Tracks the ids the SELECT returned (filled in below).
+        "TRACK".to_string(),
         format!("HIST\t{last}\tpx\t32\tpx > {threshold}"),
     ];
     if store_dir.is_some() {
@@ -309,7 +311,11 @@ fn smoke(args: &[String]) -> Result<(), String> {
     }
     let mut selected_ids = String::new();
     for line in &script {
-        let reply = client.request(line).map_err(|e| e.to_string())?;
+        let line = match line.as_str() {
+            "TRACK" => format!("TRACK\t{selected_ids}"),
+            _ => line.clone(),
+        };
+        let reply = client.request(&line).map_err(|e| e.to_string())?;
         let shown = line.replace('\t', " ");
         println!(
             "smoke: {shown} -> {} bytes: {}",

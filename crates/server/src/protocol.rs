@@ -240,18 +240,29 @@ pub fn hist_reply(hist: &Hist1D) -> String {
     )
 }
 
-/// `OK\tTRACK\t<traces>\t<total hits>\t<id:points csv>` — traces are sorted
-/// by identifier, so the reply is deterministic.
-pub fn track_reply(tracking: &TrackingOutput) -> String {
+/// `OK\tTRACK\t<traces>\t<total hits>\t<id:points csv>` from `(id,
+/// points)` pairs sorted by identifier, ids with no match left out — so the
+/// reply is deterministic. The one TRACK formatter: a server counts its
+/// reply straight from identifier indexes
+/// ([`vdx_core::DataExplorer::track_counts`]).
+pub fn track_counts_reply(points: &[(u64, u64)]) -> String {
     format!(
         "OK\tTRACK\t{}\t{}\t{}",
-        tracking.traces.len(),
-        tracking.total_hits(),
-        csv(tracking
-            .traces
-            .iter()
-            .map(|t| format!("{}:{}", t.id, t.points.len())))
+        points.len(),
+        points.iter().map(|&(_, n)| n).sum::<u64>(),
+        csv(points.iter().map(|(id, n)| format!("{id}:{n}")))
     )
+}
+
+/// [`track_counts_reply`] of a whole tracking run: each trace's identifier
+/// and its number of points (traces are sorted by identifier).
+pub fn track_reply(tracking: &TrackingOutput) -> String {
+    let points: Vec<(u64, u64)> = tracking
+        .traces
+        .iter()
+        .map(|t| (t.id, t.points.len() as u64))
+        .collect();
+    track_counts_reply(&points)
 }
 
 /// `OK\tINFO\t<timesteps>\t<steps csv>`.

@@ -323,10 +323,10 @@ impl ServerState {
             return Ok(reply.to_string());
         }
         self.front.metrics.note_evaluation();
-        let tracking = self.explorer.track(ids).map_err(|e| e.to_string())?;
+        let points = self.explorer.track_counts(ids).map_err(|e| e.to_string())?;
         let reply = {
             let _ser = obs::span("serialize");
-            protocol::track_reply(&tracking)
+            protocol::track_counts_reply(&points)
         };
         self.queries.insert(key, &reply);
         Ok(reply)
