@@ -9,8 +9,8 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p vdx-bench --bin vdx-workload -- \
-//!     [--addr HOST:PORT | --particles N --timesteps N --io-mode async|threaded \
-//!      --workers N --queue-depth N] \
+//!     [--addr HOST:PORT | --particles N --timesteps N --workers N \
+//!      --queue-depth N] \
 //!     [--shards N [--replicas R]] \
 //!     [--sessions N] [--arrival-rps F] [--think-ms F] [--seed N] \
 //!     [--mix B:D:T] [--out DIR] [--json NAME]
@@ -35,14 +35,13 @@ use std::time::Duration;
 use vdx_bench::catalog_workload;
 use vdx_bench::workload::{self, SessionMix, SessionSpace, SloSet, WorkloadConfig};
 use vdx_server::testkit::spawn_cluster;
-use vdx_server::{Client, ConnConfig, IoMode, RouterConfig, Server, ServerConfig};
+use vdx_server::{Client, ConnConfig, RouterConfig, Server, ServerConfig};
 
 struct Args {
     addr: Option<SocketAddr>,
     particles: usize,
     timesteps: usize,
-    io_mode: IoMode,
-    workers: Option<usize>,
+    workers: usize,
     queue_depth: usize,
     shards: usize,
     replicas: usize,
@@ -79,10 +78,7 @@ fn parse_args() -> Args {
             .and_then(|v| v.parse().ok())
             .unwrap_or(8_000),
         timesteps: get("--timesteps").and_then(|v| v.parse().ok()).unwrap_or(6),
-        io_mode: get("--io-mode")
-            .map(|v| v.parse().expect("--io-mode async|threaded"))
-            .unwrap_or(IoMode::Async),
-        workers: get("--workers").and_then(|v| v.parse().ok()),
+        workers: get("--workers").and_then(|v| v.parse().ok()).unwrap_or(4),
         queue_depth: get("--queue-depth")
             .and_then(|v| v.parse().ok())
             .unwrap_or(1024),
@@ -123,13 +119,7 @@ fn discover_steps(addr: SocketAddr) -> Vec<usize> {
 fn main() {
     let args = parse_args();
 
-    // Self-host unless pointed at an external server. In threaded io-mode a
-    // worker blocks per connection, so the pool must cover every concurrent
-    // session plus the harness's own control/scraper connections.
-    let workers = args.workers.unwrap_or(match args.io_mode {
-        IoMode::Async => 4,
-        IoMode::Threaded => args.sessions + 4,
-    });
+    // Self-host unless pointed at an external server.
     let mut hosted = None;
     let mut hosted_cluster = None;
     let addr = match (args.addr, args.shards) {
@@ -140,8 +130,7 @@ fn main() {
                 Arc::new(catalog),
                 "127.0.0.1:0",
                 ServerConfig {
-                    workers,
-                    io_mode: args.io_mode,
+                    workers: args.workers,
                     queue_depth: args.queue_depth,
                     ..Default::default()
                 },
@@ -165,13 +154,11 @@ fn main() {
                 args.replicas.max(1),
                 ServerConfig {
                     workers: 4,
-                    io_mode: IoMode::Async,
                     ..Default::default()
                 },
                 RouterConfig {
-                    io_mode: args.io_mode,
                     conn: ConnConfig {
-                        workers,
+                        workers: args.workers,
                         queue_depth: args.queue_depth,
                         ..Default::default()
                     },
@@ -198,7 +185,7 @@ fn main() {
         (None, shards) => format!("{shards}x{} cluster", args.replicas.max(1)),
     };
     println!(
-        "# vdx-workload: {} sessions @ {}/s (mix {}:{}:{}), think {}ms, seed {}, io_mode {}, topology {topology}, addr {addr}",
+        "# vdx-workload: {} sessions @ {}/s (mix {}:{}:{}), think {}ms, seed {}, topology {topology}, addr {addr}",
         config.sessions,
         config.arrival_rps,
         config.mix.browse,
@@ -206,7 +193,6 @@ fn main() {
         config.mix.tracker,
         args.think_ms,
         config.seed,
-        args.io_mode.as_str(),
     );
 
     let outcome = match workload::run(addr, &config) {

@@ -16,7 +16,7 @@ use vdx_bench::workload::{Session, SessionKind, SessionSpace};
 use vdx_core::{DataExplorer, ExplorerConfig};
 use vdx_server::protocol::{self, Request};
 use vdx_server::testkit::{self, TestServer};
-use vdx_server::{IoMode, ServerConfig};
+use vdx_server::ServerConfig;
 
 const PARTICLES: usize = 300;
 const TIMESTEPS: usize = 3;
@@ -30,7 +30,6 @@ fn spawn(tag: &str) -> TestServer {
         8,
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     )
@@ -140,7 +139,6 @@ fn server_replies_match_the_direct_explorer_oracle() {
         dir,
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );

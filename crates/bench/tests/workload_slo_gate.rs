@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use vdx_bench::workload::{self, SessionMix, SessionSpace, SloSet, WorkloadConfig};
 use vdx_server::testkit;
-use vdx_server::{parse_stats, Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+use vdx_server::{parse_stats, Client, ConnConfig, RouterConfig, ServerConfig};
 
 fn config(
     sessions: usize,
@@ -38,7 +38,6 @@ fn healthy_server_passes_the_gate_and_reconciles_exactly() {
         16,
         ServerConfig {
             workers: 4,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );
@@ -94,11 +93,9 @@ fn sharded_cluster_passes_the_gate_and_reconciles_exactly() {
         2,
         ServerConfig {
             workers: 4,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
         RouterConfig {
-            io_mode: IoMode::Async,
             conn: ConnConfig {
                 workers: 4,
                 ..Default::default()
@@ -171,7 +168,6 @@ fn starved_server_fails_the_gate_with_busy_counted_on_both_sides() {
         8,
         ServerConfig {
             workers: 1,
-            io_mode: IoMode::Async,
             queue_depth: 1,
             ..Default::default()
         },

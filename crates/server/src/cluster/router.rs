@@ -2,10 +2,10 @@
 //! protocol, fanning requests out to backend shards and merging replies.
 //!
 //! A [`Router`] looks exactly like a [`crate::Server`] to clients — same
-//! verbs, same reply grammar, same connection layers (it implements
-//! [`LineService`] and is served by [`crate::service::run_listener`], so
-//! framing, pipelining, admission control, and idle/write-stall timeouts
-//! are the hardened machinery the single-process server uses). Behind it,
+//! verbs, same reply grammar, same connection layer (it implements
+//! [`LineService`] and is served by the [`crate::event_loop`], so framing,
+//! pipelining, admission control, and idle/write-stall timeouts are the
+//! hardened machinery the single-process server uses). Behind it,
 //! a [`ShardMap`] assigns every timestep to one replica group of backend
 //! `vdx-server` processes:
 //!
@@ -42,14 +42,11 @@ use super::merge;
 use super::shard_map::ShardMap;
 use crate::metrics::{ConnMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
-use crate::server::IoMode;
 use crate::service::{ConnConfig, Front, LineService};
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The connection layer the router's own listener runs.
-    pub io_mode: IoMode,
     /// Transport limits of the router's own listener (workers, line cap,
     /// timeouts, pipelining, admission control).
     pub conn: ConnConfig,
@@ -71,7 +68,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
-            io_mode: IoMode::Async,
             conn: ConnConfig::default(),
             backend_timeout_ms: 5_000,
             backend_inflight: 32,
@@ -443,8 +439,7 @@ impl Router {
         addr: &str,
         config: RouterConfig,
     ) -> std::io::Result<Router> {
-        let (listener, front) =
-            Front::bind(addr, config.io_mode, config.trace_sample, config.slow_ms)?;
+        let (listener, front) = Front::bind(addr, config.trace_sample, config.slow_ms)?;
         let registry = &front.registry;
         let fanouts = registry.counter(
             "vdx_cluster_fanouts_total",
@@ -542,7 +537,7 @@ impl Router {
     pub fn run(self) -> std::io::Result<()> {
         let prober = spawn_prober(&self.state);
         let conn = self.state.config.conn.clone();
-        let result = crate::service::run_listener(self.listener, Arc::clone(&self.state), &conn);
+        let result = crate::event_loop::run(self.listener, Arc::clone(&self.state), &conn);
         if let Some(join) = prober {
             let _ = join.join();
         }

@@ -1,6 +1,6 @@
-//! The event-loop connection layer: one reactor thread owns every socket.
+//! The connection layer: one reactor thread owns every socket.
 //!
-//! The threaded layer's failure mode is structural: a worker thread blocks
+//! A thread-per-connection layer fails structurally: a worker thread blocks
 //! on its connection's socket for the connection's whole lifetime, so `W`
 //! *idle* clients starve a `W`-thread pool and a fresh `PING` waits behind
 //! people who aren't even asking anything. Here a connection holds a
@@ -14,11 +14,11 @@
 //! * **Workers** never touch sockets. They receive complete request lines
 //!   over an `mpsc` channel, run [`LineService::handle_line`] — the one
 //!   request lifecycle in [`crate::service`], the same entry point the
-//!   threaded layer calls, which is what makes the two modes
-//!   byte-identical — and push the reply back to the reactor through a
-//!   completion channel plus a [`polling::Waker`]. The loop is generic over
-//!   the [`LineService`], so the single-process server and the cluster
-//!   router share it unchanged.
+//!   thread-per-connection `testkit::spawn_reference` calls, which is
+//!   what keeps the two byte-identical — and push the reply back to the
+//!   reactor through a completion channel plus a [`polling::Waker`]. The
+//!   loop is generic over the [`LineService`], so the single-process
+//!   server and the cluster router share it unchanged.
 //! * The **reactor tier** skips both hand-offs when it can: before a line is
 //!   dispatched, the reactor offers it to [`LineService::answer_inline`],
 //!   and a reply already resident in memory (`PING` for every service;
@@ -177,9 +177,9 @@ struct Reactor<S: LineService> {
 }
 
 /// Run the event loop until a graceful shutdown completes. This is the
-/// async-mode body of [`crate::service::run_listener`] — generic over the
-/// [`LineService`], so the single-process server and the cluster router
-/// share one reactor implementation.
+/// body of [`crate::Server::run`] and [`crate::cluster::Router::run`] —
+/// generic over the [`LineService`], so the single-process server and the
+/// cluster router share one reactor implementation.
 pub(crate) fn run<S: LineService>(
     listener: TcpListener,
     state: Arc<S>,

@@ -1,6 +1,6 @@
 //! Line framing with a hard length cap, shared by every path that reads the
-//! wire: the threaded connection loop, the event-loop reactor, and the
-//! blocking [`crate::Client`].
+//! wire: the event-loop reactor, the blocking [`crate::Client`], and the
+//! thread-per-connection test reference (`testkit::spawn_reference`).
 //!
 //! The protocol is newline-delimited, which makes an uncapped reader a
 //! memory-DoS: a peer that streams bytes without ever sending `\n` grows
@@ -14,7 +14,7 @@
 //! Two consumers, two shapes:
 //!
 //! * [`read_line_capped`] — pull framing over a blocking [`BufRead`]
-//!   (threaded server path and client).
+//!   (client and test reference).
 //! * [`LineSplitter`] — push framing over an append-only byte buffer fed by
 //!   nonblocking reads (event-loop path). Complete lines come out as they
 //!   arrive; the unconsumed tail is bounded by the cap.

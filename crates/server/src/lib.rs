@@ -7,12 +7,11 @@
 //!
 //! * [`server::Server`] — a `TcpListener` answering a line-delimited
 //!   protocol ([`protocol`]) with select / refine / histogram / track /
-//!   info / stats operations and graceful shutdown, through either
-//!   connection layer ([`server::IoMode`]): the [`event_loop`] reactor
-//!   (default — sockets are multiplexed nonblocking, a connection holds a
-//!   buffer rather than a thread, requests are pipelined under admission
-//!   control) or the historical thread-per-connection pool. Both share the
-//!   capped [`framing`] layer and answer byte-identically.
+//!   info / stats operations and graceful shutdown, through one connection
+//!   layer: the [`event_loop`] reactor (sockets are multiplexed
+//!   nonblocking, a connection holds a buffer rather than a thread,
+//!   requests are pipelined under admission control) over the capped
+//!   [`framing`] layer.
 //! * [`datastore::DatasetCache`] (layer 1) — sharded, byte-budgeted LRU of
 //!   loaded datasets, so a hot timestep's columns and indexes are read from
 //!   disk once.
@@ -36,7 +35,9 @@
 //!   CI smoke driver and the tests.
 //! * [`testkit`] — shared test/bench support: tiny generated catalogs,
 //!   disposable servers and concurrent client drivers, reused by this
-//!   crate's integration suites and the `vdx-bench` workload harness.
+//!   crate's integration suites and the `vdx-bench` workload harness, plus
+//!   [`testkit::spawn_reference`], the thread-per-connection server the
+//!   event loop is pinned byte-identical to.
 
 #![deny(missing_docs)]
 
@@ -56,5 +57,5 @@ pub use cluster::{Router, RouterConfig, RouterHandle, RouterState, ShardMap};
 pub use metrics::{ConnMetrics, OpMetrics, ServerMetrics};
 pub use protocol::Request;
 pub use query_cache::{QueryCache, QueryCacheStats};
-pub use server::{IoMode, Server, ServerConfig, ServerHandle, ServerState};
+pub use server::{Server, ServerConfig, ServerHandle, ServerState};
 pub use service::{ConnConfig, LineService};

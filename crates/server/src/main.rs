@@ -3,32 +3,31 @@
 //!
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
-//!                  [--io-mode threaded|async] [--cache-mb MB]
-//!                  [--query-cache N] [--nodes N] [--threads N]
+//!                  [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N]
 //!                  [--chunk-rows N] [--index-accel] [--store-dir DIR]
 //!                  [--trace-sample N] [--slow-ms MS] [--max-line-bytes N]
 //!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!                  [--max-pipeline N] [--queue-depth N]
 //! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
-//!                  [--io-mode threaded|async] [--workers N]
-//!                  [--backend-timeout-ms MS] [--backend-inflight N]
-//!                  [--health-interval-ms MS] [--trace-sample N]
-//!                  [--slow-ms MS] [--max-line-bytes N]
+//!                  [--workers N] [--backend-timeout-ms MS]
+//!                  [--backend-inflight N] [--health-interval-ms MS]
+//!                  [--trace-sample N] [--slow-ms MS] [--max-line-bytes N]
 //!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!                  [--max-pipeline N] [--queue-depth N]
 //! vdx-server query --addr HOST:PORT <verb> [field ...]
-//! vdx-server smoke [--dir DIR] [--store-dir DIR] [--io-mode threaded|async]
+//! vdx-server smoke [--dir DIR] [--store-dir DIR]
 //! vdx-server bench [--clients N] [--rounds N] [--particles N] [--timesteps N]
-//!                  [--io-mode threaded|async]
 //! ```
 //!
-//! `--io-mode` picks the connection layer: `async` (the default) multiplexes
-//! every socket on one reactor thread and dispatches request lines to the
-//! worker pool — a connection holds a buffer, not a thread — while
-//! `threaded` is the historical blocking pool. Replies are byte-identical;
-//! the connection-hardening knobs (`--max-line-bytes`, `--idle-timeout-ms`,
-//! `--write-timeout-ms`, and async-only `--max-pipeline`/`--queue-depth`)
-//! are documented in docs/PROTOCOL.md.
+//! Every subcommand but `query` checks its flags before it opens anything:
+//! a flag its usage line does not list, or a number-valued flag (`N`, `MS`,
+//! `MB`) whose value does not parse, prints the usage text and exits 1.
+//!
+//! The server multiplexes every socket on one reactor thread and dispatches
+//! request lines to the worker pool — a connection holds a buffer, not a
+//! thread. The connection-hardening knobs (`--max-line-bytes`,
+//! `--idle-timeout-ms`, `--write-timeout-ms`, `--max-pipeline`,
+//! `--queue-depth`) are documented in docs/PROTOCOL.md.
 //!
 //! `--store-dir` attaches the persistent `vdx` segment store: loads check
 //! the store before ingesting raw data, cold loads write their segment back,
@@ -67,6 +66,50 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Each subcommand's usage line. [`check_flags`] derives the flags a
+/// subcommand accepts, and which of them take a number, from it, so the two
+/// cannot drift.
+const USAGE: [(&str, &str); 5] = [
+    ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
+    ("route", "--shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
+    ("query", "--addr HOST:PORT <verb> [field ...]"),
+    ("smoke", "[--dir DIR] [--store-dir DIR]"),
+    ("bench", "[--clients N] [--rounds N] [--particles N] [--timesteps N]"),
+];
+
+fn print_usage() {
+    eprintln!("usage: vdx-server <serve|route|query|smoke|bench> [options]");
+    for (name, line) in USAGE {
+        eprintln!("  {name} {line}");
+    }
+}
+
+/// Reject any argument `usage` does not list as a flag, a flag missing its
+/// value, and a number-valued flag whose value does not parse.
+fn check_flags(usage: &str, args: &[String]) -> Result<(), String> {
+    let spec: Vec<&str> = usage
+        .split_whitespace()
+        .map(|t| t.trim_matches(|c| c == '[' || c == ']'))
+        .collect();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let at = spec
+            .iter()
+            .position(|t| t.starts_with("--") && t == arg)
+            .ok_or_else(|| format!("unknown argument {arg}"))?;
+        let Some(meta) = spec.get(at + 1).filter(|m| !m.starts_with("--")) else {
+            continue;
+        };
+        let value = args
+            .next()
+            .ok_or_else(|| format!("{arg} requires a value ({meta})"))?;
+        if ["N", "MS", "MB"].contains(meta) && value.parse::<u64>().is_err() {
+            return Err(format!("{arg} expects a number, got `{value}`"));
+        }
+    }
+    Ok(())
+}
+
 fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     flag(args, name)
         .and_then(|v| v.parse().ok())
@@ -90,7 +133,6 @@ fn conn_config(args: &[String]) -> ConnConfig {
 fn server_config(args: &[String]) -> ServerConfig {
     let defaults = ServerConfig::with_conn(conn_config(args));
     ServerConfig {
-        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
         nodes: parsed_flag(args, "--nodes", defaults.nodes),
         threads: parsed_flag(args, "--threads", defaults.threads),
         chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows),
@@ -109,23 +151,25 @@ fn server_config(args: &[String]) -> ServerConfig {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = args.first().map(String::as_str).unwrap_or("help");
-    let result = match mode {
-        "serve" => serve(&args[1..]),
-        "route" => route(&args[1..]),
-        "query" => query(&args[1..]),
-        "smoke" => smoke(&args[1..]),
-        "bench" => bench(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: vdx-server <serve|route|query|smoke|bench> [options]\n\
-                 \x20 serve --dir DIR [--addr A] [--workers N] [--io-mode threaded|async] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]\n\
-                 \x20 route --shard-map FILE.toml [--addr A] [--io-mode threaded|async] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]\n\
-                 \x20 query --addr HOST:PORT <verb> [field ...]\n\
-                 \x20 smoke [--dir DIR] [--store-dir DIR] [--io-mode threaded|async]\n\
-                 \x20 bench [--clients N] [--rounds N] [--particles N] [--timesteps N] [--io-mode threaded|async]"
-            );
+    let Some(&(_, usage)) = USAGE.iter().find(|(name, _)| *name == mode) else {
+        print_usage();
+        return ExitCode::FAILURE;
+    };
+    let args = &args[1..];
+    // `query`'s trailing fields are free-form request text.
+    if mode != "query" {
+        if let Err(message) = check_flags(usage, args) {
+            eprintln!("vdx-server: {message}");
+            print_usage();
             return ExitCode::FAILURE;
         }
+    }
+    let result = match mode {
+        "serve" => serve(args),
+        "route" => route(args),
+        "query" => query(args),
+        "smoke" => smoke(args),
+        _ => bench(args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -166,7 +210,6 @@ fn route(args: &[String]) -> Result<(), String> {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7879".to_string());
     let defaults = RouterConfig::default();
     let config = RouterConfig {
-        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
         conn: conn_config(args),
         backend_timeout_ms: parsed_flag(args, "--backend-timeout-ms", defaults.backend_timeout_ms),
         backend_inflight: parsed_flag(args, "--backend-inflight", defaults.backend_inflight),
@@ -287,11 +330,10 @@ fn smoke(args: &[String]) -> Result<(), String> {
     };
     let last = *catalog.steps().last().expect("timesteps exist");
     let threshold = lwfa::physics::suggested_beam_threshold(&sim, last);
-    let config = server_config(args);
-    let io_mode = config.io_mode;
-    let server = Server::bind(catalog, "127.0.0.1:0", config).map_err(|e| e.to_string())?;
+    let server =
+        Server::bind(catalog, "127.0.0.1:0", server_config(args)).map_err(|e| e.to_string())?;
     let (handle, join) = server.spawn();
-    println!("smoke: serving on {} io-mode={io_mode}", handle.addr());
+    println!("smoke: serving on {}", handle.addr());
 
     let mut client = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
     let mut script = vec![

@@ -93,13 +93,13 @@ impl OpMetrics {
     }
 }
 
-/// Connection-layer instruments, shared by both io-modes (threaded and
-/// event-loop). These count *connections and admission decisions*, not
-/// requests — a connection that sends a hundred pipelined requests moves
-/// `accepted` once; a request refused by admission control moves
-/// `busy_rejections` without ever reaching the per-verb [`OpMetrics`]; a
-/// request the reactor answers itself moves `reactor_replies` *and* its
-/// per-verb instruments, like any served request.
+/// Connection-layer instruments, counted by the event loop. These count
+/// *connections and admission decisions*, not requests — a connection that
+/// sends a hundred pipelined requests moves `accepted` once; a request
+/// refused by admission control moves `busy_rejections` without ever
+/// reaching the per-verb [`OpMetrics`]; a request the reactor answers
+/// itself moves `reactor_replies` *and* its per-verb instruments, like any
+/// served request.
 #[derive(Debug)]
 pub struct ConnMetrics {
     accepted: Arc<Counter>,

@@ -1,28 +1,22 @@
 //! The concurrent TCP query server.
 //!
-//! Two interchangeable connection layers serve the same protocol against
-//! the same shared state (selected by [`ServerConfig::io_mode`], replies
-//! byte-identical by construction because both call
+//! One connection layer serves the protocol: a readiness event loop
+//! ([`crate::event_loop`]) in which one reactor thread owns every socket
+//! nonblocking. A connection holds a buffer, not a thread, so thousands of
+//! idle clients cost no workers, and a fresh request is dispatched to the
+//! worker pool the moment its line arrives — unless its reply is already
+//! resident (`PING`, `INFO`, a query-cache hit), which the reactor answers
+//! itself through [`LineService::answer_inline`] with the same bytes and
+//! accounting (`ServerState`'s [`LineService::answer_resident`] holds the
+//! last two). Pipelining, admission control (`ERR busy`), idle and
+//! write-stall timeouts live there. Every request runs through
 //! [`LineService::handle_line`], the request lifecycle in
-//! [`crate::service`]):
+//! [`crate::service`]; `testkit::spawn_reference` serves the same state
+//! thread-per-connection as the byte-identity reference the event loop is
+//! tested against.
 //!
-//! * **async** (the default) — a readiness event loop ([`crate::event_loop`])
-//!   in which one reactor thread owns every socket nonblocking; a connection
-//!   holds a buffer, not a thread, so thousands of idle clients cost no
-//!   workers and a fresh request is dispatched to the worker pool the moment
-//!   its line arrives — unless its reply is already resident (`PING`,
-//!   `INFO`, a query-cache hit), which the reactor answers itself through
-//!   [`LineService::answer_inline`] with the same bytes and accounting
-//!   (`ServerState`'s [`LineService::answer_resident`] holds the last two).
-//!   Pipelining, admission control (`ERR busy`), idle and write-stall
-//!   timeouts live here.
-//! * **threaded** — the historical model: the accept loop hands each
-//!   connection to a fixed pool of worker threads over an `mpsc` channel,
-//!   and a worker blocks on its connection until the client leaves. Simple,
-//!   but `W` idle clients starve the `W`-thread pool.
-//!
-//! Both layers share [`crate::framing`] (capped line framing) and the
-//! request lines they deliver run against shared state:
+//! The layer frames lines with [`crate::framing`] (capped line framing),
+//! and the request lines it delivers run against shared state:
 //!
 //! * an `Arc<Catalog>` (the timestep directory),
 //! * a [`DatasetCache`] keeping hot timesteps (columns + WAH indexes)
@@ -36,8 +30,8 @@
 //!   (`TRACE LAST`, `TRACE <id>`) with a slow-query ring (`SLOWLOG`).
 //!
 //! Shutdown is graceful: the `SHUTDOWN` verb (or [`ServerHandle::shutdown`])
-//! flips a flag and unblocks the accept loop; workers finish the
-//! connections they hold and the run loop joins them before returning.
+//! flips a flag and wakes the event loop, which drains in-flight work and
+//! joins its workers before returning.
 
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
@@ -52,52 +46,11 @@ use crate::protocol::{self, Request};
 use crate::query_cache::QueryCache;
 use crate::service::{ConnConfig, Front, LineService};
 
-/// Which connection layer a [`Server`] runs (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// One worker thread blocks per in-flight connection.
-    Threaded,
-    /// A reactor thread multiplexes every connection nonblocking and
-    /// dispatches complete request lines to the worker pool.
-    Async,
-}
-
-impl IoMode {
-    /// The wire/CLI spelling (`threaded` / `async`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoMode::Threaded => "threaded",
-            IoMode::Async => "async",
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" => Ok(IoMode::Threaded),
-            "async" => Ok(IoMode::Async),
-            other => Err(format!("unknown io mode `{other}` (threaded|async)")),
-        }
-    }
-}
-
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads serving connections (at least 1).
     pub workers: usize,
-    /// The connection layer: [`IoMode::Async`] (event loop, default) or
-    /// [`IoMode::Threaded`] (thread per in-flight connection).
-    pub io_mode: IoMode,
     /// Hard cap on one request line in bytes (newline excluded). An
     /// oversized line is answered with `ERR line too long …` and the
     /// connection closes.
@@ -109,15 +62,14 @@ pub struct ServerConfig {
     /// (milliseconds); `0` disables the write-stall timeout.
     pub write_timeout_ms: u64,
     /// Pipelining depth: complete request lines buffered per connection
-    /// before the reactor pauses reading from it (async mode; at least 1).
+    /// before the reactor pauses reading from it (at least 1).
     pub max_pipeline: usize,
     /// Admission control: requests dispatched-but-unfinished across all
-    /// connections before new ones are refused with `ERR busy` (async mode;
-    /// at least 1).
+    /// connections before new ones are refused with `ERR busy` (at least
+    /// 1).
     pub queue_depth: usize,
     /// Hard cap on one connection's buffered unsent reply bytes; a peer
-    /// that reads slower than it queries is disconnected at this point
-    /// (async mode).
+    /// that reads slower than it queries is disconnected at this point.
     pub write_buf_limit: usize,
     /// Parallel "nodes" used by catalog-wide tracking requests.
     pub nodes: usize,
@@ -151,7 +103,6 @@ impl ServerConfig {
     pub fn with_conn(conn: ConnConfig) -> ServerConfig {
         ServerConfig {
             workers: conn.workers,
-            io_mode: IoMode::Async,
             max_line_bytes: conn.max_line_bytes,
             idle_timeout_ms: conn.idle_timeout_ms,
             write_timeout_ms: conn.write_timeout_ms,
@@ -170,8 +121,8 @@ impl ServerConfig {
         }
     }
 
-    /// The transport subset of this configuration, handed to the shared
-    /// connection layers in [`crate::service`].
+    /// The transport subset of this configuration, handed to the event
+    /// loop.
     pub fn conn(&self) -> ConnConfig {
         ConnConfig {
             workers: self.workers,
@@ -224,11 +175,6 @@ impl ServerState {
     /// The connection-layer metrics (accepted/open/errors/admission).
     pub fn conn_metrics(&self) -> &ConnMetrics {
         &self.front.conn
-    }
-
-    /// The connection layer this server runs.
-    pub fn io_mode(&self) -> IoMode {
-        self.front.io_mode
     }
 
     /// The metrics registry every layer reports into (rendered by the
@@ -536,9 +482,9 @@ impl ServerHandle {
 /// The bound-but-not-yet-running server.
 #[derive(Debug)]
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    config: ServerConfig,
+    pub(crate) listener: TcpListener,
+    pub(crate) state: Arc<ServerState>,
+    pub(crate) config: ServerConfig,
 }
 
 impl Server {
@@ -549,8 +495,7 @@ impl Server {
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let (listener, front) =
-            Front::bind(addr, config.io_mode, config.trace_sample, config.slow_ms)?;
+        let (listener, front) = Front::bind(addr, config.trace_sample, config.slow_ms)?;
         let datasets = Arc::new(DatasetCache::new(config.dataset_cache.clone()));
         let explorer = DataExplorer::from_catalog(
             catalog,
@@ -597,7 +542,7 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain workers and return.
     pub fn run(self) -> std::io::Result<()> {
-        crate::service::run_listener(self.listener, self.state, &self.config.conn())
+        crate::event_loop::run(self.listener, self.state, &self.config.conn())
     }
 
     /// Run on a background thread, returning the control handle and the

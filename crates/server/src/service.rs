@@ -3,15 +3,13 @@
 //!
 //! Both [`crate::Server`] and the scatter-gather router
 //! ([`crate::cluster::Router`]) speak the same line protocol over the same
-//! two connection layers — the blocking worker pool and the
-//! [`crate::event_loop`] reactor. This module owns everything between "how
-//! bytes move" and "what a request means" that does not depend on which of
-//! the two answers:
+//! connection layer, the [`crate::event_loop`] reactor. This module owns
+//! everything between "how bytes move" and "what a request means":
 //!
-//! * [`LineService::handle_line`] — the one entry point of both connection
-//!   layers — and [`LineService::answer_inline`], the reactor tier's, run
-//!   one request lifecycle: begin the sampled trace, pair the in-flight
-//!   gauge, parse under the `parse` span, pick the per-verb instrument
+//! * [`LineService::handle_line`] — the worker pool's entry point — and
+//!   [`LineService::answer_inline`], the reactor tier's, run one request
+//!   lifecycle: begin the sampled trace, pair the in-flight gauge, parse
+//!   under the `parse` span, pick the per-verb instrument
 //!   ([`ServerMetrics::op`]), answer the front's own verbs (`PING`, `STATS`,
 //!   `METRICS`, `TRACE`, `SLOWLOG`, `QUIT`, `SHUTDOWN`), and record the
 //!   reply by its bytes. A service implements only [`LineService::answer`],
@@ -19,40 +17,35 @@
 //!   so every request, whichever service and tier answers it, is traced,
 //!   gauged and recorded exactly once, here.
 //! * [`Front`] — the state that lifecycle runs on: the per-verb and
-//!   connection metrics, the registry, the tracer, the io-mode, the bound
-//!   address and the shutdown flag.
-//! * `run_listener` — capped framing, idle/write-stall timeouts,
-//!   pipelining, admission control and [`ConnMetrics`] accounting for any
+//!   connection metrics, the registry, the tracer, the bound address and
+//!   the shutdown flag.
+//! * [`ConnConfig`] — the transport limits the event loop enforces for any
 //!   [`LineService`], so the router inherits the hardened connection
 //!   machinery instead of reimplementing it.
 
-use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use obs::{Registry, RequestGuard, Tracer};
-use parking_lot::Mutex;
 
-use crate::framing::{self, LineRead};
+use crate::framing;
 use crate::metrics::{ConnMetrics, OpMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
-use crate::server::IoMode;
 
 /// The reply to `PING`.
 const PONG: &str = "OK\tPONG";
 
 /// What a service's front door owns whatever it serves: the per-verb and
 /// connection metrics, the registry they report into, the tracer, the
-/// io-mode, the bound address and the shutdown flag.
+/// bound address and the shutdown flag.
 #[derive(Debug)]
 pub struct Front {
     pub(crate) metrics: ServerMetrics,
     pub(crate) conn: ConnMetrics,
     pub(crate) registry: Registry,
     pub(crate) tracer: Arc<Tracer>,
-    pub(crate) io_mode: IoMode,
     pub(crate) addr: SocketAddr,
     started: Instant,
     shutdown: AtomicBool,
@@ -66,7 +59,6 @@ impl Front {
     /// with `slow_ms` as the `SLOWLOG` threshold.
     pub(crate) fn bind(
         addr: &str,
-        io_mode: IoMode,
         trace_sample: u64,
         slow_ms: u64,
     ) -> std::io::Result<(TcpListener, Front)> {
@@ -98,7 +90,6 @@ impl Front {
             conn,
             registry,
             tracer,
-            io_mode,
             addr: listener.local_addr()?,
             started,
             shutdown: AtomicBool::new(false),
@@ -182,7 +173,6 @@ impl Front {
         ] {
             ServerMetrics::append_op_fields(fields, name, op);
         }
-        fields.push(format!("io_mode={}", self.io_mode));
         fields.push(format!("connections_accepted={}", self.conn.accepted()));
         fields.push(format!("connections_open={}", self.conn.open()));
         fields.push(format!("connection_errors={}", self.conn.errors()));
@@ -215,14 +205,13 @@ impl Front {
     }
 }
 
-/// A request-line service servable by either connection layer.
+/// A request-line service served by the event loop.
 ///
 /// A service answers requests; the provided [`LineService::handle_line`]
 /// and [`LineService::answer_inline`] wrap every answer in the one request
 /// lifecycle its [`Front`] runs. Implementations must be cheap to call
-/// concurrently: both layers call `handle_line` from a pool of worker
-/// threads, and the event loop calls `answer_inline` from its reactor
-/// thread.
+/// concurrently: the event loop calls `handle_line` from a pool of worker
+/// threads and `answer_inline` from its reactor thread.
 pub trait LineService: Send + Sync + 'static {
     /// Verbs besides `PING` (upper case) whose reply
     /// [`LineService::answer_resident`] may hold. The reactor neither
@@ -275,7 +264,7 @@ pub trait LineService: Send + Sync + 'static {
     /// recorded nothing, its trace discarded with its sampling turn, so the
     /// worker that serves it next accounts it exactly once. Called only
     /// when none of the connection's earlier requests is still on a worker,
-    /// so replies stay in request order; the threaded layer never calls it.
+    /// so replies stay in request order.
     fn answer_inline(&self, line: &str) -> Option<(Arc<str>, bool)> {
         let verb = line.split('\t').next().unwrap_or_default().trim();
         let is = |v: &&str| verb.eq_ignore_ascii_case(v);
@@ -355,8 +344,8 @@ fn serve_resident<S: LineService + ?Sized>(
     Some(reply)
 }
 
-/// Connection-layer limits shared by both io-modes — the transport subset
-/// of [`crate::ServerConfig`], reused verbatim by the cluster router's
+/// Connection-layer limits — the transport subset of
+/// [`crate::ServerConfig`], reused verbatim by the cluster router's
 /// [`crate::cluster::RouterConfig`].
 #[derive(Debug, Clone)]
 pub struct ConnConfig {
@@ -369,13 +358,12 @@ pub struct ConnConfig {
     /// Close connections whose peer accepts no reply bytes for this long
     /// (milliseconds); `0` disables.
     pub write_timeout_ms: u64,
-    /// Pipelining depth per connection (async mode; at least 1).
+    /// Pipelining depth per connection (at least 1).
     pub max_pipeline: usize,
     /// Admission control: dispatched-but-unfinished requests across all
-    /// connections before `ERR busy` (async mode; at least 1).
+    /// connections before `ERR busy` (at least 1).
     pub queue_depth: usize,
-    /// Hard cap on one connection's buffered unsent reply bytes (async
-    /// mode).
+    /// Hard cap on one connection's buffered unsent reply bytes.
     pub write_buf_limit: usize,
 }
 
@@ -391,127 +379,4 @@ impl Default for ConnConfig {
             write_buf_limit: 64 << 20,
         }
     }
-}
-
-/// Serve `listener` with `service` through the connection layer its front's
-/// io-mode picks, until the service requests shutdown. This is the shared
-/// body of [`crate::Server::run`] and [`crate::cluster::Router::run`].
-pub(crate) fn run_listener<S: LineService>(
-    listener: TcpListener,
-    service: Arc<S>,
-    config: &ConnConfig,
-) -> std::io::Result<()> {
-    match service.front().io_mode {
-        IoMode::Threaded => run_threaded(listener, service, config),
-        IoMode::Async => crate::event_loop::run(listener, service, config),
-    }
-}
-
-/// The historical connection layer: a fixed worker pool, one blocked worker
-/// per in-flight connection.
-fn run_threaded<S: LineService>(
-    listener: TcpListener,
-    service: Arc<S>,
-    config: &ConnConfig,
-) -> std::io::Result<()> {
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<_> = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let service = Arc::clone(&service);
-            let config = config.clone();
-            std::thread::spawn(move || loop {
-                // Take the next connection, releasing the lock before
-                // serving it so other workers keep draining the queue.
-                let next = rx.lock().recv();
-                match next {
-                    Ok(stream) => serve_connection(&*service, stream, &config),
-                    Err(_) => break,
-                }
-            })
-        })
-        .collect();
-
-    for stream in listener.incoming() {
-        if service.front().shutdown_requested() {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(_) => continue,
-        }
-    }
-    drop(tx);
-    for worker in workers {
-        let _ = worker.join();
-    }
-    Ok(())
-}
-
-/// Serve one client connection line-by-line until QUIT, EOF, an oversized
-/// line, the idle timeout, or an I/O error — the threaded-mode twin of the
-/// event loop's per-connection state machine, sharing its framing, its
-/// typed `ERR` teardown replies, and its [`ConnMetrics`] accounting.
-fn serve_connection<S: LineService>(service: &S, stream: TcpStream, config: &ConnConfig) {
-    let conn = &service.front().conn;
-    conn.note_accepted();
-    let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
-    let _ = stream.set_read_timeout(timeout(config.idle_timeout_ms));
-    let _ = stream.set_write_timeout(timeout(config.write_timeout_ms));
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => {
-            conn.note_error();
-            conn.note_closed();
-            return;
-        }
-    };
-    let mut writer = BufWriter::new(stream);
-    loop {
-        match framing::read_line_capped(&mut reader, config.max_line_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::TooLong) => {
-                conn.note_line_too_long();
-                conn.note_error();
-                let reply = framing::line_too_long_reply(config.max_line_bytes);
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
-            }
-            Ok(LineRead::Line(line)) => {
-                if line.is_empty() {
-                    continue;
-                }
-                let (reply, close) = service.handle_line(&line);
-                if writeln!(writer, "{reply}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    conn.note_error();
-                    break;
-                }
-                if close {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                conn.note_idle_disconnect();
-                let reply = framing::idle_timeout_reply(config.idle_timeout_ms);
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
-            }
-            Err(_) => {
-                conn.note_error();
-                break;
-            }
-        }
-    }
-    conn.note_closed();
 }

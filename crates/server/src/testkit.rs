@@ -1,5 +1,6 @@
-//! Shared test/bench support: tiny generated catalogs, disposable servers
-//! and concurrent client drivers.
+//! Shared test/bench support: tiny generated catalogs, disposable servers,
+//! the thread-per-connection reference server and concurrent client
+//! drivers.
 //!
 //! The integration suites (`concurrent_clients`, `connection_suite`,
 //! `obs_concurrency`) and the workload harness in `vdx-bench` all need the
@@ -10,7 +11,8 @@
 //! `#[cfg(test)]`) because out-of-crate consumers (the bench crate's
 //! workload driver and its tests) reuse it too.
 
-use std::net::SocketAddr;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -21,7 +23,9 @@ use lwfa::{SimConfig, Simulation};
 use crate::client::Client;
 use crate::cluster::shard_map::{partition_steps, GroupSpec, ShardMap};
 use crate::cluster::{Router, RouterConfig, RouterHandle};
+use crate::framing::{self, LineRead};
 use crate::server::{Server, ServerConfig, ServerHandle, ServerState};
+use crate::service::LineService;
 
 /// Generate a small indexed on-disk catalog under the system temp dir.
 ///
@@ -98,6 +102,68 @@ pub fn spawn_server(catalog: Arc<Catalog>, dir: PathBuf, config: ServerConfig) -
     let server = Server::bind(catalog, "127.0.0.1:0", config).expect("bind ephemeral port");
     let (handle, join) = server.spawn();
     TestServer { handle, join, dir }
+}
+
+/// Serve a bound [`Server`]'s state thread-per-connection instead of
+/// through the event loop: the byte-identity reference the event loop is
+/// tested against (`io_mode_differential`).
+///
+/// Each accepted connection gets a thread of its own that reads capped
+/// lines with [`framing::read_line_capped`], skips empty ones, answers each
+/// through [`LineService::handle_line`] and flushes after every reply. A
+/// connection ends on EOF, on an oversized line (after its
+/// [`framing::line_too_long_reply`]) or on a closing verb. There is no
+/// reactor tier, pipelining queue, admission control, timeout or
+/// [`crate::ConnMetrics`] accounting: only the request lifecycle the event
+/// loop shares. [`ServerHandle::shutdown`] stops the accept loop; the run
+/// thread then waits for open connections to end.
+pub fn spawn_reference(
+    server: Server,
+) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+    let handle = server.handle();
+    let join = std::thread::spawn(move || {
+        let Server {
+            listener,
+            state,
+            config,
+        } = server;
+        let (state, cap) = (&*state, config.max_line_bytes);
+        std::thread::scope(|scope| {
+            for stream in listener.incoming() {
+                if state.front().shutdown_requested() {
+                    break;
+                }
+                if let Ok(stream) = stream {
+                    scope.spawn(move || serve_reference(state, stream, cap));
+                }
+            }
+        });
+        Ok(())
+    });
+    (handle, join)
+}
+
+/// One connection of [`spawn_reference`]; an I/O error ends it.
+fn serve_reference(state: &ServerState, stream: TcpStream, cap: usize) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    loop {
+        let line = match framing::read_line_capped(&mut reader, cap)? {
+            LineRead::Eof => return Ok(()),
+            LineRead::TooLong => {
+                writeln!(writer, "{}", framing::line_too_long_reply(cap))?;
+                return writer.flush();
+            }
+            LineRead::Line(line) if line.is_empty() => continue,
+            LineRead::Line(line) => line,
+        };
+        let (reply, close) = state.handle_line(&line);
+        writeln!(writer, "{reply}")?;
+        writer.flush()?;
+        if close {
+            return Ok(());
+        }
+    }
 }
 
 /// The requests whose replies [`TIER_CROSSING_CONVERSATION`] expects to be
@@ -344,7 +410,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::IoMode;
 
     #[test]
     fn fan_out_returns_results_in_index_order() {
@@ -361,7 +426,6 @@ mod tests {
             8,
             ServerConfig {
                 workers: 2,
-                io_mode: IoMode::Async,
                 ..Default::default()
             },
         );

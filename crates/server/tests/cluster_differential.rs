@@ -17,7 +17,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use vdx_server::testkit::{spawn_cluster, TestCluster};
-use vdx_server::{Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+use vdx_server::{Client, ConnConfig, RouterConfig, ServerConfig};
 
 const PARTICLES: usize = 300;
 const TIMESTEPS: usize = 5;
@@ -26,14 +26,12 @@ const INDEX_BINS: usize = 8;
 fn backend_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
-        io_mode: IoMode::Async,
         ..Default::default()
     }
 }
 
-fn router_config(io_mode: IoMode) -> RouterConfig {
+fn router_config() -> RouterConfig {
     RouterConfig {
-        io_mode,
         conn: ConnConfig {
             workers: 2,
             ..Default::default()
@@ -44,7 +42,7 @@ fn router_config(io_mode: IoMode) -> RouterConfig {
     }
 }
 
-fn cluster(tag: &str, n_groups: usize, router_io: IoMode) -> TestCluster {
+fn cluster(tag: &str, n_groups: usize) -> TestCluster {
     spawn_cluster(
         tag,
         PARTICLES,
@@ -53,7 +51,7 @@ fn cluster(tag: &str, n_groups: usize, router_io: IoMode) -> TestCluster {
         n_groups,
         1,
         backend_config(),
-        router_config(router_io),
+        router_config(),
     )
 }
 
@@ -174,8 +172,8 @@ fn drive_lockstep(seed: u64, router: &mut Client, oracle: &mut Client) -> usize 
     compared
 }
 
-fn run_seeded(tag: &str, n_groups: usize, router_io: IoMode, seeds: &[u64]) {
-    let cluster = cluster(tag, n_groups, router_io);
+fn run_seeded(tag: &str, n_groups: usize, seeds: &[u64]) {
+    let cluster = cluster(tag, n_groups);
     let oracle = cluster.spawn_oracle(backend_config());
     for &seed in seeds {
         let mut router = Client::connect(cluster.addr()).expect("connect router");
@@ -191,17 +189,12 @@ fn run_seeded(tag: &str, n_groups: usize, router_io: IoMode, seeds: &[u64]) {
 
 #[test]
 fn seeded_conversations_match_on_a_3_shard_cluster() {
-    run_seeded("cdiff_3s_async", 3, IoMode::Async, &[1, 2, 3]);
-}
-
-#[test]
-fn seeded_conversations_match_through_a_threaded_router() {
-    run_seeded("cdiff_3s_threaded", 3, IoMode::Threaded, &[4, 5]);
+    run_seeded("cdiff_3s_async", 3, &[1, 2, 3, 4, 5]);
 }
 
 #[test]
 fn seeded_conversations_match_on_a_1_shard_cluster() {
-    run_seeded("cdiff_1s_async", 1, IoMode::Async, &[6, 7]);
+    run_seeded("cdiff_1s_async", 1, &[6, 7]);
 }
 
 /// The deterministic hostile-input catalog (modeled on
@@ -259,7 +252,7 @@ fn connect_raw(addr: SocketAddr) -> TcpStream {
 
 #[test]
 fn hostile_lines_reply_byte_identical_through_the_router() {
-    let cluster = cluster("cdiff_hostile", 3, IoMode::Async);
+    let cluster = cluster("cdiff_hostile", 3);
     let oracle = cluster.spawn_oracle(backend_config());
     let lines = hostile_lines();
 
@@ -300,7 +293,7 @@ fn hostile_lines_reply_byte_identical_through_the_router() {
 /// side produces must match.
 #[test]
 fn conversation_transcripts_match_through_the_router() {
-    let cluster = cluster("cdiff_transcript", 3, IoMode::Async);
+    let cluster = cluster("cdiff_transcript", 3);
     let oracle = cluster.spawn_oracle(backend_config());
 
     let conversations: Vec<&[u8]> = vec![

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use vdx_server::cluster::ShardMap;
 use vdx_server::testkit::{spawn_cluster, TestCluster};
-use vdx_server::{parse_stats, Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+use vdx_server::{parse_stats, Client, ConnConfig, RouterConfig, ServerConfig};
 
 const PARTICLES: usize = 300;
 const TIMESTEPS: usize = 6;
@@ -22,14 +22,12 @@ const TIMESTEPS: usize = 6;
 fn backend_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
-        io_mode: IoMode::Async,
         ..Default::default()
     }
 }
 
 fn router_config() -> RouterConfig {
     RouterConfig {
-        io_mode: IoMode::Async,
         conn: ConnConfig {
             workers: 4,
             ..Default::default()

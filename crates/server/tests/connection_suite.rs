@@ -1,15 +1,13 @@
 //! The connection layer under abuse: starvation, pipelining, admission
 //! control, idle eviction, oversized lines, slow readers and abrupt
-//! disconnects. The async event loop is the subject; the threaded layer
-//! appears both as a foil (its starvation failure mode is pinned on
-//! purpose) and as a peer (the hardening limits apply to both).
+//! disconnects. The event loop is the subject.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use vdx_server::testkit::{self, TestServer};
-use vdx_server::{framing, Client, IoMode, ServerConfig};
+use vdx_server::{framing, Client, ServerConfig};
 
 /// This suite's standard server: a 200-particle, 2-timestep catalog (the
 /// connection layer is the subject here, not the data) via the shared
@@ -40,7 +38,6 @@ fn idle_connections_do_not_starve_fresh_clients_async() {
         "starve_async",
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );
@@ -67,54 +64,6 @@ fn idle_connections_do_not_starve_fresh_clients_async() {
     server.shutdown_and_clean();
 }
 
-/// The foil: under the threaded layer the same shape *does* starve. Two
-/// live-but-idle connections pin the two workers, and a third client's
-/// `PING` gets no reply within its read timeout. This is the documented
-/// failure mode `--io-mode async` removes; if this test ever fails, the
-/// threaded layer has silently changed semantics and the docs are stale.
-#[test]
-fn threaded_mode_starves_by_design_pinned() {
-    let server = spawn_server(
-        "starve_thr",
-        ServerConfig {
-            workers: 2,
-            io_mode: IoMode::Threaded,
-            ..Default::default()
-        },
-    );
-    let addr = server.addr();
-
-    // Prove each idler was picked up by a worker before going silent.
-    let mut idlers = Vec::new();
-    for _ in 0..2 {
-        let mut client = Client::connect(addr).unwrap();
-        assert_eq!(client.request("PING").unwrap(), "OK\tPONG");
-        idlers.push(client);
-    }
-
-    let mut probe = TcpStream::connect(addr).unwrap();
-    probe
-        .set_read_timeout(Some(Duration::from_millis(400)))
-        .unwrap();
-    probe.write_all(b"PING\n").unwrap();
-    let mut buf = [0u8; 16];
-    let err = (&probe)
-        .read(&mut buf)
-        .expect_err("threaded mode should leave the probe unanswered");
-    assert!(
-        matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-        "{err:?}"
-    );
-
-    // Release the workers, and close the probe before shutdown so the
-    // worker that eventually picks it up sees EOF instead of blocking.
-    for mut idler in idlers {
-        assert_eq!(idler.request("QUIT").unwrap(), "OK\tBYE");
-    }
-    drop(probe);
-    server.shutdown_and_clean();
-}
-
 /// A connection idle past `idle_timeout_ms` is evicted with the typed
 /// `ERR idle timeout …` reply, then closed — and counted as an idle
 /// disconnect, not a connection error.
@@ -124,7 +73,6 @@ fn idle_timeout_evicts_with_typed_reply() {
         "idle_evict",
         ServerConfig {
             workers: 1,
-            io_mode: IoMode::Async,
             idle_timeout_ms: 150,
             ..Default::default()
         },
@@ -154,52 +102,48 @@ fn idle_timeout_evicts_with_typed_reply() {
     server.shutdown_and_clean();
 }
 
-/// Request lines over the cap earn `ERR line too long …` and a close, in
-/// both io-modes — and in the async mode the reply lands in pipeline order
-/// behind any requests that preceded the oversized line.
+/// Request lines over the cap earn `ERR line too long …` and a close, and
+/// the reply lands in pipeline order behind any requests that preceded the
+/// oversized line.
 #[test]
 fn oversized_request_lines_are_rejected_in_both_modes() {
-    for (io_mode, tag) in [(IoMode::Async, "cap_async"), (IoMode::Threaded, "cap_thr")] {
-        let server = spawn_server(
-            tag,
-            ServerConfig {
-                workers: 1,
-                io_mode,
-                ..Default::default()
-            },
-        );
-        let addr = server.addr();
+    let server = spawn_server(
+        "cap_async",
+        ServerConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut oversized = Vec::from(&b"PING\n"[..]);
-        oversized.extend(std::iter::repeat_n(
-            b'A',
-            framing::MAX_REQUEST_LINE_BYTES + 1,
-        ));
-        oversized.push(b'\n');
-        stream.write_all(&oversized).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        assert_eq!(
-            read_raw_line(&mut reader).as_deref(),
-            Some("OK\tPONG"),
-            "[{io_mode}] the pipelined PING is answered first"
-        );
-        assert_eq!(
-            read_raw_line(&mut reader).as_deref(),
-            Some("ERR\tline too long (the request line cap is 65536 bytes)"),
-            "[{io_mode}]"
-        );
-        assert_eq!(read_raw_line(&mut reader), None, "[{io_mode}] then close");
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut oversized = Vec::from(&b"PING\n"[..]);
+    oversized.extend(std::iter::repeat_n(
+        b'A',
+        framing::MAX_REQUEST_LINE_BYTES + 1,
+    ));
+    oversized.push(b'\n');
+    stream.write_all(&oversized).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    assert_eq!(
+        read_raw_line(&mut reader).as_deref(),
+        Some("OK\tPONG"),
+        "the pipelined PING is answered first"
+    );
+    assert_eq!(
+        read_raw_line(&mut reader).as_deref(),
+        Some("ERR\tline too long (the request line cap is 65536 bytes)")
+    );
+    assert_eq!(read_raw_line(&mut reader), None, "then close");
 
-        let state = server.state();
-        let conn = state.conn_metrics();
-        assert!(conn.lines_too_long() >= 1, "[{io_mode}]");
-        assert!(conn.errors() >= 1, "[{io_mode}]");
-        server.shutdown_and_clean();
-    }
+    let state = server.state();
+    let conn = state.conn_metrics();
+    assert!(conn.lines_too_long() >= 1);
+    assert!(conn.errors() >= 1);
+    server.shutdown_and_clean();
 }
 
 /// The Client enforces the reply-line cap too: a misbehaving "server"
@@ -244,7 +188,6 @@ fn pipelined_bursts_reply_in_request_order() {
         "pipeline",
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );
@@ -295,7 +238,6 @@ fn reactor_answers_keep_pipeline_order_and_accounting() {
         "reactor_order",
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );
@@ -371,7 +313,6 @@ fn saturated_queue_answers_busy() {
         "busy",
         ServerConfig {
             workers: 1,
-            io_mode: IoMode::Async,
             queue_depth: 1,
             max_pipeline: 2 * PAIRS,
             ..Default::default()
@@ -444,7 +385,6 @@ fn a_thousand_idle_connections_cost_buffers_not_threads() {
         "thousand",
         ServerConfig {
             workers: 2,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );
@@ -506,7 +446,6 @@ fn abrupt_disconnects_count_as_connection_errors() {
         "rst",
         ServerConfig {
             workers: 1,
-            io_mode: IoMode::Async,
             ..Default::default()
         },
     );

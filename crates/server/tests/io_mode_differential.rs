@@ -1,22 +1,29 @@
-//! The byte-identity pin between the two connection layers: the same
-//! request bytes sent to a threaded-mode server and an async-mode server
-//! over the same catalog must produce the same reply bytes, reply for
-//! reply — including hostile input, invalid UTF-8, empty lines, an EOF
-//! mid-line, and pipelined requests behind a `QUIT`. Both layers funnel
-//! into `ServerState::handle_line` and the shared framing module; this
-//! suite is what keeps anyone from quietly forking the semantics.
+//! The byte-identity pin of the connection layer: the same request bytes
+//! sent to the event loop and to the thread-per-connection reference
+//! (`testkit::spawn_reference`) over the same catalog must produce the
+//! same reply bytes, reply for reply — including hostile input, invalid
+//! UTF-8, empty lines, an EOF mid-line, and pipelined requests behind a
+//! `QUIT`. Both funnel into `ServerState::handle_line` and the shared
+//! framing module; this suite is what keeps anyone from quietly forking
+//! the semantics.
+//!
+//! The event loop's lockstep transcript and conversation blobs are also
+//! pinned against committed files under `tests/golden/`, so a change in
+//! reply bytes between versions fails here too. Rewrite them deliberately
+//! with `UPDATE_GOLDEN=1 cargo test -p vdx-server --test io_mode_differential`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use datastore::Catalog;
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
-use vdx_server::{parse_stats, IoMode, Server, ServerConfig, ServerHandle};
+use vdx_server::testkit::spawn_reference;
+use vdx_server::{parse_stats, Server, ServerConfig, ServerHandle};
 
 fn fixture(tag: &str) -> (Arc<Catalog>, PathBuf) {
     let dir = std::env::temp_dir().join(format!("vdx_io_diff_{tag}_{}", std::process::id()));
@@ -31,31 +38,52 @@ fn fixture(tag: &str) -> (Arc<Catalog>, PathBuf) {
     (Arc::new(catalog), dir)
 }
 
-/// Spawn one server of each io-mode over one shared catalog.
+/// Spawn the reference server and an event-loop server over one shared
+/// catalog, each labelled for assertion messages.
 fn both_modes(
     catalog: &Arc<Catalog>,
 ) -> Vec<(
-    IoMode,
+    &'static str,
     ServerHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
 )> {
-    [IoMode::Threaded, IoMode::Async]
-        .into_iter()
-        .map(|io_mode| {
-            let server = Server::bind(
-                Arc::clone(catalog),
-                "127.0.0.1:0",
-                ServerConfig {
-                    workers: 2,
-                    io_mode,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let (handle, join) = server.spawn();
-            (io_mode, handle, join)
-        })
-        .collect()
+    let bind = || {
+        let config = ServerConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        Server::bind(Arc::clone(catalog), "127.0.0.1:0", config).unwrap()
+    };
+    let (reference, reference_join) = spawn_reference(bind());
+    let (event_loop, event_loop_join) = bind().spawn();
+    vec![
+        ("reference", reference, reference_join),
+        ("event loop", event_loop, event_loop_join),
+    ]
+}
+
+/// Compare `actual` with the committed golden file `name`, reporting the
+/// first differing line; with `UPDATE_GOLDEN` set, rewrite the file instead.
+fn check_golden(name: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        panic!("golden {name} rewritten — commit it and rerun without UPDATE_GOLDEN");
+    }
+    let committed = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    let mut want = committed.lines();
+    let mut got = actual.lines();
+    for line in 1.. {
+        match (want.next(), got.next()) {
+            (None, None) => break,
+            (w, g) => assert_eq!(w, g, "{name}:{line}: first differing line"),
+        }
+    }
+    assert_eq!(committed, actual, "{name}: line endings differ");
 }
 
 fn connect_raw(handle: &ServerHandle) -> TcpStream {
@@ -99,7 +127,7 @@ fn deterministic_lines() -> Vec<Vec<u8>> {
         "SELECT\tzero\tpx > 0",   // ERR: bad step
         "HIST\t0\tpx\tmany",      // ERR: bad bins
         "NOSUCHVERB\targ",        // ERR: unknown verb
-        "select\t0\tpx > 0",      // ERR: verbs are case-sensitive
+        "select\t0\tpx > 0",      // OK: verbs are case-insensitive
         "SELECT\t0\tpx >",        // ERR: truncated expression
         "SELECT\t0\t(px > 0",     // ERR: unbalanced paren
         "SELECT\t0\tpx <>\t0",    // ERR: stray tab in expression
@@ -110,7 +138,7 @@ fn deterministic_lines() -> Vec<Vec<u8>> {
     .into_iter()
     .map(|s| s.as_bytes().to_vec())
     .collect();
-    // Invalid UTF-8 inside an expression: both layers decode lossily, so
+    // Invalid UTF-8 inside an expression: both decode lossily, so
     // the parse error must come back identical.
     lines.push(b"SELECT\t0\tpx > \xff\xfe".to_vec());
     // Invalid UTF-8 inside the verb itself.
@@ -119,16 +147,17 @@ fn deterministic_lines() -> Vec<Vec<u8>> {
 }
 
 /// Line-by-line request/reply lockstep: each deterministic request gets
-/// byte-identical replies from the two modes, on one long-lived
-/// connection each.
+/// byte-identical replies from the reference and the event loop, on one
+/// long-lived connection each, and the event loop's match the committed
+/// golden transcript.
 #[test]
 fn deterministic_requests_reply_byte_identical_across_modes() {
     let (catalog, dir) = fixture("lockstep");
     let servers = both_modes(&catalog);
     let lines = deterministic_lines();
 
-    let mut transcripts: Vec<(IoMode, Vec<String>)> = Vec::new();
-    for (io_mode, handle, _) in &servers {
+    let mut transcripts: Vec<(&str, Vec<String>)> = Vec::new();
+    for (label, handle, _) in &servers {
         let stream = connect_raw(handle);
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
@@ -138,22 +167,23 @@ fn deterministic_requests_reply_byte_identical_across_modes() {
             writer.write_all(b"\n").unwrap();
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
-            assert!(reply.ends_with('\n'), "[{io_mode}] unterminated reply");
+            assert!(reply.ends_with('\n'), "[{label}] unterminated reply");
             replies.push(reply);
         }
-        transcripts.push((*io_mode, replies));
+        transcripts.push((*label, replies));
     }
 
-    let (_, threaded) = &transcripts[0];
-    let (_, asynch) = &transcripts[1];
-    for ((line, t), a) in lines.iter().zip(threaded).zip(asynch) {
+    let (_, reference) = &transcripts[0];
+    let (_, event_loop) = &transcripts[1];
+    for ((line, t), a) in lines.iter().zip(reference).zip(event_loop) {
         assert_eq!(
             t,
             a,
-            "modes diverged on request {:?}",
+            "the event loop diverged from the reference on request {:?}",
             String::from_utf8_lossy(line)
         );
     }
+    check_golden("lockstep.txt", &event_loop.concat());
 
     for (_, handle, join) in servers {
         handle.shutdown();
@@ -165,14 +195,15 @@ fn deterministic_requests_reply_byte_identical_across_modes() {
 /// Whole-conversation transcripts: tricky framings sent as raw bursts with
 /// a half-close, compared as the full byte blob each server produced —
 /// this pins empty-line skipping, EOF-mid-line handling, and the
-/// QUIT-discards-the-pipeline rule to be mode-identical.
+/// QUIT-discards-the-pipeline rule to be identical to the reference and
+/// to the committed golden blobs.
 #[test]
 fn conversation_transcripts_match_across_modes() {
     let (catalog, dir) = fixture("transcript");
     let servers = both_modes(&catalog);
 
     let conversations: Vec<&[u8]> = vec![
-        // Empty lines produce no reply in either mode.
+        // Empty lines produce no reply.
         b"\n\nPING\n\n\nINFO\n",
         // EOF mid-line: the unterminated final request is still served.
         b"PING\nSELECT\t0\tpx > 0",
@@ -188,20 +219,27 @@ fn conversation_transcripts_match_across_modes() {
         b"SELECT\t0\tpx > 0\nSELECT\t99\tpx > 0\nHIST\t0\tpx\t8\nPING\n",
     ];
 
+    let mut golden = String::new();
     for bytes in conversations {
-        let mut blobs: Vec<(IoMode, Vec<u8>)> = Vec::new();
-        for (io_mode, handle, _) in &servers {
-            blobs.push((*io_mode, converse(handle, bytes)));
+        let mut blobs: Vec<(&str, Vec<u8>)> = Vec::new();
+        for (label, handle, _) in &servers {
+            blobs.push((*label, converse(handle, bytes)));
         }
-        let (_, threaded) = &blobs[0];
-        let (_, asynch) = &blobs[1];
+        let (_, reference) = &blobs[0];
+        let (_, event_loop) = &blobs[1];
         assert_eq!(
-            String::from_utf8_lossy(threaded),
-            String::from_utf8_lossy(asynch),
-            "transcripts diverged for conversation {:?}",
+            String::from_utf8_lossy(reference),
+            String::from_utf8_lossy(event_loop),
+            "the event loop diverged from the reference on conversation {:?}",
             String::from_utf8_lossy(bytes)
         );
+        golden += &format!(
+            "> {:?}\n{}",
+            String::from_utf8_lossy(bytes),
+            String::from_utf8_lossy(event_loop)
+        );
     }
+    check_golden("conversations.txt", &golden);
 
     for (_, handle, join) in servers {
         handle.shutdown();
@@ -211,8 +249,8 @@ fn conversation_transcripts_match_across_modes() {
 }
 
 /// The event loop answers query-cache hits, `PING` and `INFO` on its
-/// reactor and everything else on a worker; the threaded layer answers all
-/// of it on a worker. A pipelined conversation crossing between the two
+/// reactor and everything else on a worker; the reference answers all of
+/// it on its connection thread. A pipelined conversation crossing between the two
 /// tiers must still produce the same transcript, and move the query cache,
 /// the evaluation counter and every per-verb count identically.
 #[test]
@@ -222,7 +260,7 @@ fn reactor_tier_matches_the_threaded_layer_bytes_and_counts() {
     let conversation = vdx_server::testkit::TIER_CROSSING_CONVERSATION.join("\n") + "\n";
 
     let mut runs = Vec::new();
-    for (io_mode, handle, _) in &servers {
+    for (label, handle, _) in &servers {
         let state = handle.state();
         for line in vdx_server::testkit::TIER_CROSSING_PREFILL {
             assert!(state.handle_line(line).0.starts_with("OK\t"), "{line}");
@@ -243,18 +281,21 @@ fn reactor_tier_matches_the_threaded_layer_bytes_and_counts() {
             .map(|k| (k.clone(), delta(k)))
             .collect();
         counters.sort();
-        let reactor = if *io_mode == IoMode::Async { 5 } else { 0 };
-        assert_eq!(delta("reactor_replies"), reactor, "[{io_mode}]");
-        assert_eq!(delta("qc_hits"), 3, "[{io_mode}]");
+        let reactor = if *label == "event loop" { 5 } else { 0 };
+        assert_eq!(delta("reactor_replies"), reactor, "[{label}]");
+        assert_eq!(delta("qc_hits"), 3, "[{label}]");
         runs.push((transcript, counters));
     }
 
-    let (threaded, asynch) = (&runs[0], &runs[1]);
+    let (reference, event_loop) = (&runs[0], &runs[1]);
     assert_eq!(
-        String::from_utf8_lossy(&threaded.0),
-        String::from_utf8_lossy(&asynch.0)
+        String::from_utf8_lossy(&reference.0),
+        String::from_utf8_lossy(&event_loop.0)
     );
-    assert_eq!(threaded.1, asynch.1, "counter deltas: threaded vs async");
+    assert_eq!(
+        reference.1, event_loop.1,
+        "counter deltas: reference vs event loop"
+    );
 
     for (_, handle, join) in servers {
         handle.shutdown();

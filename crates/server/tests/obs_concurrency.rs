@@ -8,7 +8,7 @@
 //! (d) after the workload drains, the `inflight_requests` gauge is zero
 //!     and a replayed request's trace is retrievable and self-consistent.
 
-use vdx_server::{parse_stats, testkit, Client, IoMode, ServerConfig};
+use vdx_server::{parse_stats, testkit, Client, ServerConfig};
 
 /// Assert one Prometheus text-exposition line is well-formed: either a
 /// `# HELP`/`# TYPE` comment or a `name{labels} value` sample whose value
@@ -36,16 +36,6 @@ fn assert_exposition_line(line: &str) {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
         "bad metric name in {line:?}"
     );
-}
-
-#[test]
-fn scrapers_and_queries_coexist_without_tearing_async() {
-    scrapers_and_queries_coexist_without_tearing(IoMode::Async, "mixed_async");
-}
-
-#[test]
-fn scrapers_and_queries_coexist_without_tearing_threaded() {
-    scrapers_and_queries_coexist_without_tearing(IoMode::Threaded, "mixed_thr");
 }
 
 /// One query client's round: SELECT / HIST / REFINE-shaped mixed load, some
@@ -106,15 +96,15 @@ fn scraper_round(client: &mut Client, s: usize, i: usize, floor: &mut [u64]) {
     }
 }
 
-fn scrapers_and_queries_coexist_without_tearing(io_mode: IoMode, tag: &str) {
+#[test]
+fn scrapers_and_queries_coexist_without_tearing_async() {
     let server = testkit::spawn_tiny_server(
-        tag,
+        "mixed_async",
         400,
         4,
         16,
         ServerConfig {
             workers: 8,
-            io_mode,
             ..Default::default()
         },
     );

@@ -142,7 +142,6 @@ fn every_stats_field_is_documented() {
         "trace_ring_len",
         "slowlog_len",
         "evaluations",
-        "io_mode",
         "connections_accepted",
         "connections_open",
         "connection_errors",
@@ -305,8 +304,8 @@ fn every_metric_family_is_documented() {
         families.len() >= 10,
         "a real registry exposes many families"
     );
-    // The connection-layer families must exist in both io-modes — the
-    // instruments are registered at bind time, not by the connection layer.
+    // The connection-layer families must exist before the connection layer
+    // runs — the instruments are registered at bind time, not by it.
     for family in [
         "vdx_connections_accepted_total",
         "vdx_connections_open",
