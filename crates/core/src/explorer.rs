@@ -35,13 +35,6 @@ pub struct ExplorerConfig {
     pub threads: usize,
     /// Rows per evaluation chunk of the parallel engine.
     pub chunk_rows: usize,
-    /// Let the chunked parallel engine answer predicates through bitmap
-    /// indexes (with per-query equality/range encoding selection) instead of
-    /// scanning chunks, when an index exists. Off by default so the chunked
-    /// engine keeps its historical pure-scan behaviour; results are
-    /// byte-identical either way. Only meaningful when `threads > 1` — the
-    /// sequential path already uses indexes under the `FastBit` engine.
-    pub index_accel: bool,
 }
 
 impl Default for ExplorerConfig {
@@ -53,7 +46,6 @@ impl Default for ExplorerConfig {
             default_bins: 256,
             threads: 1,
             chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
-            index_accel: false,
         }
     }
 }
@@ -155,8 +147,7 @@ impl DataExplorer {
 
     /// Build an explorer over an already opened, shared catalog.
     pub fn from_catalog(catalog: Arc<Catalog>, config: ExplorerConfig) -> Self {
-        let par = ParExec::new(config.threads, config.chunk_rows)
-            .with_index_acceleration(config.index_accel);
+        let par = ParExec::new(config.threads, config.chunk_rows);
         Self {
             catalog,
             config,
@@ -264,10 +255,9 @@ impl DataExplorer {
     pub fn select(&self, step: usize, query: &str) -> Result<BeamSelection> {
         let expr = parse_query(query)?;
         let ids = if self.parallel() {
-            // Without index acceleration the chunked evaluator never consults
-            // bitmap indexes, so skip the sidecar load (cached loads always
-            // carry them regardless).
-            let dataset = self.load_step(step, None, self.par.index_acceleration())?;
+            // The chunked evaluator never consults bitmap indexes, so skip
+            // the sidecar load (cached loads always carry them regardless).
+            let dataset = self.load_step(step, None, false)?;
             let program = self.plans.get_or_compile(&expr);
             let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
             let selection = {

@@ -181,13 +181,10 @@ impl std::fmt::Display for PredSource {
 pub enum PlanMode {
     /// The sequential engine under an [`ExecStrategy`].
     Sequential(ExecStrategy),
-    /// The chunked parallel engine.
+    /// The chunked parallel engine: every slot is a scan.
     Chunked {
         /// Zone-map pruning enabled ([`crate::ParExec::pruning`]).
         pruning: bool,
-        /// Bitmap-index acceleration enabled
-        /// ([`crate::ParExec::with_index_acceleration`]).
-        index_accel: bool,
     },
 }
 
@@ -202,16 +199,8 @@ impl std::fmt::Display for PlanMode {
                 };
                 write!(f, "sequential({s})")
             }
-            PlanMode::Chunked {
-                pruning,
-                index_accel,
-            } => {
-                write!(
-                    f,
-                    "chunked(pruning={}, index-accel={})",
-                    if pruning { "on" } else { "off" },
-                    if index_accel { "on" } else { "off" }
-                )
+            PlanMode::Chunked { pruning } => {
+                write!(f, "chunked(pruning={})", if pruning { "on" } else { "off" })
             }
         }
     }
@@ -490,21 +479,10 @@ fn plan_predicate(
             }),
             _ => Err(FastBitError::UnknownColumn(pred.column.clone())),
         },
-        PlanMode::Chunked {
-            pruning,
-            index_accel,
-        } => {
-            if data.is_none() {
-                return Err(FastBitError::UnknownColumn(pred.column.clone()));
-            }
-            match index.filter(|_| index_accel) {
-                Some(index) => Ok(PredSource::Index {
-                    encoding: index.choose_encoding(&pred.range),
-                    exact: index.answers_exactly(&pred.range),
-                }),
-                None => Ok(PredSource::Scan { pruned: pruning }),
-            }
-        }
+        PlanMode::Chunked { pruning } => match data {
+            Some(_) => Ok(PredSource::Scan { pruned: pruning }),
+            None => Err(FastBitError::UnknownColumn(pred.column.clone())),
+        },
     }
 }
 

@@ -13,19 +13,15 @@
 //!   fully inside the query range) is pruned to a full mask;
 //! * only the remaining chunks are scanned row-by-row.
 //!
-//! With [`ParExec::with_index_acceleration`] enabled, a predicate whose
-//! column carries a [`crate::BitmapIndex`] skips chunk scanning altogether:
-//! the index answers the predicate once (the per-query cost model picks the
-//! equality or range encoding) and chunk workers slice their masks out of
-//! that single dense answer.
+//! Bitmap indexes are the sequential engine's business
+//! ([`crate::compile::execute`]); this engine never consults them.
 //!
 //! Per-chunk masks are merged *in chunk order* into one WAH-compressed
 //! [`Selection`], so the selected row set is a pure function of the data and
-//! the query — independent of thread count, chunk size, pruning, and index
-//! acceleration. The differential suites in `tests/par_differential.rs`,
-//! `tests/zone_map_adversarial.rs` and `tests/encoding_differential.rs` pin
-//! exactly that: parallel evaluation can never silently mean "different
-//! answers".
+//! the query — independent of thread count, chunk size and pruning. The
+//! differential suites in `tests/par_differential.rs` and
+//! `tests/zone_map_adversarial.rs` pin exactly that: parallel evaluation can
+//! never silently mean "different answers".
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -194,7 +190,6 @@ pub struct ParStats {
     chunks_pruned_empty: AtomicU64,
     chunks_pruned_full: AtomicU64,
     chunks_scanned: AtomicU64,
-    chunks_indexed: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`ParStats`].
@@ -208,9 +203,6 @@ pub struct ParStatsSnapshot {
     pub chunks_pruned_full: u64,
     /// Predicate-chunks that had to be scanned row-by-row.
     pub chunks_scanned: u64,
-    /// Predicate-chunks answered by slicing a precomputed bitmap-index
-    /// evaluation (see [`ParExec::with_index_acceleration`]).
-    pub chunks_indexed: u64,
 }
 
 impl ParStats {
@@ -220,7 +212,6 @@ impl ParStats {
             chunks_pruned_empty: self.chunks_pruned_empty.load(Ordering::Relaxed),
             chunks_pruned_full: self.chunks_pruned_full.load(Ordering::Relaxed),
             chunks_scanned: self.chunks_scanned.load(Ordering::Relaxed),
-            chunks_indexed: self.chunks_indexed.load(Ordering::Relaxed),
         }
     }
 }
@@ -233,7 +224,6 @@ struct ChunkTally {
     pruned_empty: AtomicU64,
     pruned_full: AtomicU64,
     scanned: AtomicU64,
-    indexed: AtomicU64,
 }
 
 /// Configuration of the chunked parallel evaluator: thread count, chunk size
@@ -244,7 +234,6 @@ pub struct ParExec {
     threads: usize,
     chunk_rows: usize,
     pruning: bool,
-    index_accel: bool,
     stats: Arc<ParStats>,
 }
 
@@ -262,7 +251,6 @@ impl ParExec {
             threads: threads.max(1),
             chunk_rows: chunk_rows.max(1),
             pruning: true,
-            index_accel: false,
             stats: Arc::new(ParStats::default()),
         }
     }
@@ -277,25 +265,6 @@ impl ParExec {
     pub fn without_pruning(mut self) -> Self {
         self.pruning = false;
         self
-    }
-
-    /// Enable (or disable) bitmap-index acceleration: a predicate whose
-    /// column has a [`crate::BitmapIndex`] is evaluated *once* through the
-    /// index — the per-query encoding cost model
-    /// ([`crate::BitmapIndex::choose_encoding`]) picks equality or range
-    /// encoding — and the chunk workers slice their masks out of that one
-    /// answer instead of scanning rows. Off by default so the engine keeps
-    /// its historical pure-scan semantics (and so the `Custom` scan baseline
-    /// stays a baseline even on cached datasets that carry indexes). The
-    /// selected row set is byte-identical either way; only the work changes.
-    pub fn with_index_acceleration(mut self, on: bool) -> Self {
-        self.index_accel = on;
-        self
-    }
-
-    /// Whether bitmap-index acceleration is enabled.
-    pub fn index_acceleration(&self) -> bool {
-        self.index_accel
     }
 
     /// Number of worker threads.
@@ -330,12 +299,7 @@ impl ParExec {
             &[],
             move || stats.queries.load(Ordering::Relaxed),
         );
-        for (outcome, pick) in [
-            ("pruned_empty", 0usize),
-            ("pruned_full", 1),
-            ("scanned", 2),
-            ("indexed", 3),
-        ] {
+        for (outcome, pick) in [("pruned_empty", 0usize), ("pruned_full", 1), ("scanned", 2)] {
             let stats = Arc::clone(&self.stats);
             registry.counter_fn(
                 "vdx_par_chunks_total",
@@ -347,7 +311,6 @@ impl ParExec {
                         s.chunks_pruned_empty,
                         s.chunks_pruned_full,
                         s.chunks_scanned,
-                        s.chunks_indexed,
                     ][pick]
                 },
             );
@@ -605,34 +568,6 @@ impl ChunkMasks {
 // Chunked evaluation
 // ---------------------------------------------------------------------------
 
-/// Expand a [`Selection`] into a dense little-endian word bitmap, the form
-/// chunk workers can slice in O(words) per chunk. Bulk run expansion: cost
-/// is proportional to the dataset size, not to the number of selected rows.
-fn selection_words(selection: &Selection) -> Vec<u64> {
-    let mut words = vec![0u64; words_for(selection.num_rows())];
-    selection.as_wah().write_dense_words(&mut words);
-    words
-}
-
-/// Extract bits `[start, start + len)` of a dense word bitmap into a fresh
-/// chunk-local word vector (padding bits cleared).
-fn slice_bits(words: &[u64], start: usize, len: usize) -> Vec<u64> {
-    let mut out = vec![0u64; words_for(len)];
-    let base = start / 64;
-    let shift = start % 64;
-    for (j, slot) in out.iter_mut().enumerate() {
-        let lo = words.get(base + j).copied().unwrap_or(0);
-        *slot = if shift == 0 {
-            lo
-        } else {
-            let hi = words.get(base + j + 1).copied().unwrap_or(0);
-            (lo >> shift) | (hi << (64 - shift))
-        };
-    }
-    mask_padding(&mut out, len);
-    out
-}
-
 /// Evaluate `expr` chunk-by-chunk over `exec`'s pool and return the per-chunk
 /// masks. The expression is compiled to a bytecode [`Program`] first
 /// ([`Program::compile`]); callers that hold a cached program should use
@@ -648,10 +583,7 @@ pub fn evaluate_chunk_masks(
 /// Evaluate a compiled [`Program`] chunk-by-chunk over `exec`'s pool. Zone
 /// maps are taken from the provider when it has them at this chunk size (see
 /// [`ColumnProvider::zone_maps`]) and computed on the fly from each chunk's
-/// slice otherwise. With [`ParExec::with_index_acceleration`] enabled,
-/// predicate slots whose column has a bitmap index are answered once through
-/// the index (encoding recorded by the plan's cost model) and sliced per
-/// chunk. Chunk workers then interpret the program's linear op list over
+/// slice otherwise. Chunk workers interpret the program's linear op list over
 /// per-chunk mask registers instead of re-walking the expression tree.
 pub fn evaluate_chunk_masks_program(
     program: &Program,
@@ -684,32 +616,13 @@ pub fn evaluate_chunk_masks_program(
         );
         columns.insert(name, data);
     }
-    // Bind planner decisions, then answer each Index slot once, exactly (the
-    // candidate check runs against the raw column), before any chunk work.
-    // Textually identical predicates share one slot, hence one evaluation.
+    // Bind planner decisions: every slot is a (possibly zone-pruned) scan.
     let sources = program.plan(
         provider,
         PlanMode::Chunked {
             pruning: exec.pruning(),
-            index_accel: exec.index_accel,
         },
     )?;
-    let mut slot_answers: Vec<Option<Vec<u64>>> = Vec::with_capacity(sources.len());
-    for (pred, source) in program.slots().iter().zip(&sources) {
-        match *source {
-            PredSource::Index { encoding, .. } => {
-                let _slot = obs::span("slot");
-                obs::note("pred", || pred.to_string());
-                obs::note("source", || "index".to_string());
-                let index = provider.index(&pred.column).expect("planned index slot");
-                let data = columns.get(pred.column.as_str()).expect("resolved column");
-                let selection = index.evaluate_with(&pred.range, data, encoding)?;
-                crate::index::note_encoding_query(encoding);
-                slot_answers.push(Some(selection_words(&selection)));
-            }
-            PredSource::Scan { .. } => slot_answers.push(None),
-        }
-    }
     let num_chunks = num_rows.div_ceil(chunk_rows);
     exec.stats.queries.fetch_add(1, Ordering::Relaxed);
     let tally = ChunkTally::default();
@@ -721,7 +634,6 @@ pub fn evaluate_chunk_masks_program(
             slot_masks.push(eval_slot_chunk(
                 pred,
                 &sources[i],
-                slot_answers[i].as_deref(),
                 &columns,
                 &zones,
                 &tally,
@@ -735,11 +647,10 @@ pub fn evaluate_chunk_masks_program(
     // Flush this query's tallies into the lifetime counters and onto the
     // active trace (the workers ran outside the tracing thread, so the
     // counts attach here, on the coordinating thread).
-    let (pe, pf, sc, ix) = (
+    let (pe, pf, sc) = (
         tally.pruned_empty.load(Ordering::Relaxed),
         tally.pruned_full.load(Ordering::Relaxed),
         tally.scanned.load(Ordering::Relaxed),
-        tally.indexed.load(Ordering::Relaxed),
     );
     exec.stats
         .chunks_pruned_empty
@@ -748,12 +659,10 @@ pub fn evaluate_chunk_masks_program(
         .chunks_pruned_full
         .fetch_add(pf, Ordering::Relaxed);
     exec.stats.chunks_scanned.fetch_add(sc, Ordering::Relaxed);
-    exec.stats.chunks_indexed.fetch_add(ix, Ordering::Relaxed);
     obs::count("chunks", num_chunks as u64);
     obs::count("pruned_empty", pe);
     obs::count("pruned_full", pf);
     obs::count("scanned", sc);
-    obs::count("indexed", ix);
     Ok(ChunkMasks {
         chunk_rows,
         num_rows,
@@ -773,13 +682,12 @@ pub fn evaluate_chunked(
     Ok(evaluate_chunk_masks(expr, provider, exec)?.to_selection())
 }
 
-/// Evaluate one predicate slot over one chunk: slice the precomputed index
-/// answer, prune through the zone map, or scan the chunk's rows.
+/// Evaluate one predicate slot over one chunk: prune through the zone map,
+/// or scan the chunk's rows.
 #[allow(clippy::too_many_arguments)] // internal chunk-worker plumbing
 fn eval_slot_chunk(
     pred: &Predicate,
     source: &PredSource,
-    answer: Option<&[u64]>,
     columns: &BTreeMap<String, &[f64]>,
     zones: &BTreeMap<String, Option<Arc<ZoneMaps>>>,
     tally: &ChunkTally,
@@ -787,10 +695,6 @@ fn eval_slot_chunk(
     start: usize,
     len: usize,
 ) -> Result<Mask> {
-    if let Some(words) = answer {
-        tally.indexed.fetch_add(1, Ordering::Relaxed);
-        return Ok(Mask::Bits(slice_bits(words, start, len)).normalized(len));
-    }
     let data = columns
         .get(pred.column.as_str())
         .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
@@ -1028,76 +932,6 @@ mod tests {
         let got = evaluate_chunked(&expr, &p, &ParExec::new(4, 16)).unwrap();
         assert_eq!(got.num_rows(), 0);
         assert!(got.is_none_selected());
-    }
-
-    #[test]
-    fn slice_bits_extracts_arbitrary_ranges() {
-        // A recognizable pattern: bits 0, 64, 65, 100, 127, 130 over 131 bits.
-        let mut words = vec![0u64; 3];
-        for bit in [0usize, 64, 65, 100, 127, 130] {
-            words[bit / 64] |= 1 << (bit % 64);
-        }
-        for (start, len) in [(0, 131), (1, 130), (63, 5), (64, 64), (100, 31), (130, 1)] {
-            let sliced = slice_bits(&words, start, len);
-            for i in 0..len {
-                let bit = start + i;
-                let expected = [0usize, 64, 65, 100, 127, 130].contains(&bit);
-                let got = sliced[i / 64] >> (i % 64) & 1 == 1;
-                assert_eq!(got, expected, "start {start} len {len} bit {bit}");
-            }
-            // Padding bits beyond len are clear.
-            if len % 64 != 0 {
-                assert_eq!(sliced[len / 64] & !((1u64 << (len % 64)) - 1), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn index_acceleration_matches_scan_byte_for_byte() {
-        use crate::index::BitmapIndex;
-        use histogram::Binning;
-
-        struct IndexedProvider {
-            inner: MemProvider,
-            indexes: HashMap<String, BitmapIndex>,
-        }
-        impl ColumnProvider for IndexedProvider {
-            fn num_rows(&self) -> usize {
-                self.inner.num_rows()
-            }
-            fn column(&self, name: &str) -> Option<&[f64]> {
-                self.inner.column(name)
-            }
-            fn index(&self, name: &str) -> Option<&BitmapIndex> {
-                self.indexes.get(name)
-            }
-        }
-
-        let mut x: Vec<f64> = (0..3000).map(|i| ((i * 37) % 500) as f64).collect();
-        x[5] = f64::NAN;
-        x[9] = f64::INFINITY;
-        let index = BitmapIndex::build(&x, &Binning::EqualWidth { bins: 32 })
-            .unwrap()
-            .with_range_encoding()
-            .unwrap();
-        let p = IndexedProvider {
-            inner: MemProvider::new(vec![("x", x)]),
-            indexes: HashMap::from([("x".to_string(), index)]),
-        };
-        let expr = QueryExpr::pred("x", ValueRange::between(30.0, 470.0))
-            .and(QueryExpr::pred("x", ValueRange::le(400.0)).not());
-        let plain = ParExec::new(2, 97);
-        let reference = evaluate_chunked(&expr, &p, &plain).unwrap();
-        for threads in [1usize, 4] {
-            let accel = ParExec::new(threads, 97).with_index_acceleration(true);
-            let got = evaluate_chunked(&expr, &p, &accel).unwrap();
-            // Identical WAH selection words, not merely the same rows.
-            assert_eq!(got.as_wah(), reference.as_wah(), "threads {threads}");
-            let stats = accel.stats();
-            assert!(stats.chunks_indexed > 0, "index path actually ran");
-            assert_eq!(stats.chunks_scanned, 0, "no chunk fell back to a scan");
-        }
-        assert_eq!(plain.stats().chunks_indexed, 0);
     }
 
     #[test]

@@ -525,8 +525,7 @@ impl Wah {
     ///
     /// Runs are emitted in bulk — a fill of ones becomes whole `!0` words —
     /// so the cost is proportional to the *output* size, not to the number
-    /// of set bits. This is what the chunked engine's index acceleration
-    /// uses to turn one index answer into sliceable chunk masks.
+    /// of set bits.
     pub fn write_dense_words(&self, out: &mut [u64]) {
         fn set_bit_range(out: &mut [u64], start: u64, end: u64) {
             if start >= end {

@@ -169,8 +169,8 @@ fn compiled_matches_scan_oracle_and_tree_walk_bit_for_bit() {
 #[test]
 fn compiled_chunked_masks_are_byte_identical_across_configurations() {
     let n = 2500;
-    for (seed, index_accel) in [(0xA11CE_u64, false), (0xB0B, true)] {
-        let p = provider(n, seed, index_accel);
+    for (seed, with_indexes) in [(0xA11CE_u64, false), (0xB0B, true)] {
+        let p = provider(n, seed, with_indexes);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
         for round in 0..15 {
             let expr = random_expr(&mut rng, &p, 3);
@@ -178,8 +178,7 @@ fn compiled_chunked_masks_are_byte_identical_across_configurations() {
             let oracle = scan::scan_query(&expr, &p).unwrap();
             for chunk_rows in [1usize, 31, n] {
                 for threads in [1usize, 8] {
-                    let exec =
-                        ParExec::new(threads, chunk_rows).with_index_acceleration(index_accel);
+                    let exec = ParExec::new(threads, chunk_rows);
                     let masks = evaluate_chunk_masks_program(&program, &p, &exec).unwrap();
                     let selection = masks.to_selection();
                     assert_eq!(

@@ -4,16 +4,14 @@
 //! selection can never change an answer: for every query, the equality path
 //! (OR one bitmap per spanned bin) and the range path (at most two
 //! cumulative bitmaps combined with AND NOT) must produce **bit-identical
-//! WAH selection words**, not merely the same row sets — and the same must
-//! hold whether the query runs through the sequential evaluator or the
-//! chunked parallel engine with index acceleration, at every chunk size and
-//! thread count. Seeded random compound queries over columns with NaN/±∞
-//! values, boundary-inclusive ranges landing exactly on bin edges, and the
-//! scan baseline as the independent oracle pin all of it.
+//! WAH selection words**, not merely the same row sets, through the
+//! sequential evaluator (the engine that consults indexes). Seeded random
+//! compound queries over columns with NaN/±∞ values, boundary-inclusive
+//! ranges landing exactly on bin edges, and the scan baseline as the
+//! independent oracle pin all of it.
 
 use std::collections::HashMap;
 
-use fastbit::par::{evaluate_chunked, ParExec};
 use fastbit::{
     evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, IndexEncoding, QueryExpr,
     ValueRange,
@@ -185,8 +183,8 @@ fn forced_encodings_agree_bit_for_bit() {
 
 /// Whole-query level: an equality-only provider and a dual-encoding provider
 /// (where the cost model freely picks the range encoding) must produce
-/// bit-identical selections — sequential and chunked, every chunk size in
-/// {1, 31, n} and thread count in {1, 8} — all matching the scan oracle.
+/// bit-identical selections under the sequential engine, matching the scan
+/// oracle. (The chunked engine never consults indexes.)
 #[test]
 fn compound_queries_agree_across_encodings_engines_chunks_and_threads() {
     let n = 3_000;
@@ -205,34 +203,6 @@ fn compound_queries_agree_across_encodings_engines_chunks_and_threads() {
             seq_rg.as_wah(),
             "round {round}: sequential words differ between encodings: {expr}"
         );
-
-        // Chunked with index acceleration, across chunk sizes and threads.
-        for chunk_rows in [1usize, 31, n] {
-            let mut per_chunk_words = None;
-            for threads in [1usize, 8] {
-                let exec = ParExec::new(threads, chunk_rows).with_index_acceleration(true);
-                let got_eq = evaluate_chunked(&expr, &equality_only, &exec).unwrap();
-                let got_rg = evaluate_chunked(&expr, &dual, &exec).unwrap();
-                assert_eq!(
-                    got_eq.as_wah(),
-                    got_rg.as_wah(),
-                    "round {round}: chunked words differ between encodings \
-                     ({chunk_rows} rows/chunk, {threads} threads): {expr}"
-                );
-                assert_eq!(
-                    got_rg.to_rows(),
-                    oracle.to_rows(),
-                    "round {round}: chunked vs scan ({chunk_rows}/{threads}): {expr}"
-                );
-                // Same logical set in canonical WAH form: the words cannot
-                // depend on the thread count either.
-                let words = got_rg.as_wah().clone();
-                match &per_chunk_words {
-                    None => per_chunk_words = Some(words),
-                    Some(reference) => assert_eq!(&words, reference, "round {round}"),
-                }
-            }
-        }
     }
 }
 

@@ -264,14 +264,12 @@ fn check_all_paths(expr: &QueryExpr, p: &MemProvider, tag: &str) {
     }
     for chunk_rows in [31usize, 4096] {
         for threads in [1usize, 8] {
-            for index_accel in [false, true] {
-                let exec = ParExec::new(threads, chunk_rows).with_index_acceleration(index_accel);
-                let rows = evaluate_chunked(expr, p, &exec).unwrap().to_rows();
-                assert_eq!(
-                    rows, expected,
-                    "{tag}: chunked {chunk_rows}/{threads}/accel={index_accel} diverged on {expr}"
-                );
-            }
+            let exec = ParExec::new(threads, chunk_rows);
+            let rows = evaluate_chunked(expr, p, &exec).unwrap().to_rows();
+            assert_eq!(
+                rows, expected,
+                "{tag}: chunked {chunk_rows}/{threads} diverged on {expr}"
+            );
         }
     }
 }

@@ -159,36 +159,22 @@ fn scan_only_ignores_the_index_but_keeps_prune_guards() {
 fn chunked_modes_print_their_pruning_and_accel_flags() {
     let p = provider();
     let query = "idx [10, 20) && plain <= 3";
-    let accel = explain(
-        query,
-        &p,
-        PlanMode::Chunked {
-            pruning: true,
-            index_accel: true,
-        },
-    );
+    let pruned = explain(query, &p, PlanMode::Chunked { pruning: true });
     assert_eq!(
-        accel,
+        pruned,
         "plan (idx [10 , 20) && plain <= 3)\n\
-         mode: chunked(pruning=on, index-accel=on)\n\
-         s0: idx [10 , 20) <- index (encoding=equality, exact)\n\
+         mode: chunked(pruning=on)\n\
+         s0: idx [10 , 20) <- scan (zone-pruned)\n\
          s1: plain <= 3 <- scan (zone-pruned)\n\
          \x20 r0 = load s0\n\
          \x20 r0 &= s1\n\
          root: r0\n"
     );
-    let plain = explain(
-        query,
-        &p,
-        PlanMode::Chunked {
-            pruning: false,
-            index_accel: false,
-        },
-    );
+    let plain = explain(query, &p, PlanMode::Chunked { pruning: false });
     assert_eq!(
         plain,
         "plan (idx [10 , 20) && plain <= 3)\n\
-         mode: chunked(pruning=off, index-accel=off)\n\
+         mode: chunked(pruning=off)\n\
          s0: idx [10 , 20) <- scan\n\
          s1: plain <= 3 <- scan\n\
          \x20 r0 = load s0\n\

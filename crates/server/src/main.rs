@@ -4,8 +4,8 @@
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
 //!                  [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N]
-//!                  [--chunk-rows N] [--index-accel] [--store-dir DIR]
-//!                  [--trace-sample N] [--slow-ms MS] [--max-line-bytes N]
+//!                  [--chunk-rows N] [--store-dir DIR] [--trace-sample N]
+//!                  [--slow-ms MS] [--max-line-bytes N]
 //!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!                  [--max-pipeline N] [--queue-depth N]
 //! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
@@ -20,8 +20,9 @@
 //! ```
 //!
 //! Every subcommand but `query` checks its flags before it opens anything:
-//! a flag its usage line does not list, or a number-valued flag (`N`, `MS`,
-//! `MB`) whose value does not parse, prints the usage text and exits 1.
+//! a flag its usage line does not list, a number-valued flag (`N`, `MS`,
+//! `MB`) whose value does not parse, or an `MB` value too large to count in
+//! bytes prints the usage text and exits 1.
 //!
 //! The server multiplexes every socket on one reactor thread and dispatches
 //! request lines to the worker pool — a connection holds a buffer, not a
@@ -70,7 +71,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 /// subcommand accepts, and which of them take a number, from it, so the two
 /// cannot drift.
 const USAGE: [(&str, &str); 5] = [
-    ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
+    ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
     ("route", "--shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
     ("query", "--addr HOST:PORT <verb> [field ...]"),
     ("smoke", "[--dir DIR] [--store-dir DIR]"),
@@ -85,7 +86,8 @@ fn print_usage() {
 }
 
 /// Reject any argument `usage` does not list as a flag, a flag missing its
-/// value, and a number-valued flag whose value does not parse.
+/// value, a number-valued flag whose value does not parse, and an `MB` value
+/// whose byte count overflows.
 fn check_flags(usage: &str, args: &[String]) -> Result<(), String> {
     let spec: Vec<&str> = usage
         .split_whitespace()
@@ -106,8 +108,16 @@ fn check_flags(usage: &str, args: &[String]) -> Result<(), String> {
         if ["N", "MS", "MB"].contains(meta) && value.parse::<u64>().is_err() {
             return Err(format!("{arg} expects a number, got `{value}`"));
         }
+        if *meta == "MB" && mb_bytes(value).is_none() {
+            return Err(format!("{arg} {value} MB overflows a byte count"));
+        }
     }
     Ok(())
+}
+
+/// `value` mebibytes in bytes; `None` if it does not parse or overflows.
+fn mb_bytes(value: &str) -> Option<usize> {
+    value.parse::<usize>().ok()?.checked_mul(1 << 20)
 }
 
 fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
@@ -136,9 +146,10 @@ fn server_config(args: &[String]) -> ServerConfig {
         nodes: parsed_flag(args, "--nodes", defaults.nodes),
         threads: parsed_flag(args, "--threads", defaults.threads),
         chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows),
-        index_accel: args.iter().any(|a| a == "--index-accel"),
         dataset_cache: DatasetCacheConfig {
-            max_bytes: parsed_flag(args, "--cache-mb", 256usize) << 20,
+            max_bytes: flag(args, "--cache-mb")
+                .and_then(|v| mb_bytes(&v))
+                .unwrap_or(256 << 20),
             shards: defaults.dataset_cache.shards,
         },
         query_cache_entries: parsed_flag(args, "--query-cache", defaults.query_cache_entries),

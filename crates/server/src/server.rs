@@ -38,7 +38,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use datastore::{Catalog, DatasetCache, DatasetCacheConfig};
-use fastbit::{parse_query, HistEngine};
+use fastbit::parse_query;
 use vdx_core::{DataExplorer, ExplorerConfig};
 
 use crate::metrics::{ConnMetrics, ServerMetrics};
@@ -78,12 +78,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Rows per evaluation chunk of the parallel engine.
     pub chunk_rows: usize,
-    /// Let the chunked parallel engine answer predicates through bitmap
-    /// indexes (per-query equality/range encoding selection) instead of
-    /// scanning chunks. Results are byte-identical either way.
-    pub index_accel: bool,
-    /// Execution engine for query evaluation and histograms.
-    pub engine: HistEngine,
     /// Budget and sharding of the resident dataset cache.
     pub dataset_cache: DatasetCacheConfig,
     /// Maximum memoized query replies (0 disables the query cache).
@@ -112,8 +106,6 @@ impl ServerConfig {
             nodes: 2,
             threads: 1,
             chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
-            index_accel: false,
-            engine: HistEngine::FastBit,
             dataset_cache: DatasetCacheConfig::default(),
             query_cache_entries: 1024,
             trace_sample: 1,
@@ -407,7 +399,6 @@ impl LineService for ServerState {
             format!("par_chunks_pruned_empty={}", par.chunks_pruned_empty),
             format!("par_chunks_pruned_full={}", par.chunks_pruned_full),
             format!("par_chunks_scanned={}", par.chunks_scanned),
-            format!("par_chunks_indexed={}", par.chunks_indexed),
             format!("enc_equality_queries={}", enc.equality_queries),
             format!("enc_range_queries={}", enc.range_queries),
             format!("enc_equality_bytes={enc_equality_bytes}"),
@@ -501,10 +492,8 @@ impl Server {
             catalog,
             ExplorerConfig {
                 nodes: config.nodes,
-                engine: config.engine,
                 threads: config.threads,
                 chunk_rows: config.chunk_rows,
-                index_accel: config.index_accel,
                 ..Default::default()
             },
         )

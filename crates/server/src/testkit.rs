@@ -106,7 +106,7 @@ pub fn spawn_server(catalog: Arc<Catalog>, dir: PathBuf, config: ServerConfig) -
 
 /// Serve a bound [`Server`]'s state thread-per-connection instead of
 /// through the event loop: the byte-identity reference the event loop is
-/// tested against (`io_mode_differential`).
+/// tested against (`reference_differential`).
 ///
 /// Each accepted connection gets a thread of its own that reads capped
 /// lines with [`framing::read_line_capped`], skips empty ones, answers each

@@ -1,19 +1,25 @@
-//! `vdx-server` rejects flags it does not read: an unknown flag, or a
-//! number-valued flag whose value does not parse, prints the usage text and
-//! exits 1 before the subcommand opens anything.
+//! `vdx-server` rejects flags it does not read: an unknown flag, a
+//! number-valued flag whose value does not parse, or a `--cache-mb` too
+//! large to count in bytes prints the usage text and exits 1 before the
+//! subcommand opens anything.
 
 use std::process::Command;
 
 #[test]
 fn serve_rejects_unknown_flags_and_unparsable_values_before_opening_the_dir() {
-    for (tag, extra, flag) in [
+    let cases: [(&str, &[&str], &str); 5] = [
         // The retired connection-layer knob.
-        ("io_mode", ["--io-mode", "threaded"], "--io-mode"),
+        ("io_mode", &["--io-mode", "threaded"], "--io-mode"),
+        // The retired chunked-engine index-acceleration knob.
+        ("index_accel", &["--index-accel"], "--index-accel"),
         // A misspelling of `--idle-timeout-ms`.
-        ("idle", ["--idle-timeout", "5"], "--idle-timeout"),
+        ("idle", &["--idle-timeout", "5"], "--idle-timeout"),
         // A known flag whose value is not a number.
-        ("workers", ["--workers", "many"], "--workers"),
-    ] {
+        ("workers", &["--workers", "many"], "--workers"),
+        // 2^44 MiB is 2^64 bytes: the byte count overflows.
+        ("cache_mb", &["--cache-mb", "17592186044416"], "--cache-mb"),
+    ];
+    for (tag, extra, flag) in cases {
         let dir = std::env::temp_dir().join(format!("vdx_cli_flags_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let output = Command::new(env!("CARGO_BIN_EXE_vdx-server"))

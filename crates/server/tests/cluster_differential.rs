@@ -6,7 +6,7 @@
 //! INFO, with predicates, thresholds, and id lists drawn from a
 //! deterministic generator) are replayed in lockstep against a router-led
 //! cluster and a single server, and every reply is compared exactly. The
-//! hostile-input catalog from `io_mode_differential` rides along: parse
+//! hostile-input catalog from `reference_differential` rides along: parse
 //! errors, invalid UTF-8, unknown steps, and framing edge cases must also
 //! come back identical through the router. This suite is the correctness
 //! contract that lets the scatter-gather layer evolve without anyone
@@ -198,7 +198,7 @@ fn seeded_conversations_match_on_a_1_shard_cluster() {
 }
 
 /// The deterministic hostile-input catalog (modeled on
-/// `io_mode_differential::deterministic_lines`): parse errors, invalid
+/// `reference_differential::deterministic_lines`): parse errors, invalid
 /// UTF-8 in expressions and verbs, unknown steps and columns — every reply
 /// byte-identical through the router.
 fn hostile_lines() -> Vec<Vec<u8>> {

@@ -10,7 +10,7 @@
 //! The event loop's lockstep transcript and conversation blobs are also
 //! pinned against committed files under `tests/golden/`, so a change in
 //! reply bytes between versions fails here too. Rewrite them deliberately
-//! with `UPDATE_GOLDEN=1 cargo test -p vdx-server --test io_mode_differential`.
+//! with `UPDATE_GOLDEN=1 cargo test -p vdx-server --test reference_differential`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};

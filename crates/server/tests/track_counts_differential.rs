@@ -7,15 +7,16 @@
 //! shuffled order, present ids mixed with ids absent from every step, and a
 //! set that matches nothing. Cache states: every step resident after
 //! `WARM`, a cold one-step budget over a store, no store at all (the `.vdj`
-//! sidecars), one segment whose id-index section is corrupt, and the
-//! scanning `HistEngine::Custom` engine. A hand-built catalog whose tables
+//! sidecars), and one segment whose id-index section is corrupt; an
+//! explorer running the scanning `HistEngine::Custom` engine over a dataset
+//! cache tracks to the same bytes. A hand-built catalog whose tables
 //! repeat an id pins that every matching row is counted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use datastore::store::{crc32, HEADER_LEN, TABLE_ENTRY_LEN};
-use datastore::{Catalog, Column, DatasetCacheConfig, ParticleTable, Store};
+use datastore::{Catalog, Column, DatasetCache, DatasetCacheConfig, ParticleTable, Store};
 use fastbit::HistEngine;
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -207,14 +208,21 @@ fn a_corrupt_id_index_section_falls_back_and_heals() {
 #[test]
 fn the_custom_engine_tracks_by_scanning() {
     let (catalog, dir) = catalog("track_counts_custom", true);
-    let handle = server(
-        &catalog,
-        ServerConfig {
+    let sets = id_sets(&server(&catalog, one_step_budget()), 4);
+    // The server always runs `FastBit`; the scanning baseline is an explorer
+    // setting, here with a dataset cache attached as the server has one.
+    let explorer = DataExplorer::from_catalog(
+        Arc::clone(&catalog),
+        ExplorerConfig {
             engine: HistEngine::Custom,
-            ..one_step_budget()
+            ..Default::default()
         },
-    );
-    assert_tracks_match(&catalog, &handle, 4);
+    )
+    .with_dataset_cache(Arc::new(DatasetCache::new(one_step_budget().dataset_cache)));
+    for (i, ids) in sets.iter().enumerate() {
+        let got = protocol::track_counts_reply(&explorer.track_counts(ids).unwrap());
+        assert_eq!(got, expected(&catalog, ids), "id set {i}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
