@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbit::{BinSpec, HistEngine, HistogramEngine};
+use fastbit::{BinSpec, ExecStrategy, HistogramEngine};
 use vdx_bench::serial_dataset;
 
 fn bench_unconditional(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_unconditional(c: &mut Criterion) {
                             &BinSpec::Uniform(bins),
                             &BinSpec::Uniform(bins),
                             None,
-                            HistEngine::FastBit,
+                            ExecStrategy::Auto,
                         )
                         .unwrap()
                 })
@@ -43,7 +43,7 @@ fn bench_unconditional(c: &mut Criterion) {
                             &BinSpec::Adaptive(bins),
                             &BinSpec::Adaptive(bins),
                             None,
-                            HistEngine::FastBit,
+                            ExecStrategy::Auto,
                         )
                         .unwrap()
                 })
@@ -61,7 +61,7 @@ fn bench_unconditional(c: &mut Criterion) {
                             &BinSpec::Uniform(bins),
                             &BinSpec::Uniform(bins),
                             None,
-                            HistEngine::Custom,
+                            ExecStrategy::ScanOnly,
                         )
                         .unwrap()
                 })

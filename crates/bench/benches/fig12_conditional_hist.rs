@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbit::{BinSpec, HistEngine, HistogramEngine, QueryExpr, ValueRange};
+use fastbit::{BinSpec, ExecStrategy, HistogramEngine, QueryExpr, ValueRange};
 use vdx_bench::{serial_dataset, threshold_for_hits};
 
 fn bench_conditional(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_conditional(c: &mut Criterion) {
         let threshold = threshold_for_hits(&dataset, target_hits);
         let cond = QueryExpr::pred("px", ValueRange::gt(threshold));
         let hits = engine
-            .evaluate_condition(&cond, HistEngine::FastBit)
+            .evaluate_condition(&cond, ExecStrategy::Auto)
             .unwrap()
             .count();
         group.bench_with_input(BenchmarkId::new("fastbit", hits), &cond, |b, cond| {
@@ -29,7 +29,7 @@ fn bench_conditional(c: &mut Criterion) {
                         &BinSpec::Uniform(bins),
                         &BinSpec::Uniform(bins),
                         Some(cond),
-                        HistEngine::FastBit,
+                        ExecStrategy::Auto,
                     )
                     .unwrap()
             })
@@ -43,7 +43,7 @@ fn bench_conditional(c: &mut Criterion) {
                         &BinSpec::Uniform(bins),
                         &BinSpec::Uniform(bins),
                         Some(cond),
-                        HistEngine::Custom,
+                        ExecStrategy::ScanOnly,
                     )
                     .unwrap()
             })

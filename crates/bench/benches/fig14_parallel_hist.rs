@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbit::{HistEngine, QueryExpr, ValueRange};
+use fastbit::{ExecStrategy, QueryExpr, ValueRange};
 use pipeline::{HistogramStage, NodePool};
 use vdx_bench::catalog_workload;
 
@@ -24,7 +24,7 @@ fn bench_parallel_hist(c: &mut Criterion) {
             |b, pool| {
                 b.iter(|| {
                     HistogramStage::new(pairs.clone(), 256)
-                        .with_engine(HistEngine::FastBit)
+                        .with_engine(ExecStrategy::Auto)
                         .run(&catalog, pool)
                         .unwrap()
                 })
@@ -36,7 +36,7 @@ fn bench_parallel_hist(c: &mut Criterion) {
             |b, pool| {
                 b.iter(|| {
                     HistogramStage::new(pairs.clone(), 256)
-                        .with_engine(HistEngine::Custom)
+                        .with_engine(ExecStrategy::ScanOnly)
                         .run(&catalog, pool)
                         .unwrap()
                 })
@@ -45,7 +45,7 @@ fn bench_parallel_hist(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fastbit_cond", nodes), &pool, |b, pool| {
             b.iter(|| {
                 HistogramStage::new(pairs.clone(), 256)
-                    .with_engine(HistEngine::FastBit)
+                    .with_engine(ExecStrategy::Auto)
                     .with_condition(condition.clone())
                     .run(&catalog, pool)
                     .unwrap()
@@ -54,7 +54,7 @@ fn bench_parallel_hist(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("custom_cond", nodes), &pool, |b, pool| {
             b.iter(|| {
                 HistogramStage::new(pairs.clone(), 256)
-                    .with_engine(HistEngine::Custom)
+                    .with_engine(ExecStrategy::ScanOnly)
                     .with_condition(condition.clone())
                     .run(&catalog, pool)
                     .unwrap()

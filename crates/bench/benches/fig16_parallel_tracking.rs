@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbit::HistEngine;
+use fastbit::ExecStrategy;
 use pipeline::{NodePool, Tracker};
 use vdx_bench::catalog_workload;
 
@@ -28,14 +28,14 @@ fn bench_parallel_tracking(c: &mut Criterion) {
         let pool = NodePool::new(nodes);
         group.bench_with_input(BenchmarkId::new("fastbit", nodes), &pool, |b, pool| {
             b.iter(|| {
-                Tracker::new(HistEngine::FastBit)
+                Tracker::new(ExecStrategy::Auto)
                     .track(&catalog, &ids, pool)
                     .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("custom", nodes), &pool, |b, pool| {
             b.iter(|| {
-                Tracker::new(HistEngine::Custom)
+                Tracker::new(ExecStrategy::ScanOnly)
                     .track(&catalog, &ids, pool)
                     .unwrap()
             })

@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 
 use fastbit::par::{evaluate_chunked, ParExec, DEFAULT_CHUNK_ROWS};
-use fastbit::{scan, BinSpec, HistEngine, HistogramEngine, QueryExpr, ValueRange};
+use fastbit::{scan, BinSpec, ExecStrategy, HistogramEngine, QueryExpr, ValueRange};
 use pipeline::{HistogramStage, NodePool, Tracker};
 use vdx_bench::{
     catalog_workload, id_search_set, serial_dataset, threshold_for_hits, time_stats,
@@ -121,7 +121,7 @@ fn fig11_unconditional_histograms(args: &Args) {
                     &BinSpec::Uniform(bins),
                     &BinSpec::Uniform(bins),
                     None,
-                    HistEngine::FastBit,
+                    ExecStrategy::Auto,
                 )
                 .unwrap()
         });
@@ -133,7 +133,7 @@ fn fig11_unconditional_histograms(args: &Args) {
                     &BinSpec::Adaptive(bins),
                     &BinSpec::Adaptive(bins),
                     None,
-                    HistEngine::FastBit,
+                    ExecStrategy::Auto,
                 )
                 .unwrap()
         });
@@ -145,7 +145,7 @@ fn fig11_unconditional_histograms(args: &Args) {
                     &BinSpec::Uniform(bins),
                     &BinSpec::Uniform(bins),
                     None,
-                    HistEngine::Custom,
+                    ExecStrategy::ScanOnly,
                 )
                 .unwrap()
         });
@@ -207,7 +207,7 @@ fn fig12_conditional_histograms(args: &Args) {
         let threshold = threshold_for_hits(&dataset, target);
         let cond = QueryExpr::pred("px", ValueRange::gt(threshold));
         let hits = engine
-            .evaluate_condition(&cond, HistEngine::FastBit)
+            .evaluate_condition(&cond, ExecStrategy::Auto)
             .unwrap()
             .count() as usize;
         let (_, fb_reg) = time_stats(args.samples, || {
@@ -218,7 +218,7 @@ fn fig12_conditional_histograms(args: &Args) {
                     &BinSpec::Uniform(bins),
                     &BinSpec::Uniform(bins),
                     Some(&cond),
-                    HistEngine::FastBit,
+                    ExecStrategy::Auto,
                 )
                 .unwrap()
         });
@@ -230,7 +230,7 @@ fn fig12_conditional_histograms(args: &Args) {
                     &BinSpec::Adaptive(bins),
                     &BinSpec::Adaptive(bins),
                     Some(&cond),
-                    HistEngine::FastBit,
+                    ExecStrategy::Auto,
                 )
                 .unwrap()
         });
@@ -242,7 +242,7 @@ fn fig12_conditional_histograms(args: &Args) {
                     &BinSpec::Uniform(bins),
                     &BinSpec::Uniform(bins),
                     Some(&cond),
-                    HistEngine::Custom,
+                    ExecStrategy::ScanOnly,
                 )
                 .unwrap()
         });
@@ -435,7 +435,7 @@ fn fig_index_encoding(args: &Args) {
 /// tree-walk of the normalized expression and the row set of a raw scan.
 fn fig_query_compile(args: &Args) {
     use fastbit::compile::Program;
-    use fastbit::{evaluate_with_strategy, ExecStrategy};
+    use fastbit::testing::evaluate_with_strategy;
 
     println!("\n== Query compilation: fused bytecode kernels vs tree-walk ==");
     let dataset = serial_dataset(args.particles);
@@ -561,7 +561,7 @@ fn fig_par_engine(args: &Args) {
 
     let (oracle_sel, seq_sel_t) = time_stats(args.samples, || {
         engine
-            .evaluate_condition(&cond, HistEngine::Custom)
+            .evaluate_condition(&cond, ExecStrategy::ScanOnly)
             .unwrap()
     });
     let (oracle_hist, seq_hist_t) = time_stats(args.samples, || {
@@ -570,7 +570,7 @@ fn fig_par_engine(args: &Args) {
                 "px",
                 &BinSpec::Uniform(bins),
                 Some(&cond),
-                HistEngine::Custom,
+                ExecStrategy::ScanOnly,
             )
             .unwrap()
     });
@@ -603,7 +603,7 @@ fn fig_par_engine(args: &Args) {
                     "px",
                     &BinSpec::Uniform(bins),
                     Some(&cond),
-                    HistEngine::Custom,
+                    ExecStrategy::ScanOnly,
                     &exec,
                 )
                 .unwrap()
@@ -1179,10 +1179,10 @@ fn fig14_15_parallel_histograms(args: &Args) {
         let pool = NodePool::new(nodes);
         let mut row = [0.0f64; 4];
         for (i, (engine, cond)) in [
-            (HistEngine::FastBit, None),
-            (HistEngine::Custom, None),
-            (HistEngine::FastBit, Some(condition.clone())),
-            (HistEngine::Custom, Some(condition.clone())),
+            (ExecStrategy::Auto, None),
+            (ExecStrategy::ScanOnly, None),
+            (ExecStrategy::Auto, Some(condition.clone())),
+            (ExecStrategy::ScanOnly, Some(condition.clone())),
         ]
         .into_iter()
         .enumerate()
@@ -1259,10 +1259,10 @@ fn fig16_17_parallel_tracking(args: &Args) {
     let mut base: Option<(f64, f64)> = None;
     for &nodes in &args.nodes {
         let pool = NodePool::new(nodes);
-        let fb = Tracker::new(HistEngine::FastBit)
+        let fb = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &tracked, &pool)
             .unwrap();
-        let cu = Tracker::new(HistEngine::Custom)
+        let cu = Tracker::new(ExecStrategy::ScanOnly)
             .track(&catalog, &tracked, &pool)
             .unwrap();
         assert_eq!(fb.total_hits(), cu.total_hits());

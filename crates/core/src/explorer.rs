@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use datastore::{Catalog, Dataset, DatasetCache};
 use fastbit::{
-    parse_query, BinSpec, HistEngine, IdIndex, ParExec, ParStatsSnapshot, PlanCache,
+    parse_query, BinSpec, ExecStrategy, IdIndex, ParExec, ParStatsSnapshot, PlanCache,
     PlanCacheStats, QueryExpr,
 };
 use histogram::{Binning, Hist2D};
@@ -21,9 +21,11 @@ pub struct ExplorerConfig {
     /// Number of parallel "nodes" (worker threads) used for catalog-wide
     /// operations.
     pub nodes: usize,
-    /// Execution engine: index-accelerated (`FastBit`) or scanning
-    /// (`Custom`).
-    pub engine: HistEngine,
+    /// Index or scan: [`ExecStrategy::Auto`] answers queries, histograms
+    /// and tracking through the bitmap and identifier indexes (FastBit in
+    /// the paper's charts), [`ExecStrategy::ScanOnly`] scans the raw
+    /// columns (the "Custom" baseline) even where indexes exist.
+    pub engine: ExecStrategy,
     /// Binning strategy used when building bitmap indexes during generation.
     pub index_binning: Binning,
     /// Default histogram resolution (bins per axis).
@@ -41,7 +43,7 @@ impl Default for ExplorerConfig {
     fn default() -> Self {
         Self {
             nodes: 4,
-            engine: HistEngine::FastBit,
+            engine: ExecStrategy::Auto,
             index_binning: Binning::EqualWidth { bins: 256 },
             default_bins: 256,
             threads: 1,
@@ -208,16 +210,6 @@ impl DataExplorer {
             .with_engine(self.config.engine)
     }
 
-    /// The query execution strategy matching the configured engine: cached
-    /// datasets always carry their indexes, so the Custom engine must force
-    /// scans explicitly to keep its baseline semantics.
-    fn strategy(&self) -> fastbit::ExecStrategy {
-        match self.config.engine {
-            HistEngine::FastBit => fastbit::ExecStrategy::Auto,
-            HistEngine::Custom => fastbit::ExecStrategy::ScanOnly,
-        }
-    }
-
     /// Whether intra-query chunked parallelism is enabled.
     fn parallel(&self) -> bool {
         self.config.threads > 1
@@ -266,16 +258,10 @@ impl DataExplorer {
             };
             dataset.ids_of(&selection)?
         } else {
-            match &self.cache {
-                Some(_) => {
-                    let dataset = self.load_step(step, None, true)?;
-                    let program = self.plans.get_or_compile(&expr);
-                    let selection =
-                        fastbit::compile::execute(&program, &*dataset, self.strategy())?;
-                    dataset.ids_of(&selection)?
-                }
-                None => self.analyzer().select(step, &expr)?.0,
-            }
+            let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+            let program = self.plans.get_or_compile(&expr);
+            let selection = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
+            dataset.ids_of(&selection)?
         };
         Ok(BeamSelection {
             step,
@@ -316,16 +302,11 @@ impl DataExplorer {
             };
             return Ok(dataset.ids_of(&by_id.and(&by_query)?)?);
         }
-        match &self.cache {
-            Some(_) => {
-                let dataset = self.load_step(step, None, true)?;
-                let by_id = dataset.select_ids(ids)?;
-                let program = self.plans.get_or_compile(expr);
-                let by_query = fastbit::compile::execute(&program, &*dataset, self.strategy())?;
-                Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
-            }
-            None => Ok(self.analyzer().refine(step, ids, expr)?),
-        }
+        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        let by_id = dataset.select_ids(ids)?;
+        let program = self.plans.get_or_compile(expr);
+        let by_query = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
+        Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
     }
 
     /// Trace a particle set across every timestep. With a shared cache
@@ -350,14 +331,14 @@ impl DataExplorer {
     /// Matches per tracked particle over every timestep, as `(id, points)`
     /// pairs in ascending id order with ids found nowhere left out: the
     /// `(trace.id, trace.points.len())` of [`DataExplorer::track`], without
-    /// the trace points. With a shared cache under the `FastBit` engine,
+    /// the trace points. With a shared cache under `ExecStrategy::Auto`,
     /// each timestep is counted from an identifier index alone — a resident
     /// dataset's, else the one [`Catalog::load_id_index`] reads — and
     /// nothing is admitted into the cache. Otherwise the counts come from
     /// [`DataExplorer::track`].
     pub fn track_counts(&self, ids: &[u64]) -> Result<Vec<(u64, u64)>> {
         let cache = match &self.cache {
-            Some(cache) if self.config.engine == HistEngine::FastBit => cache,
+            Some(cache) if self.config.engine == ExecStrategy::Auto => cache,
             _ => {
                 let tracking = self.track(ids)?;
                 return Ok(tracking
@@ -410,7 +391,7 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<histogram::Hist1D> {
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
+        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
         if self.parallel() {
             return Ok(dataset.hist_engine().hist1d_par(
                 column,
@@ -442,7 +423,7 @@ impl DataExplorer {
             return Err(VdxError::Invalid("need at least two axes".into()));
         }
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
+        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
         let engine = dataset.hist_engine();
         let spec = if adaptive {
             BinSpec::Adaptive(bins)
@@ -564,16 +545,16 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<Framebuffer> {
         let plot = self.plot_for(step, axes, PlotConfig::default())?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
-        // Evaluate with the engine's strategy (not Auto): a cached dataset
-        // always carries indexes, and the Custom baseline must keep scanning.
+        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        // Evaluate with the configured strategy (not Auto): a cached dataset
+        // always carries indexes, and the ScanOnly baseline must keep scanning.
         let selection = match condition {
             Some(q) => {
                 let program = self.plans.get_or_compile(&parse_query(q)?);
                 Some(fastbit::compile::execute(
                     &program,
                     &*dataset,
-                    self.strategy(),
+                    self.config.engine,
                 )?)
             }
             None => None,
@@ -688,26 +669,39 @@ mod tests {
         let cache = Arc::new(DatasetCache::new(datastore::DatasetCacheConfig::default()));
         let catalog = explorer.catalog_arc();
         let baseline = explorer.select(17, "px > 1.5e10").unwrap();
+        let refined = explorer.refine(&baseline, 16, "y > 0").unwrap();
+        assert!(!refined.ids.is_empty() && refined.ids.len() < baseline.ids.len());
 
+        // Index or scan, with or without the shared cache: the same ids.
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let catalog = Arc::clone(&catalog);
-                let cache = Arc::clone(&cache);
-                let expected = baseline.ids.clone();
-                scope.spawn(move || {
-                    let shared = DataExplorer::from_catalog(catalog, ExplorerConfig::default())
-                        .with_dataset_cache(cache);
-                    let beam = shared.select(17, "px > 1.5e10").unwrap();
-                    assert_eq!(beam.ids, expected);
-                    // Rendering goes through the shared cache too.
-                    let hists = shared
-                        .axis_histograms(15, &["x", "px"], 16, None, false)
-                        .unwrap();
-                    assert_eq!(hists.len(), 1);
-                });
+            for engine in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
+                for cached in [true, false] {
+                    let catalog = Arc::clone(&catalog);
+                    let cache = Arc::clone(&cache);
+                    let (baseline, refined) = (&baseline, &refined);
+                    scope.spawn(move || {
+                        let config = ExplorerConfig {
+                            engine,
+                            ..Default::default()
+                        };
+                        let mut shared = DataExplorer::from_catalog(catalog, config);
+                        if cached {
+                            shared = shared.with_dataset_cache(cache);
+                        }
+                        let beam = shared.select(17, "px > 1.5e10").unwrap();
+                        assert_eq!(beam.ids, baseline.ids, "{engine:?}, cached {cached}");
+                        let beam = shared.refine(&beam, 16, "y > 0").unwrap();
+                        assert_eq!(beam.ids, refined.ids, "{engine:?}, cached {cached}");
+                        // Rendering goes through the shared cache too.
+                        let hists = shared
+                            .axis_histograms(15, &["x", "px"], 16, None, false)
+                            .unwrap();
+                        assert_eq!(hists.len(), 1);
+                    });
+                }
             }
         });
-        // The four workers' histogram loads hit the cache after the first.
+        // The cached workers' loads hit the cache after the first.
         let stats = cache.stats();
         assert!(stats.hits + stats.misses > 0);
         assert!(stats.hits > 0, "repeated loads served from cache");

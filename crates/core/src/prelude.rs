@@ -4,7 +4,7 @@ pub use crate::error::{Result, VdxError};
 pub use crate::explorer::{BeamSelection, DataExplorer, ExplorerConfig};
 
 pub use datastore::{Catalog, Dataset, ParticleTable};
-pub use fastbit::{parse_query, BinSpec, HistEngine, QueryExpr, Selection, ValueRange};
+pub use fastbit::{parse_query, BinSpec, ExecStrategy, QueryExpr, Selection, ValueRange};
 pub use histogram::{BinEdges, Binning, Hist1D, Hist2D};
 pub use lwfa::{Dims, SimConfig, Simulation};
 pub use pcoords::{AxisSpec, Framebuffer, Layer, ParallelCoordsPlot, PlotConfig, Rgba};

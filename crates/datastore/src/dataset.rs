@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fastbit::{
-    evaluate_query, BitmapIndex, ColumnProvider, HistogramEngine, IdIndex, QueryExpr, Selection,
+    BitmapIndex, ColumnProvider, ExecStrategy, HistogramEngine, IdIndex, QueryExpr, Selection,
     ZoneMaps,
 };
 use histogram::Binning;
@@ -228,9 +228,10 @@ impl Dataset {
                 .sum::<usize>()
     }
 
-    /// Evaluate a compound Boolean range query, using indexes when available.
+    /// Evaluate a compound Boolean range query with the compiled engine,
+    /// using indexes when available.
     pub fn query(&self, expr: &QueryExpr) -> Result<Selection> {
-        evaluate_query(expr, self).map_err(DataStoreError::from)
+        fastbit::compile::evaluate(expr, self, ExecStrategy::Auto).map_err(DataStoreError::from)
     }
 
     /// Evaluate a textual query such as `"px > 8.872e10 && y > 0"`.
@@ -375,7 +376,7 @@ mod tests {
                 &fastbit::hist::BinSpec::Uniform(32),
                 &fastbit::hist::BinSpec::Uniform(32),
                 None,
-                fastbit::hist::HistEngine::FastBit,
+                fastbit::ExecStrategy::Auto,
             )
             .unwrap();
         assert_eq!(h.total(), 3000);

@@ -14,9 +14,11 @@
 //!
 //! All integers are little-endian. The formats are deliberately simple and
 //! versioned; they are substrates for the experiments, not archival formats.
+//! The decoders check every count against the bytes left in the file before
+//! allocating for it, so a corrupt file is a [`DataStoreError::Format`].
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Take, Write};
 use std::path::Path;
 
 use fastbit::{BitmapIndex, Wah};
@@ -120,6 +122,27 @@ fn read_str(r: &mut impl Read) -> Result<String> {
     String::from_utf8(buf).map_err(|_| DataStoreError::Format("invalid UTF-8 in name".into()))
 }
 
+/// Open `path` for sequential decoding. The reader's `limit()` is the number
+/// of bytes left in the file, which [`fitting`] checks every count against.
+fn open_sized(path: &Path) -> Result<Take<BufReader<File>>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok(BufReader::new(file).take(len))
+}
+
+/// `count` as a length to allocate, or a `Format` error when `count` items
+/// of at least `size` bytes each cannot fit in the `left` bytes the file
+/// has after the cursor. Checked before allocating, so a corrupt header
+/// field never sizes an allocation.
+fn fitting(what: &str, count: u64, size: u64, left: u64) -> Result<usize> {
+    match count.checked_mul(size) {
+        Some(bytes) if bytes <= left => Ok(count as usize),
+        _ => Err(DataStoreError::Format(format!(
+            "{what} count {count} does not fit in the {left} bytes left"
+        ))),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // .vdc — columnar particle data
 // ---------------------------------------------------------------------------
@@ -174,8 +197,7 @@ pub fn write_table(path: &Path, table: &ParticleTable) -> Result<()> {
 
 /// Read only the header (column names, offsets, row count) of a `.vdc` file.
 pub fn read_header(path: &Path) -> Result<TableHeader> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
+    let mut r = open_sized(path)?;
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != DATA_MAGIC {
@@ -188,7 +210,8 @@ pub fn read_header(path: &Path) -> Result<TableHeader> {
         )));
     }
     let num_rows = read_u64(&mut r)?;
-    let num_columns = read_u32(&mut r)? as usize;
+    // Each entry is at least a name length, a type tag and an offset.
+    let num_columns = fitting("column", read_u32(&mut r)?.into(), 4 + 1 + 8, r.limit())?;
     let mut columns = Vec::with_capacity(num_columns);
     for _ in 0..num_columns {
         let name = read_str(&mut r)?;
@@ -221,6 +244,7 @@ pub fn read_header(path: &Path) -> Result<TableHeader> {
 pub fn read_table(path: &Path, projection: Option<&[&str]>) -> Result<ParticleTable> {
     let header = read_header(path)?;
     let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
     let mut r = BufReader::new(file);
     let wanted: Vec<&ColumnEntry> = match projection {
         None => header.columns.iter().collect(),
@@ -240,7 +264,7 @@ pub fn read_table(path: &Path, projection: Option<&[&str]>) -> Result<ParticleTa
     let mut columns = Vec::with_capacity(wanted.len());
     for entry in wanted {
         r.seek(SeekFrom::Start(entry.offset))?;
-        let rows = entry.rows as usize;
+        let rows = fitting("row", entry.rows, 8, file_len.saturating_sub(entry.offset))?;
         let mut raw = vec![0u8; rows * 8];
         r.read_exact(&mut raw)?;
         let data = match entry.dtype {
@@ -308,8 +332,7 @@ pub fn read_indexes(
     path: &Path,
     projection: Option<&[&str]>,
 ) -> Result<Vec<(String, BitmapIndex)>> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
+    let mut r = open_sized(path)?;
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != INDEX_MAGIC {
@@ -326,23 +349,24 @@ pub fn read_indexes(
     for _ in 0..count {
         let name = read_str(&mut r)?;
         let num_rows = read_u64(&mut r)? as usize;
-        let nb = read_u32(&mut r)? as usize;
+        let nb = fitting("boundary", read_u32(&mut r)?.into(), 8, r.limit())?;
         let mut boundaries = Vec::with_capacity(nb);
         for _ in 0..nb {
             boundaries.push(read_f64(&mut r)?);
         }
-        let num_bins = read_u32(&mut r)? as usize;
+        // Each bin is at least a bit length and a word count.
+        let num_bins = fitting("bin", read_u32(&mut r)?.into(), 8 + 4, r.limit())?;
         let mut bitmaps = Vec::with_capacity(num_bins);
         for _ in 0..num_bins {
             let nbits = read_u64(&mut r)?;
-            let nwords = read_u32(&mut r)? as usize;
+            let nwords = fitting("word", read_u32(&mut r)?.into(), 4, r.limit())?;
             let mut words = Vec::with_capacity(nwords);
             for _ in 0..nwords {
                 words.push(read_u32(&mut r)?);
             }
             bitmaps.push(Wah::from_raw_parts(words, nbits));
         }
-        let n_unbinned = read_u32(&mut r)? as usize;
+        let n_unbinned = fitting("unbinned row", read_u32(&mut r)?.into(), 4, r.limit())?;
         let mut unbinned = Vec::with_capacity(n_unbinned);
         for _ in 0..n_unbinned {
             unbinned.push(read_u32(&mut r)?);
@@ -384,8 +408,7 @@ pub fn write_id_index(path: &Path, index: &fastbit::IdIndex) -> Result<()> {
 
 /// Read a particle identifier index from a `.vdj` file.
 pub fn read_id_index(path: &Path) -> Result<fastbit::IdIndex> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
+    let mut r = open_sized(path)?;
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != ID_INDEX_MAGIC {
@@ -398,7 +421,8 @@ pub fn read_id_index(path: &Path) -> Result<fastbit::IdIndex> {
         )));
     }
     let num_rows = read_u64(&mut r)? as usize;
-    let count = read_u64(&mut r)? as usize;
+    // Each pair is an 8-byte id and a 4-byte row.
+    let count = fitting("pair", read_u64(&mut r)?, 8 + 4, r.limit())?;
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
         let id = read_u64(&mut r)?;

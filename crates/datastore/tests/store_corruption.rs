@@ -9,13 +9,15 @@
 //! silently wrong data. The identifier-index reader, which skips every
 //! section but meta and the id index, gets the same truncation and
 //! byte-flip battery. Plus the crash-atomicity contract: leftover `.tmp`
-//! files are ignored as data and swept on open.
+//! files are ignored as data and swept on open. The store-less sidecar
+//! decoders (`.vdc`, `.vdi`, `.vdj`) get one maximum-value case per count
+//! they allocate for.
 
 use datastore::store::{
     crc32, decode_segment, decode_segment_id_index, encode_segment, Store, StoreError, HEADER_LEN,
     SEGMENT_VERSION, SEGMENT_VERSION_RANGE, TABLE_ENTRY_LEN,
 };
-use datastore::{Column, Dataset, ParticleTable};
+use datastore::{Catalog, Column, DataStoreError, Dataset, ParticleTable};
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -598,4 +600,69 @@ fn store_id_index_reads_count_hits_and_check_the_step() {
     ));
     assert_eq!(store.stats().hits, 1, "a rejected read is no hit");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Where the `.vdi` sidecar of `sample_dataset` keeps the counts of its
+/// first index: `(boundaries, bins, first bin's words, unbinned rows)`.
+fn vdi_count_offsets(bytes: &[u8]) -> [usize; 4] {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    // magic, version, index count, then the first index's name.
+    let boundaries = 12 + 4 + u32_at(12) + 8;
+    let bins = boundaries + 4 + 8 * u32_at(boundaries);
+    let words = bins + 4 + 8;
+    let mut at = bins + 4;
+    for _ in 0..u32_at(bins) {
+        at += 8;
+        at += 4 + 4 * u32_at(at);
+    }
+    [boundaries, bins, words, at]
+}
+
+/// Sidecar headers declare counts the decoders allocate for. Each count set
+/// to its maximum must come back as a typed `Format` error from a store-less
+/// catalog, never a huge allocation.
+#[test]
+fn sidecar_counts_at_their_maximum_are_format_errors() {
+    let table = sample_dataset().table().clone();
+    let fresh = |tag: String| {
+        let dir = std::env::temp_dir().join(format!("vdx_sidecar_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut catalog = Catalog::create(&dir).unwrap();
+        catalog
+            .write_timestep(7, &table, Some(&Binning::EqualWidth { bins: 4 }))
+            .unwrap();
+        dir
+    };
+    let probe = fresh("probe".into());
+    let vdi = vdi_count_offsets(&std::fs::read(probe.join("timestep_00007.vdi")).unwrap());
+    std::fs::remove_dir_all(&probe).ok();
+    let u32_max = u32::MAX.to_le_bytes().to_vec();
+    let u64_max = u64::MAX.to_le_bytes().to_vec();
+    let cases = [
+        ("vdc column count", "vdc", 16, &u32_max),
+        ("vdc row count", "vdc", 8, &u64_max),
+        ("vdi boundary count", "vdi", vdi[0], &u32_max),
+        ("vdi bin count", "vdi", vdi[1], &u32_max),
+        ("vdi word count", "vdi", vdi[2], &u32_max),
+        ("vdi unbinned count", "vdi", vdi[3], &u32_max),
+        ("vdj pair count", "vdj", 16, &u64_max),
+    ];
+    for (i, (what, ext, at, value)) in cases.into_iter().enumerate() {
+        let dir = fresh(i.to_string());
+        let path = dir.join(format!("timestep_00007.{ext}"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let catalog = Catalog::open(&dir).unwrap();
+        let loaded = match ext {
+            "vdj" => catalog.load_id_index(7).map(|_| ()),
+            _ => catalog.load(7, None, true).map(|_| ()),
+        };
+        assert!(
+            matches!(&loaded, Err(DataStoreError::Format(m)) if m.contains("does not fit")),
+            "{what}: {loaded:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

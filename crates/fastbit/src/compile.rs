@@ -26,9 +26,9 @@
 //! are expanded in bulk) and interprets the ops as tight word loops, emitting
 //! one WAH selection at the end. The determinism invariant, pinned by
 //! `tests/compile_differential.rs`, is that the compiled engine selects the
-//! same rows as the tree-walk evaluator and — for normalized expressions —
-//! emits bit-identical WAH words. Programs are cached by
-//! [`QueryExpr::cache_key`] in a [`PlanCache`].
+//! same rows as the tree-walk oracle ([`crate::testing`]) and — for
+//! normalized expressions — emits bit-identical WAH words. Programs are
+//! cached by [`QueryExpr::cache_key`] in a [`PlanCache`].
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -194,7 +194,6 @@ impl std::fmt::Display for PlanMode {
             PlanMode::Sequential(s) => {
                 let s = match s {
                     ExecStrategy::Auto => "auto",
-                    ExecStrategy::IndexOnly => "index-only",
                     ExecStrategy::ScanOnly => "scan-only",
                 };
                 write!(f, "sequential({s})")
@@ -449,22 +448,6 @@ fn plan_predicate(
                 pruned: has_default_zones(provider, &pred.column),
             })
         }
-        PlanMode::Sequential(ExecStrategy::IndexOnly) => {
-            let index = index.ok_or_else(|| {
-                FastBitError::RawDataRequired(format!("no index for column {}", pred.column))
-            })?;
-            let exact = index.answers_exactly(&pred.range);
-            if data.is_none() && !exact {
-                return Err(FastBitError::RawDataRequired(format!(
-                    "candidate check for column {}",
-                    pred.column
-                )));
-            }
-            Ok(PredSource::Index {
-                encoding: index.choose_encoding(&pred.range),
-                exact,
-            })
-        }
         PlanMode::Sequential(ExecStrategy::Auto) => match (index, data) {
             (Some(index), Some(_)) => Ok(PredSource::Index {
                 encoding: index.choose_encoding(&pred.range),
@@ -648,7 +631,7 @@ fn source_name(source: PredSource) -> &'static str {
 }
 
 /// Execute a compiled program against `provider` with the sequential fused
-/// engine. The selected rows equal tree-walk evaluation of the same
+/// engine. The selected rows equal the [`crate::testing`] oracle's for the same
 /// expression; for the program's (normalized) expression the WAH words are
 /// bit-identical too.
 pub fn execute(
@@ -733,8 +716,8 @@ pub fn execute(
     Ok(Selection::from_wah(canonical))
 }
 
-/// Compile `expr` and execute it sequentially — the drop-in compiled
-/// counterpart of [`crate::evaluate_with_strategy`].
+/// Compile `expr` and execute it sequentially — the product's one
+/// sequential evaluator, held to the [`crate::testing`] oracle.
 pub fn evaluate(
     expr: &QueryExpr,
     provider: &impl ColumnProvider,
@@ -994,7 +977,7 @@ mod tests {
             let expr = parse_query(q).unwrap();
             let norm = expr.normalized();
             let oracle =
-                crate::query::evaluate_with_strategy(&norm, &p, ExecStrategy::ScanOnly).unwrap();
+                crate::testing::evaluate_with_strategy(&norm, &p, ExecStrategy::ScanOnly).unwrap();
             let got = evaluate(&expr, &p, ExecStrategy::ScanOnly).unwrap();
             assert_eq!(got.as_wah(), oracle.as_wah(), "{q}");
         }
@@ -1038,11 +1021,9 @@ mod tests {
         let p = ramp(100);
         let expr = parse_query("x > 1 && nope > 2").unwrap();
         let tree =
-            crate::query::evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap_err();
+            crate::testing::evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap_err();
         let compiled = evaluate(&expr, &p, ExecStrategy::ScanOnly).unwrap_err();
         assert_eq!(tree, compiled);
-        let idx_err = evaluate(&expr, &p, ExecStrategy::IndexOnly).unwrap_err();
-        assert!(matches!(idx_err, FastBitError::RawDataRequired(_)));
     }
 
     #[test]

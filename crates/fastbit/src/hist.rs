@@ -11,9 +11,10 @@
 //!   and then bins only the hits, which is why it wins when selections are
 //!   small and loses to a straight scan when nearly everything is selected.
 //!
-//! [`HistogramEngine`] exposes both, with a FastBit-style indexed path and a
-//! "Custom" scan path so the two can be benchmarked against each other as in
-//! Figures 11, 12 and 14.
+//! [`HistogramEngine`] exposes both. Under [`ExecStrategy::Auto`] it takes the
+//! FastBit-style indexed path; under [`ExecStrategy::ScanOnly`] it scans like
+//! the "Custom" baseline, so the two can be benchmarked against each other as
+//! in Figures 11, 12 and 14.
 
 use histogram::{rebin_equal_weight, BinEdges, Hist1D, Hist2D};
 
@@ -45,15 +46,6 @@ impl BinSpec {
     }
 }
 
-/// Which implementation computes the histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistEngine {
-    /// Index-accelerated path (FastBit in the paper's charts).
-    FastBit,
-    /// Sequential scan of the raw data (the "Custom" baseline).
-    Custom,
-}
-
 /// Histogram computation facade over a [`ColumnProvider`].
 pub struct HistogramEngine<'a, P: ColumnProvider> {
     provider: &'a P,
@@ -81,14 +73,14 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         column: &str,
         spec: &BinSpec,
         selection: Option<&Selection>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<BinEdges> {
         match spec {
             BinSpec::Edges(e) => Ok(e.clone()),
             BinSpec::Uniform(n) => match selection {
                 None => {
                     // Unconditional: the index already knows the value range.
-                    if engine == HistEngine::FastBit {
+                    if strategy == ExecStrategy::Auto {
                         if let Some(idx) = self.provider.index(column) {
                             return Ok(BinEdges::uniform(idx.edges().lo(), idx.edges().hi(), *n)?);
                         }
@@ -107,7 +99,7 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
             },
             BinSpec::Adaptive(n) => match selection {
                 None => {
-                    if engine == HistEngine::FastBit {
+                    if strategy == ExecStrategy::Auto {
                         if let Some(idx) = self.provider.index(column) {
                             // FastBit derives adaptive bins by merging the
                             // fine index bins so each coarse bin holds about
@@ -132,17 +124,13 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
     }
 
     /// Evaluate the condition of a conditional histogram through the
-    /// compiled engine (selected rows identical to tree-walk evaluation —
-    /// pinned by `tests/compile_differential.rs`).
+    /// compiled engine (selected rows identical to the
+    /// [`crate::testing`] oracle — pinned by `tests/compile_differential.rs`).
     pub fn evaluate_condition(
         &self,
         condition: &QueryExpr,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<Selection> {
-        let strategy = match engine {
-            HistEngine::FastBit => ExecStrategy::Auto,
-            HistEngine::Custom => ExecStrategy::ScanOnly,
-        };
         crate::compile::evaluate(condition, self.provider, strategy)
     }
 
@@ -152,16 +140,16 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         column: &str,
         spec: &BinSpec,
         condition: Option<&QueryExpr>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<Hist1D> {
         let selection = condition
-            .map(|c| self.evaluate_condition(c, engine))
+            .map(|c| self.evaluate_condition(c, strategy))
             .transpose()?;
-        let edges = self.resolve_edges(column, spec, selection.as_ref(), engine)?;
+        let edges = self.resolve_edges(column, spec, selection.as_ref(), strategy)?;
 
         // Pure-index fast path: unconditional, uniform request whose bins can
         // be read straight off the index bin counts.
-        if engine == HistEngine::FastBit && selection.is_none() {
+        if strategy == ExecStrategy::Auto && selection.is_none() {
             if let Some(idx) = self.provider.index(column) {
                 if idx.edges() == &edges {
                     return Ok(Hist1D::from_counts(edges, idx.bin_counts())?);
@@ -185,10 +173,10 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         x_spec: &BinSpec,
         y_spec: &BinSpec,
         condition: Option<&QueryExpr>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<Hist2D> {
         let selection = condition
-            .map(|c| self.evaluate_condition(c, engine))
+            .map(|c| self.evaluate_condition(c, strategy))
             .transpose()?;
         self.hist2d_with_selection(
             x_column,
@@ -196,7 +184,7 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
             x_spec,
             y_spec,
             selection.as_ref(),
-            engine,
+            strategy,
         )
     }
 
@@ -210,10 +198,10 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         x_spec: &BinSpec,
         y_spec: &BinSpec,
         selection: Option<&Selection>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<Hist2D> {
-        let x_edges = self.resolve_edges(x_column, x_spec, selection, engine)?;
-        let y_edges = self.resolve_edges(y_column, y_spec, selection, engine)?;
+        let x_edges = self.resolve_edges(x_column, x_spec, selection, strategy)?;
+        let y_edges = self.resolve_edges(y_column, y_spec, selection, strategy)?;
         let xs = self.column(x_column)?;
         let ys = self.column(y_column)?;
         if xs.len() != ys.len() {
@@ -239,14 +227,16 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         pairs: &[(String, String)],
         spec: &BinSpec,
         condition: Option<&QueryExpr>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
     ) -> Result<Vec<Hist2D>> {
         let selection = condition
-            .map(|c| self.evaluate_condition(c, engine))
+            .map(|c| self.evaluate_condition(c, strategy))
             .transpose()?;
         pairs
             .iter()
-            .map(|(x, y)| self.hist2d_with_selection(x, y, spec, spec, selection.as_ref(), engine))
+            .map(|(x, y)| {
+                self.hist2d_with_selection(x, y, spec, spec, selection.as_ref(), strategy)
+            })
             .collect()
     }
 }
@@ -265,7 +255,7 @@ pub struct EvaluatedCondition {
 impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
     /// Evaluate a condition with the chunked parallel engine. The selected
     /// row set is identical to [`HistogramEngine::evaluate_condition`] for
-    /// either engine — chunked evaluation is scan-exact by construction.
+    /// either strategy — chunked evaluation is scan-exact by construction.
     pub fn evaluate_condition_chunked(
         &self,
         condition: &QueryExpr,
@@ -286,19 +276,19 @@ impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
         column: &str,
         spec: &BinSpec,
         condition: Option<&QueryExpr>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
         exec: &ParExec,
     ) -> Result<Hist1D> {
         let cond = condition
             .map(|c| self.evaluate_condition_chunked(c, exec))
             .transpose()?;
         let edges =
-            self.resolve_edges(column, spec, cond.as_ref().map(|c| &c.selection), engine)?;
+            self.resolve_edges(column, spec, cond.as_ref().map(|c| &c.selection), strategy)?;
 
         // Mirror the sequential pure-index fast path bit-for-bit: an
-        // unconditional FastBit request whose edges coincide with the index
+        // unconditional `Auto` request whose edges coincide with the index
         // reads the counts straight off the bitmaps.
-        if engine == HistEngine::FastBit && cond.is_none() {
+        if strategy == ExecStrategy::Auto && cond.is_none() {
             if let Some(idx) = self.provider.index(column) {
                 if idx.edges() == &edges {
                     return Ok(Hist1D::from_counts(edges, idx.bin_counts())?);
@@ -321,12 +311,12 @@ impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
         x_spec: &BinSpec,
         y_spec: &BinSpec,
         cond: Option<&EvaluatedCondition>,
-        engine: HistEngine,
+        strategy: ExecStrategy,
         exec: &ParExec,
     ) -> Result<Hist2D> {
         let selection = cond.map(|c| &c.selection);
-        let x_edges = self.resolve_edges(x_column, x_spec, selection, engine)?;
-        let y_edges = self.resolve_edges(y_column, y_spec, selection, engine)?;
+        let x_edges = self.resolve_edges(x_column, x_spec, selection, strategy)?;
+        let y_edges = self.resolve_edges(y_column, y_spec, selection, strategy)?;
         let xs = self.column(x_column)?;
         let ys = self.column(y_column)?;
         if xs.len() != ys.len() {
@@ -475,7 +465,7 @@ mod tests {
                 &BinSpec::Uniform(64),
                 &BinSpec::Uniform(64),
                 None,
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
             )
             .unwrap();
         let custom = engine
@@ -485,7 +475,7 @@ mod tests {
                 &BinSpec::Uniform(64),
                 &BinSpec::Uniform(64),
                 None,
-                HistEngine::Custom,
+                ExecStrategy::ScanOnly,
             )
             .unwrap();
         assert_eq!(fast.total(), 5000);
@@ -501,7 +491,7 @@ mod tests {
         let engine = HistogramEngine::new(&p);
         let cond = QueryExpr::pred("px", ValueRange::gt(9e10));
         let expected_hits = p.columns["px"].iter().filter(|&&v| v > 9e10).count() as u64;
-        for eng in [HistEngine::FastBit, HistEngine::Custom] {
+        for eng in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
             let h = engine
                 .hist2d(
                     "x",
@@ -525,10 +515,17 @@ mod tests {
         let spec = BinSpec::Edges(edges);
         let xspec = BinSpec::Edges(BinEdges::uniform(0.0, 1e-3, 64).unwrap());
         let fast = engine
-            .hist2d("x", "px", &xspec, &spec, Some(&cond), HistEngine::FastBit)
+            .hist2d("x", "px", &xspec, &spec, Some(&cond), ExecStrategy::Auto)
             .unwrap();
         let custom = engine
-            .hist2d("x", "px", &xspec, &spec, Some(&cond), HistEngine::Custom)
+            .hist2d(
+                "x",
+                "px",
+                &xspec,
+                &spec,
+                Some(&cond),
+                ExecStrategy::ScanOnly,
+            )
             .unwrap();
         assert_eq!(fast.counts(), custom.counts());
     }
@@ -545,11 +542,16 @@ mod tests {
                 "px",
                 &BinSpec::Edges(idx_edges.clone()),
                 None,
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
             )
             .unwrap();
         let custom = engine
-            .hist1d("px", &BinSpec::Edges(idx_edges), None, HistEngine::Custom)
+            .hist1d(
+                "px",
+                &BinSpec::Edges(idx_edges),
+                None,
+                ExecStrategy::ScanOnly,
+            )
             .unwrap();
         assert_eq!(fast.counts(), custom.counts());
     }
@@ -559,7 +561,7 @@ mod tests {
         let p = provider(10_000);
         let engine = HistogramEngine::new(&p);
         let h = engine
-            .hist1d("px", &BinSpec::Adaptive(16), None, HistEngine::FastBit)
+            .hist1d("px", &BinSpec::Adaptive(16), None, ExecStrategy::Auto)
             .unwrap();
         assert!(h.num_bins() <= 16 && h.num_bins() >= 4);
         let ideal = h.total() as f64 / h.num_bins() as f64;
@@ -580,7 +582,7 @@ mod tests {
                 &BinSpec::Uniform(16),
                 &BinSpec::Uniform(16),
                 Some(&cond),
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
             )
             .unwrap();
         assert_eq!(h.total(), 0);
@@ -600,7 +602,7 @@ mod tests {
                 &pairs,
                 &BinSpec::Uniform(32),
                 Some(&cond),
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
             )
             .unwrap();
         assert_eq!(hists.len(), 2);
@@ -613,7 +615,7 @@ mod tests {
         let p = provider(100);
         let engine = HistogramEngine::new(&p);
         assert!(engine
-            .hist1d("nope", &BinSpec::Uniform(8), None, HistEngine::Custom)
+            .hist1d("nope", &BinSpec::Uniform(8), None, ExecStrategy::ScanOnly)
             .is_err());
     }
 
@@ -632,7 +634,7 @@ mod tests {
                 (BinSpec::Uniform(64), Some(&cond)),
                 (BinSpec::Adaptive(32), Some(&cond)),
             ] {
-                for eng in [HistEngine::FastBit, HistEngine::Custom] {
+                for eng in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
                     let seq = engine.hist1d("px", &spec, condition, eng).unwrap();
                     let par = engine
                         .hist1d_par("px", &spec, condition, eng, &exec)
@@ -654,12 +656,12 @@ mod tests {
                 "px",
                 &BinSpec::Edges(idx_edges.clone()),
                 None,
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
                 &exec,
             )
             .unwrap();
         let seq = engine
-            .hist1d("px", &BinSpec::Edges(idx_edges), None, HistEngine::FastBit)
+            .hist1d("px", &BinSpec::Edges(idx_edges), None, ExecStrategy::Auto)
             .unwrap();
         assert_eq!(par, seq);
     }
@@ -673,7 +675,7 @@ mod tests {
         let evaluated = engine.evaluate_condition_chunked(&cond, &exec).unwrap();
         let spec = BinSpec::Uniform(48);
         let seq_sel = engine
-            .evaluate_condition(&cond, HistEngine::FastBit)
+            .evaluate_condition(&cond, ExecStrategy::Auto)
             .unwrap();
         assert_eq!(evaluated.selection.to_rows(), seq_sel.to_rows());
         let par = engine
@@ -683,21 +685,21 @@ mod tests {
                 &spec,
                 &spec,
                 Some(&evaluated),
-                HistEngine::FastBit,
+                ExecStrategy::Auto,
                 &exec,
             )
             .unwrap();
         let seq = engine
-            .hist2d_with_selection("x", "px", &spec, &spec, Some(&seq_sel), HistEngine::FastBit)
+            .hist2d_with_selection("x", "px", &spec, &spec, Some(&seq_sel), ExecStrategy::Auto)
             .unwrap();
         assert_eq!(par.counts(), seq.counts());
         assert_eq!(par.out_of_range(), seq.out_of_range());
         // Unconditional as well.
         let par_u = engine
-            .hist2d_with_condition_par("x", "px", &spec, &spec, None, HistEngine::Custom, &exec)
+            .hist2d_with_condition_par("x", "px", &spec, &spec, None, ExecStrategy::ScanOnly, &exec)
             .unwrap();
         let seq_u = engine
-            .hist2d_with_selection("x", "px", &spec, &spec, None, HistEngine::Custom)
+            .hist2d_with_selection("x", "px", &spec, &spec, None, ExecStrategy::ScanOnly)
             .unwrap();
         assert_eq!(par_u.counts(), seq_u.counts());
     }

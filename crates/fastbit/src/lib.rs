@@ -20,13 +20,16 @@
 //!   answers `ID IN (…)` queries in time proportional to the number of rows
 //!   found, the operation behind particle tracking.
 //! * [`query`] — compound Boolean range-query expressions
-//!   (`px > 1e9 && py < 1e8 && y > 0`), evaluated either through the indexes
-//!   or by sequential scan, plus a small parser for paper-style query
-//!   strings.
-//! * [`hist`] — unconditional and conditional 1D/2D histogram computation,
-//!   both index-accelerated and scan-based.
-//! * [`scan`] — the "Custom" sequential-scan baseline used throughout the
-//!   paper's evaluation (Figures 11–17).
+//!   (`px > 1e9 && py < 1e8 && y > 0`), a small parser for paper-style query
+//!   strings, and [`ExecStrategy`], the one index-or-scan switch: `Auto`
+//!   uses the indexes (FastBit), `ScanOnly` scans like the paper's "Custom"
+//!   baseline (Figures 11–17).
+//! * [`hist`] — unconditional and conditional 1D/2D histogram computation
+//!   under either strategy.
+//! * [`scan`] — row-at-a-time query and identifier scans of the "Custom"
+//!   baseline.
+//! * [`testing`] — the tree-walk evaluator the differential suites hold the
+//!   compiled and chunked engines to; no product path calls it.
 //! * [`persist`] — std-only binary encoders/decoders for `BitmapIndex`,
 //!   `IdIndex` and `ZoneMaps` (WAH bitmaps written in their already-
 //!   compressed form), hardened against hostile bytes: every failure is a
@@ -57,21 +60,19 @@ pub mod persist;
 pub mod query;
 pub mod scan;
 pub mod selection;
+pub mod testing;
 pub mod wah;
 
 pub use bitvec::BitVec;
 pub use compile::{OpCode, PlanCache, PlanCacheStats, PlanMode, PredSource, Program, Root};
 pub use error::{FastBitError, Result};
-pub use hist::{BinSpec, HistEngine, HistogramEngine};
+pub use hist::{BinSpec, HistogramEngine};
 pub use index::{
     encoding_stats, register_encoding_metrics, BitmapIndex, EncodingStatsSnapshot, IdIndex,
     IndexEncoding,
 };
 pub use par::{ChunkMasks, ParExec, ParStatsSnapshot, Zone, ZoneMaps};
 pub use persist::{PersistError, PersistResult};
-pub use query::{
-    evaluate as evaluate_query, evaluate_with_strategy, parse_query, ColumnProvider, ExecStrategy,
-    Predicate, QueryExpr, ValueRange,
-};
+pub use query::{parse_query, ColumnProvider, ExecStrategy, Predicate, QueryExpr, ValueRange};
 pub use selection::Selection;
 pub use wah::Wah;

@@ -672,7 +672,7 @@ pub fn evaluate_chunk_masks_program(
 
 /// Evaluate `expr` chunk-by-chunk and merge the result into one
 /// [`Selection`]. The selected row set is identical to sequential evaluation
-/// ([`crate::query::evaluate_with_strategy`]) for every thread count, chunk
+/// ([`crate::compile::evaluate`]) for every thread count, chunk
 /// size, and pruning setting.
 pub fn evaluate_chunked(
     expr: &QueryExpr,
@@ -781,8 +781,9 @@ fn run_ops_masks(program: &Program, slot_masks: Vec<Mask>, len: usize) -> Mask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{evaluate_with_strategy, ExecStrategy, Predicate};
+    use crate::query::{ExecStrategy, Predicate};
     use crate::scan;
+    use crate::testing::evaluate_with_strategy;
     use std::collections::HashMap;
 
     struct MemProvider {

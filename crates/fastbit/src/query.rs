@@ -417,56 +417,18 @@ pub trait ColumnProvider {
     }
 }
 
-/// How a query should be executed.
+/// How a query should be executed: the paper's index-or-scan question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// Use bitmap indexes where available, falling back to scans.
+    /// Use bitmap indexes where available, falling back to scans (FastBit in
+    /// the paper's charts).
     Auto,
-    /// Force index-based evaluation; error when an index is missing.
-    IndexOnly,
     /// Force sequential scans even when indexes exist (the "Custom" baseline).
     ScanOnly,
 }
 
-/// Evaluate `expr` over `provider` with the given strategy.
-pub fn evaluate_with_strategy(
-    expr: &QueryExpr,
-    provider: &impl ColumnProvider,
-    strategy: ExecStrategy,
-) -> Result<Selection> {
-    match expr {
-        QueryExpr::Pred(p) => evaluate_predicate(p, provider, strategy),
-        QueryExpr::And(v) => {
-            let mut acc: Option<Selection> = None;
-            for e in v {
-                let s = evaluate_with_strategy(e, provider, strategy)?;
-                acc = Some(match acc {
-                    None => s,
-                    Some(prev) => prev.and(&s)?,
-                });
-            }
-            Ok(acc.unwrap_or_else(|| Selection::all(provider.num_rows())))
-        }
-        QueryExpr::Or(v) => {
-            let mut acc: Option<Selection> = None;
-            for e in v {
-                let s = evaluate_with_strategy(e, provider, strategy)?;
-                acc = Some(match acc {
-                    None => s,
-                    Some(prev) => prev.or(&s)?,
-                });
-            }
-            Ok(acc.unwrap_or_else(|| Selection::none(provider.num_rows())))
-        }
-        QueryExpr::Not(e) => Ok(evaluate_with_strategy(e, provider, strategy)?.not()),
-    }
-}
-
-/// Evaluate `expr` over `provider`, preferring indexes when they exist.
-pub fn evaluate(expr: &QueryExpr, provider: &impl ColumnProvider) -> Result<Selection> {
-    evaluate_with_strategy(expr, provider, ExecStrategy::Auto)
-}
-
+/// Evaluate one predicate under `strategy`: the leaf of the compiled
+/// engine's single-predicate programs and of the [`crate::testing`] oracle.
 pub(crate) fn evaluate_predicate(
     pred: &Predicate,
     provider: &impl ColumnProvider,
@@ -478,27 +440,6 @@ pub(crate) fn evaluate_predicate(
         ExecStrategy::ScanOnly => {
             let data = data.ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
             Ok(Selection::from_predicate(data, |&v| pred.range.contains(v)))
-        }
-        ExecStrategy::IndexOnly => {
-            let index = index.ok_or_else(|| {
-                FastBitError::RawDataRequired(format!("no index for column {}", pred.column))
-            })?;
-            match data {
-                Some(data) => index.evaluate(&pred.range, data),
-                None => {
-                    // Without raw data the best exact answer requires that the
-                    // range align with bin boundaries.
-                    if index.answers_exactly(&pred.range) {
-                        let (hits, _) = index.evaluate_index_only(&pred.range)?;
-                        Ok(hits)
-                    } else {
-                        Err(FastBitError::RawDataRequired(format!(
-                            "candidate check for column {}",
-                            pred.column
-                        )))
-                    }
-                }
-            }
         }
         ExecStrategy::Auto => match (index, data) {
             (Some(index), Some(data)) => index.evaluate(&pred.range, data),
@@ -867,8 +808,13 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::evaluate_with_strategy;
     use histogram::Binning;
     use std::collections::HashMap;
+
+    fn evaluate(expr: &QueryExpr, provider: &impl ColumnProvider) -> Result<Selection> {
+        evaluate_with_strategy(expr, provider, ExecStrategy::Auto)
+    }
 
     struct MemProvider {
         columns: HashMap<String, Vec<f64>>,
@@ -985,17 +931,6 @@ mod tests {
             evaluate(&expr, &p),
             Err(FastBitError::UnknownColumn(_))
         ));
-    }
-
-    #[test]
-    fn index_only_strategy_requires_index() {
-        let p = provider(false);
-        let expr = QueryExpr::pred("px", ValueRange::gt(1e9));
-        assert!(evaluate_with_strategy(&expr, &p, ExecStrategy::IndexOnly).is_err());
-        let p = provider(true);
-        let sel = evaluate_with_strategy(&expr, &p, ExecStrategy::IndexOnly).unwrap();
-        let scan = evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap();
-        assert_eq!(sel.to_rows(), scan.to_rows());
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! The "Custom" sequential-scan baseline.
+//! Row-at-a-time scans of the "Custom" sequential-scan baseline.
 //!
 //! The paper benchmarks FastBit against a standalone application that has no
-//! index and therefore scans every data record: for histograms it examines
-//! every row; for particle-identifier queries it walks the dataset once and
-//! performs an `O(log S)` binary search of the sorted search set per record
-//! (overall `O(N log S)`). These functions reproduce that baseline so the
-//! benchmark harness can regenerate Figures 11–17.
-
-use histogram::{BinEdges, Hist1D, Hist2D};
+//! index and therefore scans every data record. Its histograms are
+//! [`crate::HistogramEngine`] under [`crate::ExecStrategy::ScanOnly`]; this
+//! module holds the two scans that have no index-free counterpart there:
+//!
+//! * [`scan_query`] tests every row against a compound query, the
+//!   row-at-a-time oracle the differential suites compare engines with;
+//! * [`scan_id_search`] answers particle-identifier queries by walking the
+//!   dataset once with an `O(log S)` binary search of the sorted search set
+//!   per record (overall `O(N log S)`), the tracking baseline of Figures 13
+//!   and 16.
 
 use crate::error::Result;
 use crate::query::{ColumnProvider, QueryExpr};
@@ -22,37 +25,6 @@ pub fn scan_query(expr: &QueryExpr, provider: &impl ColumnProvider) -> Result<Se
         builder.push_bit(expr.matches_row(provider, row)?);
     }
     Ok(Selection::from_wah(builder.finish()))
-}
-
-/// Unconditional 1D histogram by sequential scan.
-pub fn scan_hist1d(data: &[f64], edges: BinEdges) -> Hist1D {
-    Hist1D::from_data(edges, data)
-}
-
-/// Unconditional 2D histogram by sequential scan.
-pub fn scan_hist2d(xs: &[f64], ys: &[f64], x_edges: BinEdges, y_edges: BinEdges) -> Hist2D {
-    Hist2D::from_data(x_edges, y_edges, xs, ys)
-}
-
-/// Conditional 2D histogram by a single fused scan: every row is tested
-/// against the condition and, when it matches, binned immediately. Unlike the
-/// index path there is no intermediate hit list, which is why this wins when
-/// the selection covers most of the dataset.
-pub fn scan_conditional_hist2d(
-    xs: &[f64],
-    ys: &[f64],
-    x_edges: BinEdges,
-    y_edges: BinEdges,
-    provider: &impl ColumnProvider,
-    condition: &QueryExpr,
-) -> Result<Hist2D> {
-    let mut h = Hist2D::new(x_edges, y_edges);
-    for row in 0..provider.num_rows() {
-        if condition.matches_row(provider, row)? {
-            h.push(xs[row], ys[row]);
-        }
-    }
-    Ok(h)
 }
 
 /// Locate the rows whose identifier appears in `search_set` by scanning the
@@ -118,32 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn conditional_scan_hist_matches_two_phase() {
-        let p = provider(4000);
-        let expr = QueryExpr::pred("px", ValueRange::gt(8e10));
-        let xe = BinEdges::uniform(0.0, 1.0, 32).unwrap();
-        let ye = BinEdges::uniform(0.0, 1e11, 32).unwrap();
-        let fused = scan_conditional_hist2d(
-            &p.columns["x"],
-            &p.columns["px"],
-            xe.clone(),
-            ye.clone(),
-            &p,
-            &expr,
-        )
-        .unwrap();
-        let selection = scan_query(&expr, &p).unwrap();
-        let two_phase = Hist2D::from_data_masked(
-            xe,
-            ye,
-            &p.columns["x"],
-            &p.columns["px"],
-            selection.iter_rows(),
-        );
-        assert_eq!(fused.counts(), two_phase.counts());
-    }
-
-    #[test]
     fn scan_id_search_matches_id_index() {
         let mut rng = StdRng::seed_from_u64(99);
         let ids: Vec<u64> = (0..20_000u64).map(|i| i * 3 + 1).collect();
@@ -157,19 +103,5 @@ mod tests {
     fn scan_id_search_empty_set_selects_nothing() {
         let ids: Vec<u64> = (0..100).collect();
         assert!(scan_id_search(&ids, &[]).is_none_selected());
-    }
-
-    #[test]
-    fn scan_hist_wrappers_count_everything() {
-        let p = provider(1000);
-        let e = BinEdges::uniform(0.0, 1.0, 16).unwrap();
-        assert_eq!(scan_hist1d(&p.columns["x"], e.clone()).total(), 1000);
-        let h = scan_hist2d(
-            &p.columns["x"],
-            &p.columns["px"],
-            e,
-            BinEdges::uniform(0.0, 1e11, 16).unwrap(),
-        );
-        assert_eq!(h.total(), 1000);
     }
 }

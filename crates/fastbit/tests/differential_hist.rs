@@ -6,9 +6,9 @@
 //! total counts must be conserved: every selected row lands in exactly one
 //! bin or in the out-of-range tally.
 
-use fastbit::hist::{BinSpec, HistEngine, HistogramEngine};
+use fastbit::hist::{BinSpec, HistogramEngine};
 use fastbit::index::BitmapIndex;
-use fastbit::query::{ColumnProvider, QueryExpr, ValueRange};
+use fastbit::query::{ColumnProvider, ExecStrategy, QueryExpr, ValueRange};
 use histogram::{BinEdges, Binning};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -85,10 +85,10 @@ fn unconditional_hist1d_matches_bruteforce() {
         // Uniform(64) matches the index resolution, so the FastBit engine
         // answers this straight off the index bin counts.
         let fast = engine
-            .hist1d(col, &BinSpec::Uniform(64), None, HistEngine::FastBit)
+            .hist1d(col, &BinSpec::Uniform(64), None, ExecStrategy::Auto)
             .unwrap();
         let custom = engine
-            .hist1d(col, &BinSpec::Uniform(64), None, HistEngine::Custom)
+            .hist1d(col, &BinSpec::Uniform(64), None, ExecStrategy::ScanOnly)
             .unwrap();
         let brute = brute_hist1d(fast.edges(), &p.columns[col], |_| true);
         assert_eq!(fast.counts(), brute.as_slice(), "{col}: FastBit vs brute");
@@ -118,7 +118,7 @@ fn conditional_hist1d_matches_bruteforce() {
     let expected_rows = keep.iter().filter(|&&k| k).count() as u64;
     assert!(expected_rows > 0, "condition must select something");
 
-    for eng in [HistEngine::FastBit, HistEngine::Custom] {
+    for eng in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
         let h = engine
             .hist1d("x", &BinSpec::Uniform(48), Some(&cond), eng)
             .unwrap();
@@ -162,7 +162,7 @@ fn unconditional_hist2d_matches_bruteforce() {
         }
     }
 
-    for eng in [HistEngine::FastBit, HistEngine::Custom] {
+    for eng in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
         let h = engine.hist2d("x", "px", &xspec, &pspec, None, eng).unwrap();
         assert_eq!(h.shape(), (32, 40), "engine {eng:?}");
         let got: Vec<u64> = (0..40)
@@ -191,10 +191,17 @@ fn conditional_hist2d_engines_agree_and_conserve_totals() {
         let xspec = BinSpec::Edges(BinEdges::uniform(0.0, 1e-3, 24).unwrap());
         let yspec = BinSpec::Edges(BinEdges::uniform(-50.0, 50.0, 24).unwrap());
         let fast = engine
-            .hist2d("x", "y", &xspec, &yspec, Some(&cond), HistEngine::FastBit)
+            .hist2d("x", "y", &xspec, &yspec, Some(&cond), ExecStrategy::Auto)
             .unwrap();
         let custom = engine
-            .hist2d("x", "y", &xspec, &yspec, Some(&cond), HistEngine::Custom)
+            .hist2d(
+                "x",
+                "y",
+                &xspec,
+                &yspec,
+                Some(&cond),
+                ExecStrategy::ScanOnly,
+            )
             .unwrap();
         assert_eq!(fast.counts(), custom.counts(), "case {case} threshold {t}");
         let selected = p.columns["px"].iter().filter(|&&v| v > t).count() as u64;
@@ -218,12 +225,12 @@ fn hist2d_pairs_match_individual_hist2d() {
     ];
     let spec = BinSpec::Uniform(32);
     let batch = engine
-        .hist2d_pairs(&pairs, &spec, Some(&cond), HistEngine::FastBit)
+        .hist2d_pairs(&pairs, &spec, Some(&cond), ExecStrategy::Auto)
         .unwrap();
     assert_eq!(batch.len(), 2);
     for (i, (cx, cy)) in pairs.iter().enumerate() {
         let single = engine
-            .hist2d(cx, cy, &spec, &spec, Some(&cond), HistEngine::FastBit)
+            .hist2d(cx, cy, &spec, &spec, Some(&cond), ExecStrategy::Auto)
             .unwrap();
         assert_eq!(
             batch[i].counts(),

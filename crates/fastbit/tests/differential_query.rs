@@ -6,10 +6,8 @@
 //! the row set produced by scanning the raw columns.
 
 use fastbit::index::BitmapIndex;
-use fastbit::query::{
-    evaluate_with_strategy, parse_query, ColumnProvider, ExecStrategy, QueryExpr, ValueRange,
-};
-use fastbit::scan::scan_query;
+use fastbit::query::{parse_query, ColumnProvider, ExecStrategy, QueryExpr, ValueRange};
+use fastbit::testing::evaluate_with_strategy;
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -121,20 +119,6 @@ fn random_compound_queries_index_matches_scan() {
             indexed.count(),
             scanned.count()
         );
-    }
-}
-
-#[test]
-fn index_only_strategy_matches_scan() {
-    // IndexOnly still performs candidate checks against the raw column; it
-    // only refuses to run when a predicate has no index at all.
-    let p = provider(10_000, 64, 8);
-    let mut rng = StdRng::seed_from_u64(4321);
-    for case in 0..40 {
-        let q = random_query(&p, &mut rng, 2);
-        let indexed = evaluate_with_strategy(&q, &p, ExecStrategy::IndexOnly).unwrap();
-        let scanned = scan_query(&q, &p).unwrap();
-        assert_eq!(indexed.to_rows(), scanned.to_rows(), "case {case}: {q:?}");
     }
 }
 

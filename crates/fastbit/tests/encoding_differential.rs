@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use fastbit::{
-    evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, IndexEncoding, QueryExpr,
-    ValueRange,
+    testing::evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, IndexEncoding,
+    QueryExpr, ValueRange,
 };
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};

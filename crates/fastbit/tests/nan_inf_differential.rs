@@ -1,9 +1,10 @@
-//! The NaN/±∞ bugfix sweep: every evaluation path — sequential tree-walk
-//! (scan, auto, index-only), the compiled bytecode kernels, and the chunked
-//! engine with and without index acceleration — is checked against an
-//! independent row-by-row IEEE oracle on columns that are *mostly* special
-//! values, with range bounds drawn from the index's own bin edges, the data
-//! itself and ±∞, under all four bound-inclusivity combinations.
+//! The NaN/±∞ bugfix sweep: every evaluation path — the row-by-row
+//! `scan_query`, the tree-walk oracle of `fastbit::testing` and the compiled
+//! bytecode kernels (each under scan-only and auto), and the chunked engine
+//! — is checked against an independent row-by-row IEEE oracle on columns
+//! that are *mostly* special values, with range bounds drawn from the
+//! index's own bin edges, the data itself and ±∞, under all four
+//! bound-inclusivity combinations.
 //!
 //! The oracle restates the query semantics from scratch (NaN never matches;
 //! ±∞ compare like ordinary values) rather than calling
@@ -15,8 +16,8 @@ use std::collections::HashMap;
 use fastbit::compile;
 use fastbit::par::{evaluate_chunked, ParExec};
 use fastbit::{
-    evaluate_with_strategy, scan, BitmapIndex, ColumnProvider, ExecStrategy, Predicate, QueryExpr,
-    ValueRange,
+    scan, testing::evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, Predicate,
+    QueryExpr, ValueRange,
 };
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -208,7 +209,7 @@ fn random_expr(rng: &mut StdRng, p: &MemProvider, depth: usize) -> QueryExpr {
 /// Every path must agree with the oracle's row set.
 fn check_all_paths(expr: &QueryExpr, p: &MemProvider, tag: &str) {
     let expected = oracle_rows(expr, p);
-    let mut paths: Vec<(&str, Vec<usize>)> = vec![
+    let paths: Vec<(&str, Vec<usize>)> = vec![
         ("scan_query", scan::scan_query(expr, p).unwrap().to_rows()),
         (
             "tree ScanOnly",
@@ -235,30 +236,6 @@ fn check_all_paths(expr: &QueryExpr, p: &MemProvider, tag: &str) {
                 .to_rows(),
         ),
     ];
-    // IndexOnly can only answer when every referenced column is indexed;
-    // the unindexed `all_special` column makes both paths refuse alike.
-    if expr.columns().iter().all(|c| p.indexes.contains_key(c)) {
-        paths.push((
-            "tree IndexOnly",
-            evaluate_with_strategy(expr, p, ExecStrategy::IndexOnly)
-                .unwrap()
-                .to_rows(),
-        ));
-        paths.push((
-            "compiled IndexOnly",
-            compile::evaluate(expr, p, ExecStrategy::IndexOnly)
-                .unwrap()
-                .to_rows(),
-        ));
-    } else {
-        let tree = evaluate_with_strategy(expr, p, ExecStrategy::IndexOnly);
-        let compiled = compile::evaluate(expr, p, ExecStrategy::IndexOnly);
-        assert_eq!(
-            tree.unwrap_err(),
-            compiled.unwrap_err(),
-            "{tag}: IndexOnly refusal parity on {expr}"
-        );
-    }
     for (path, rows) in paths {
         assert_eq!(rows, expected, "{tag}: path {path} diverged on {expr}");
     }

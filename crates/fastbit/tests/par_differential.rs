@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use fastbit::par::{evaluate_chunked, ParExec};
 use fastbit::{
-    evaluate_with_strategy, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy, HistEngine,
+    testing::evaluate_with_strategy, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy,
     HistogramEngine, Predicate, QueryExpr, ValueRange,
 };
 use histogram::Binning;
@@ -229,7 +229,7 @@ fn randomized_conditional_histograms_match_bin_for_bin() {
         let expr = random_expr(&mut rng, &p, 2);
         let column = COLUMNS[rng.gen_range(0..COLUMNS.len())];
         let spec = BinSpec::Uniform(rng.gen_range(4..96usize));
-        for eng in [HistEngine::FastBit, HistEngine::Custom] {
+        for eng in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
             let seq = engine.hist1d(column, &spec, Some(&expr), eng);
             for chunk_rows in [1usize, 31, 1000, n] {
                 for threads in [1usize, 2, 8] {
@@ -261,7 +261,7 @@ fn nan_heavy_histograms_match_including_out_of_range() {
     let spec = BinSpec::Edges(edges);
     for condition in [None, Some(QueryExpr::pred("c", ValueRange::gt(-0.9)))] {
         let seq = engine
-            .hist1d("c", &spec, condition.as_ref(), HistEngine::Custom)
+            .hist1d("c", &spec, condition.as_ref(), ExecStrategy::ScanOnly)
             .unwrap();
         for threads in [1usize, 2, 8] {
             let par = engine
@@ -269,7 +269,7 @@ fn nan_heavy_histograms_match_including_out_of_range() {
                     "c",
                     &spec,
                     condition.as_ref(),
-                    HistEngine::Custom,
+                    ExecStrategy::ScanOnly,
                     &ParExec::new(threads, 37),
                 )
                 .unwrap();
@@ -302,10 +302,10 @@ fn four_thread_speedup_when_cores_available() {
     let sel_par = evaluate_chunked(&expr, &p, &par_exec).unwrap();
     assert_eq!(sel_par, sel_seq, "byte-identical selections");
     let h_seq = engine
-        .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &seq_exec)
+        .hist1d_par("a", &spec, Some(&expr), ExecStrategy::ScanOnly, &seq_exec)
         .unwrap();
     let h_par = engine
-        .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &par_exec)
+        .hist1d_par("a", &spec, Some(&expr), ExecStrategy::ScanOnly, &par_exec)
         .unwrap();
     assert_eq!(h_par, h_seq, "bin-identical histograms");
 
@@ -330,13 +330,13 @@ fn four_thread_speedup_when_cores_available() {
         let t_seq = best(&|| {
             evaluate_chunked(&expr, &p, &seq_exec).unwrap();
             engine
-                .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &seq_exec)
+                .hist1d_par("a", &spec, Some(&expr), ExecStrategy::ScanOnly, &seq_exec)
                 .unwrap();
         });
         let t_par = best(&|| {
             evaluate_chunked(&expr, &p, &par_exec).unwrap();
             engine
-                .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &par_exec)
+                .hist1d_par("a", &spec, Some(&expr), ExecStrategy::ScanOnly, &par_exec)
                 .unwrap();
         });
         best_ratio = best_ratio.max(t_seq / t_par);

@@ -17,7 +17,7 @@ use fastbit::persist::{
     encode_zone_maps,
 };
 use fastbit::{
-    evaluate_with_strategy, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy, HistEngine,
+    testing::evaluate_with_strategy, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy,
     HistogramEngine, IdIndex, Predicate, QueryExpr, ValueRange, ZoneMaps,
 };
 use histogram::{BinEdges, Binning};
@@ -312,8 +312,8 @@ fn conditional_histograms_match_after_reload() {
         let expr = random_expr(&mut rng, &p, 2);
         let column = COLUMNS[rng.gen_range(0..COLUMNS.len())];
         let spec = BinSpec::Uniform(rng.gen_range(4..64usize));
-        let a = original.hist1d(column, &spec, Some(&expr), HistEngine::FastBit);
-        let b = from_disk.hist1d(column, &spec, Some(&expr), HistEngine::FastBit);
+        let a = original.hist1d(column, &spec, Some(&expr), ExecStrategy::Auto);
+        let b = from_disk.hist1d(column, &spec, Some(&expr), ExecStrategy::Auto);
         match (a, b) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "round {round}, {column}: {expr}"),
             (Err(_), Err(_)) => {}

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use fastbit::{
-    evaluate_with_strategy, parse_query, ColumnProvider, ExecStrategy, Predicate, QueryExpr,
-    ValueRange,
+    parse_query, testing::evaluate_with_strategy, ColumnProvider, ExecStrategy, Predicate,
+    QueryExpr, ValueRange,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 

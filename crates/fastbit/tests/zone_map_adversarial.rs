@@ -9,7 +9,8 @@ use std::collections::HashMap;
 
 use fastbit::par::{evaluate_chunked, ParExec, Zone, ZoneVerdict};
 use fastbit::{
-    evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, QueryExpr, ValueRange,
+    testing::evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, QueryExpr,
+    ValueRange,
 };
 
 struct MemProvider {

@@ -8,7 +8,7 @@
 //! on top of a [`Catalog`].
 
 use datastore::{Catalog, Dataset};
-use fastbit::{HistEngine, QueryExpr, Selection};
+use fastbit::{ExecStrategy, QueryExpr, Selection};
 use histogram::Hist2D;
 
 use crate::error::Result;
@@ -50,7 +50,7 @@ pub struct TemporalHistograms {
 pub struct BeamAnalyzer<'a> {
     catalog: &'a Catalog,
     pool: NodePool,
-    engine: HistEngine,
+    engine: ExecStrategy,
 }
 
 impl<'a> BeamAnalyzer<'a> {
@@ -60,12 +60,13 @@ impl<'a> BeamAnalyzer<'a> {
         Self {
             catalog,
             pool,
-            engine: HistEngine::FastBit,
+            engine: ExecStrategy::Auto,
         }
     }
 
-    /// Switch between the FastBit and Custom execution engines.
-    pub fn with_engine(mut self, engine: HistEngine) -> Self {
+    /// Choose index (`Auto`, FastBit) or scan (`ScanOnly`, the Custom
+    /// baseline) execution.
+    pub fn with_engine(mut self, engine: ExecStrategy) -> Self {
         self.engine = engine;
         self
     }
@@ -74,7 +75,7 @@ impl<'a> BeamAnalyzer<'a> {
     pub fn load_step(&self, step: usize) -> Result<Dataset> {
         Ok(self
             .catalog
-            .load(step, None, self.engine == HistEngine::FastBit)?)
+            .load(step, None, self.engine == ExecStrategy::Auto)?)
     }
 
     /// Select particles at `step` matching `query` (e.g. the beam-selection
@@ -363,7 +364,8 @@ mod tests {
     fn custom_engine_produces_identical_selections() {
         let (catalog, dir, config) = test_catalog("custom");
         let fast = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let custom = BeamAnalyzer::new(&catalog, NodePool::new(2)).with_engine(HistEngine::Custom);
+        let custom =
+            BeamAnalyzer::new(&catalog, NodePool::new(2)).with_engine(ExecStrategy::ScanOnly);
         let step = config.num_timesteps - 2;
         let q = QueryExpr::pred("px", ValueRange::gt(1e10));
         let (a, _) = fast.select(step, &q).unwrap();

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use datastore::Catalog;
-use fastbit::{BinSpec, HistEngine, QueryExpr};
+use fastbit::{BinSpec, ExecStrategy, QueryExpr};
 use histogram::Hist2D;
 
 use crate::contract::Contract;
@@ -28,7 +28,7 @@ pub struct HistogramStage {
     /// Optional condition restricting the histogrammed records.
     pub condition: Option<QueryExpr>,
     /// Index-accelerated or scan execution.
-    pub engine: HistEngine,
+    pub engine: ExecStrategy,
 }
 
 impl HistogramStage {
@@ -43,7 +43,7 @@ impl HistogramStage {
             bins,
             adaptive: false,
             condition: None,
-            engine: HistEngine::FastBit,
+            engine: ExecStrategy::Auto,
         }
     }
 
@@ -53,8 +53,9 @@ impl HistogramStage {
         self
     }
 
-    /// Choose the execution engine (FastBit vs the scanning Custom baseline).
-    pub fn with_engine(mut self, engine: HistEngine) -> Self {
+    /// Choose index (`Auto`, FastBit) or scan (`ScanOnly`, the Custom
+    /// baseline) execution.
+    pub fn with_engine(mut self, engine: ExecStrategy) -> Self {
         self.engine = engine;
         self
     }
@@ -75,7 +76,7 @@ impl HistogramStage {
         if let Some(cond) = &self.condition {
             c.restrict(cond.clone());
         }
-        if self.engine == HistEngine::FastBit {
+        if self.engine == ExecStrategy::Auto {
             c.with_indexes();
         }
         c
@@ -219,12 +220,12 @@ mod tests {
         let cond = QueryExpr::pred("px", ValueRange::gt(1e10));
         let fast = HistogramStage::new(vec![("x", "px")], 24)
             .with_condition(cond.clone())
-            .with_engine(HistEngine::FastBit)
+            .with_engine(ExecStrategy::Auto)
             .run(&catalog, &NodePool::new(2))
             .unwrap();
         let custom = HistogramStage::new(vec![("x", "px")], 24)
             .with_condition(cond)
-            .with_engine(HistEngine::Custom)
+            .with_engine(ExecStrategy::ScanOnly)
             .run(&catalog, &NodePool::new(2))
             .unwrap();
         assert_eq!(fast.total_hits(), custom.total_hits());
@@ -282,7 +283,7 @@ mod tests {
             bins: 8,
             adaptive: false,
             condition: None,
-            engine: HistEngine::FastBit,
+            engine: ExecStrategy::Auto,
         };
         assert!(bad.run(&catalog, &NodePool::new(1)).is_err());
         std::fs::remove_dir_all(&dir).ok();

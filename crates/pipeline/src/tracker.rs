@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use datastore::{Catalog, Dataset};
-use fastbit::HistEngine;
+use fastbit::ExecStrategy;
 
 use crate::error::Result;
 use crate::executor::{NodePool, NodeReport};
@@ -91,15 +91,16 @@ struct StepMatches {
 /// Configurable particle tracker.
 #[derive(Debug, Clone)]
 pub struct Tracker {
-    /// Identifier-index accelerated (`FastBit`) or full-scan (`Custom`).
-    pub engine: HistEngine,
+    /// Identifier-index accelerated (`Auto`) or full-scan (`ScanOnly`, the
+    /// Custom baseline).
+    pub engine: ExecStrategy,
     /// Columns extracted for each matched particle.
     columns: Vec<String>,
 }
 
 impl Tracker {
     /// A tracker using the identifier index.
-    pub fn new(engine: HistEngine) -> Self {
+    pub fn new(engine: ExecStrategy) -> Self {
         Self {
             engine,
             columns: ["x", "y", "z", "px", "py", "pz"]
@@ -122,7 +123,7 @@ impl Tracker {
         let columns = self.columns_for_load();
         // The Custom baseline deliberately ignores the identifier index, as
         // in the paper's comparison.
-        let with_indexes = self.engine == HistEngine::FastBit;
+        let with_indexes = self.engine == ExecStrategy::Auto;
         self.track_with(
             &steps,
             |step| Ok(catalog.load(step, Some(&columns), with_indexes)?),
@@ -175,8 +176,8 @@ impl Tracker {
 
     fn track_one(&self, dataset: &Dataset, step: usize, ids: &[u64]) -> Result<StepMatches> {
         let selection = match self.engine {
-            HistEngine::FastBit => dataset.select_ids(ids)?,
-            HistEngine::Custom => {
+            ExecStrategy::Auto => dataset.select_ids(ids)?,
+            ExecStrategy::ScanOnly => {
                 let id_column = dataset.table().id_column("id")?;
                 fastbit::scan::scan_id_search(id_column, ids)
             }
@@ -236,10 +237,10 @@ mod tests {
         // Track a handful of early particles, which exist in every timestep
         // until they leave the window.
         let ids: Vec<u64> = vec![1, 2, 3, 100, 599];
-        let fast = Tracker::new(HistEngine::FastBit)
+        let fast = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &ids, &NodePool::new(3))
             .unwrap();
-        let custom = Tracker::new(HistEngine::Custom)
+        let custom = Tracker::new(ExecStrategy::ScanOnly)
             .track(&catalog, &ids, &NodePool::new(3))
             .unwrap();
         assert_eq!(fast.total_hits(), custom.total_hits());
@@ -258,7 +259,7 @@ mod tests {
     fn traces_are_chronological_and_complete_at_early_steps() {
         let (catalog, dir, _) = test_catalog("chrono");
         let ids: Vec<u64> = (0..20).collect();
-        let out = Tracker::new(HistEngine::FastBit)
+        let out = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &ids, &NodePool::new(2))
             .unwrap();
         assert!(!out.traces.is_empty());
@@ -277,7 +278,7 @@ mod tests {
     #[test]
     fn unknown_ids_produce_no_traces() {
         let (catalog, dir, _) = test_catalog("unknown");
-        let out = Tracker::new(HistEngine::FastBit)
+        let out = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &[999_999_999], &NodePool::new(2))
             .unwrap();
         assert!(out.traces.is_empty());
@@ -289,10 +290,10 @@ mod tests {
     fn node_count_does_not_change_tracking_results() {
         let (catalog, dir, _) = test_catalog("nodes");
         let ids: Vec<u64> = vec![10, 20, 30];
-        let serial = Tracker::new(HistEngine::FastBit)
+        let serial = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &ids, &NodePool::new(1))
             .unwrap();
-        let parallel = Tracker::new(HistEngine::FastBit)
+        let parallel = Tracker::new(ExecStrategy::Auto)
             .track(&catalog, &ids, &NodePool::new(5))
             .unwrap();
         assert_eq!(serial.total_hits(), parallel.total_hits());

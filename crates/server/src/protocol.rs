@@ -146,6 +146,19 @@ fn parse_ids(field: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// The largest `<bins>` a `HIST` request may ask for: 256× the largest count
+/// any client in this repository sends (256). The bin edges are allocated
+/// before any data is read, so an unchecked count could exhaust memory.
+pub const MAX_HIST_BINS: usize = 65_536;
+
+fn parse_bins(field: &str) -> Result<usize, String> {
+    match field.parse::<usize>() {
+        Ok(n) if n <= MAX_HIST_BINS => Ok(n),
+        Ok(_) => Err(format!("bad bin count '{field}' (at most {MAX_HIST_BINS})")),
+        Err(_) => Err(format!("bad bin count '{field}'")),
+    }
+}
+
 fn parse_step(field: &str) -> Result<usize, String> {
     field
         .parse::<usize>()
@@ -178,9 +191,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         ("HIST", 4 | 5) => Ok(Request::Hist {
             step: parse_step(fields[1])?,
             column: fields[2].to_string(),
-            bins: fields[3]
-                .parse::<usize>()
-                .map_err(|_| format!("bad bin count '{}'", fields[3]))?,
+            bins: parse_bins(fields[3])?,
             condition: fields.get(4).map(|s| s.to_string()),
         }),
         ("TRACK", 2) => Ok(Request::Track {
@@ -453,6 +464,11 @@ mod tests {
         assert!(parse_request("SELECT\t1").is_err());
         assert!(parse_request("TRACK\t1,frog").is_err());
         assert!(parse_request("HIST\t1\tpx\tmany").is_err());
+        assert!(parse_request(&format!("HIST\t1\tpx\t{MAX_HIST_BINS}")).is_ok());
+        assert_eq!(
+            parse_request("HIST\t0\tpx\t4000000000"),
+            Err("bad bin count '4000000000' (at most 65536)".to_string())
+        );
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn parallel_server(tag: &str) -> (Server, PathBuf) {
 
 /// Seeded generator of hostile request lines: random printable garbage,
 /// valid verbs with wrong/truncated/overflowing fields, stray separators,
-/// and near-miss queries.
+/// and near-miss queries, ending with a `HIST` whose bin count is too large
+/// to allocate.
 fn hostile_lines(seed: u64, count: usize) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let verbs = [
@@ -105,6 +106,8 @@ fn hostile_lines(seed: u64, count: usize) -> Vec<String> {
         };
         out.push(line);
     }
+    // A bin count whose edge vector alone would need 32 GB.
+    out.push("HIST\t0\tpx\t4000000000".to_string());
     out
 }
 

@@ -8,16 +8,16 @@
 //! set that matches nothing. Cache states: every step resident after
 //! `WARM`, a cold one-step budget over a store, no store at all (the `.vdj`
 //! sidecars), and one segment whose id-index section is corrupt; an
-//! explorer running the scanning `HistEngine::Custom` engine over a dataset
-//! cache tracks to the same bytes. A hand-built catalog whose tables
-//! repeat an id pins that every matching row is counted.
+//! explorer running `ExecStrategy::ScanOnly` over a dataset cache tracks
+//! to the same bytes. A hand-built catalog whose tables repeat an id pins
+//! that every matching row is counted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use datastore::store::{crc32, HEADER_LEN, TABLE_ENTRY_LEN};
 use datastore::{Catalog, Column, DatasetCache, DatasetCacheConfig, ParticleTable, Store};
-use fastbit::HistEngine;
+use fastbit::ExecStrategy;
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use vdx_core::{DataExplorer, ExplorerConfig};
@@ -214,7 +214,7 @@ fn the_custom_engine_tracks_by_scanning() {
     let explorer = DataExplorer::from_catalog(
         Arc::clone(&catalog),
         ExplorerConfig {
-            engine: HistEngine::Custom,
+            engine: ExecStrategy::ScanOnly,
             ..Default::default()
         },
     )

@@ -55,10 +55,10 @@ fn main() -> vdx_core::Result<()> {
         let pool = NodePool::new(nodes);
         let mut row = [0.0f64; 4];
         for (i, (engine, cond)) in [
-            (HistEngine::FastBit, None),
-            (HistEngine::Custom, None),
-            (HistEngine::FastBit, Some(condition.clone())),
-            (HistEngine::Custom, Some(condition.clone())),
+            (ExecStrategy::Auto, None),
+            (ExecStrategy::ScanOnly, None),
+            (ExecStrategy::Auto, Some(condition.clone())),
+            (ExecStrategy::ScanOnly, Some(condition.clone())),
         ]
         .into_iter()
         .enumerate()
@@ -99,9 +99,12 @@ fn main() -> vdx_core::Result<()> {
     for &nodes in &node_counts {
         let pool = NodePool::new(nodes);
         let fb =
-            Tracker::new(HistEngine::FastBit).track(explorer.catalog(), &track_sel.ids, &pool)?;
-        let cu =
-            Tracker::new(HistEngine::Custom).track(explorer.catalog(), &track_sel.ids, &pool)?;
+            Tracker::new(ExecStrategy::Auto).track(explorer.catalog(), &track_sel.ids, &pool)?;
+        let cu = Tracker::new(ExecStrategy::ScanOnly).track(
+            explorer.catalog(),
+            &track_sel.ids,
+            &pool,
+        )?;
         let fb_s = fb.elapsed.as_secs_f64();
         if fb_one.is_none() {
             fb_one = Some(fb_s);

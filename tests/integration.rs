@@ -75,10 +75,14 @@ fn indexed_and_scanned_queries_agree_across_the_whole_catalog() {
         for q in &queries {
             let expr = parse_query(q).unwrap();
             let indexed =
-                fastbit::evaluate_with_strategy(&expr, &ds, fastbit::ExecStrategy::Auto).unwrap();
-            let scanned =
-                fastbit::evaluate_with_strategy(&expr, &ds, fastbit::ExecStrategy::ScanOnly)
+                fastbit::testing::evaluate_with_strategy(&expr, &ds, fastbit::ExecStrategy::Auto)
                     .unwrap();
+            let scanned = fastbit::testing::evaluate_with_strategy(
+                &expr,
+                &ds,
+                fastbit::ExecStrategy::ScanOnly,
+            )
+            .unwrap();
             assert_eq!(
                 indexed.to_rows(),
                 scanned.to_rows(),
@@ -93,7 +97,7 @@ fn indexed_and_scanned_queries_agree_across_the_whole_catalog() {
 fn conditional_histograms_match_between_engines_and_respect_hits() {
     let (explorer, dir) = build_explorer("hists", 1500, 8);
     let condition = "px > 8e9";
-    for engine in [HistEngine::FastBit, HistEngine::Custom] {
+    for engine in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
         let stage = HistogramStage::new(vec![("x", "px"), ("y", "py")], 128)
             .with_engine(engine)
             .with_condition(parse_query(condition).unwrap());
@@ -106,12 +110,12 @@ fn conditional_histograms_match_between_engines_and_respect_hits() {
     }
     // The two engines agree on total hit counts.
     let fast = HistogramStage::new(vec![("x", "px")], 64)
-        .with_engine(HistEngine::FastBit)
+        .with_engine(ExecStrategy::Auto)
         .with_condition(parse_query(condition).unwrap())
         .run(explorer.catalog(), &NodePool::new(2))
         .unwrap();
     let custom = HistogramStage::new(vec![("x", "px")], 64)
-        .with_engine(HistEngine::Custom)
+        .with_engine(ExecStrategy::ScanOnly)
         .with_condition(parse_query(condition).unwrap())
         .run(explorer.catalog(), &NodePool::new(2))
         .unwrap();
@@ -125,10 +129,10 @@ fn tracking_agrees_between_engines_and_node_counts() {
     let beam = explorer.select(17, "px > 1e10").unwrap();
     assert!(!beam.ids.is_empty());
 
-    let reference = Tracker::new(HistEngine::FastBit)
+    let reference = Tracker::new(ExecStrategy::Auto)
         .track(explorer.catalog(), &beam.ids, &NodePool::new(1))
         .unwrap();
-    for engine in [HistEngine::FastBit, HistEngine::Custom] {
+    for engine in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
         for nodes in [2usize, 5] {
             let out = Tracker::new(engine)
                 .track(explorer.catalog(), &beam.ids, &NodePool::new(nodes))
