@@ -1,31 +1,38 @@
-//! Regenerate every figure of the paper's evaluation section (Figures 11–17)
-//! on the synthetic LWFA workload, printing the same series the paper plots
-//! and writing one CSV per figure under `experiments/`.
+//! Regenerate the paper's evaluation (Figure 2's rendering claim and
+//! Figures 11–17) on the synthetic LWFA workload, together with the
+//! ablations and the serving-layer gates built on the same data.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p vdx-bench --bin figures -- \
-//!     [--particles N] [--timesteps N] [--nodes 1,2,4,8] [--out DIR] \
+//!     [--particles N] [--timesteps N] [--nodes LIST] [--out DIR] \
 //!     [--samples N] [--quick]
 //! ```
 //!
-//! Absolute times depend on the host; the *shapes* (who wins, how the gap
-//! changes with hit count, how the speedup scales with nodes) are the
-//! reproduction targets recorded in EXPERIMENTS.md. Besides the CSVs, every
-//! figure also writes a machine-readable `BENCH_*.json` series (op name,
-//! size, median/mean seconds) so the performance trajectory can be compared
-//! across PRs; `--samples` controls how many repetitions feed each
-//! median/mean (default 1 to keep the default run cheap).
+//! Every series goes through one [`Series`]: each measured operation runs
+//! once and its answer is checked against the series' oracle, and only then
+//! are `--samples` runs (default 1) timed and recorded. Each series writes
+//! one `BENCH_<series>.json` (op name, size, median/mean seconds) under
+//! `--out`, the only machine-readable output, so the performance trajectory
+//! can be compared across PRs. Absolute times depend on the host; the
+//! *shapes* (who wins, how the gap changes with hit count, how the speedup
+//! scales with nodes) are the reproduction targets. An unknown flag or an
+//! unparsable value exits with status 2 before anything is generated.
 
 use std::path::PathBuf;
 
+use datastore::{Catalog, Dataset};
 use fastbit::par::{evaluate_chunked, ParExec, DEFAULT_CHUNK_ROWS};
 use fastbit::{scan, BinSpec, ExecStrategy, HistogramEngine, QueryExpr, ValueRange};
-use pipeline::{HistogramStage, NodePool, Tracker};
+use histogram::Hist2D;
+use pipeline::{HistogramStage, NodePool, StageOutput, Tracker};
 use vdx_bench::{
-    catalog_workload, id_search_set, serial_dataset, threshold_for_hits, time_stats,
-    write_bench_json, write_csv, BenchRecord, TimeStats,
+    catalog_workload, id_search_set, serial_dataset, threshold_for_hits, time_stats, Series,
+    TimeStats,
 };
+
+const USAGE: &str =
+    "[--particles N] [--timesteps N] [--nodes LIST] [--out DIR] [--samples N] [--quick]";
 
 struct Args {
     particles: usize,
@@ -35,44 +42,21 @@ struct Args {
     samples: usize,
 }
 
-/// A [`TimeStats`] for a single externally measured duration (the parallel
-/// stages time themselves internally).
-fn single_sample(secs: f64) -> TimeStats {
-    TimeStats {
-        mean_s: secs,
-        median_s: secs,
-        samples: 1,
-    }
-}
-
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let quick = argv.iter().any(|a| a == "--quick");
-    let particles = get("--particles")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 50_000 } else { 400_000 });
-    let timesteps = get("--timesteps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 8 } else { 24 });
-    let nodes = get("--nodes")
-        .map(|v| v.split(',').filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let out = get("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("experiments"));
-    let samples = get("--samples").and_then(|v| v.parse().ok()).unwrap_or(1);
-    Args {
-        particles,
-        timesteps,
-        nodes,
-        out,
-        samples,
-    }
+    vdx_bench::cli("figures", USAGE, |flags| {
+        let quick = flags.switch("--quick");
+        let args = Args {
+            particles: flags.num("--particles", if quick { 50_000 } else { 400_000 })?,
+            timesteps: flags.num("--timesteps", if quick { 8 } else { 24 })?,
+            nodes: flags.list("--nodes", ',', vec![1, 2, 4, 8])?,
+            out: PathBuf::from(flags.value("--out").unwrap_or("experiments")),
+            samples: flags.num("--samples", 1)?,
+        };
+        if args.particles == 0 || args.timesteps == 0 || args.nodes.contains(&0) {
+            return Err("--particles, --timesteps and --nodes must be positive".to_string());
+        }
+        Ok(args)
+    })
 }
 
 fn main() {
@@ -86,248 +70,319 @@ fn main() {
         args.nodes
     );
 
-    fig11_unconditional_histograms(&args);
-    fig12_conditional_histograms(&args);
-    fig13_id_queries(&args);
-    fig_index_encoding(&args);
-    fig_query_compile(&args);
-    fig_par_engine(&args);
+    let dataset = serial_dataset(args.particles);
+    fig2_rendering(&args, &dataset);
+    fig11_unconditional_histograms(&args, &dataset);
+    fig12_conditional_histograms(&args, &dataset);
+    fig13_id_queries(&args, &dataset);
+    ablation_wah(&args);
+    ablation_binning(&args, &dataset);
+    fig_index_encoding(&args, &dataset);
+    fig_query_compile(&args, &dataset);
+    fig_par_engine(&args, &dataset);
+    drop(dataset);
     fig_store_warmstart(&args);
     fig_obs_overhead(&args);
     fig_connections(&args);
     fig_cluster(&args);
-    fig14_15_parallel_histograms(&args);
-    fig16_17_parallel_tracking(&args);
-    println!("\nCSV series written to {}/", args.out.display());
+    let per_step = (args.particles / 4).max(10_000);
+    let (catalog, _dir) = catalog_workload("fig14", per_step, args.timesteps);
+    fig14_15_parallel_histograms(&args, &catalog);
+    fig16_17_parallel_tracking(&args, &catalog);
+    println!("\nBENCH series written to {}/", args.out.display());
+}
+
+/// Figure 2's rendering claim: drawing polylines costs time in the number
+/// of records drawn, drawing histogram quads in the number of bins, not in
+/// the records under them. A repeated render must give the same image.
+fn fig2_rendering(args: &Args, dataset: &Dataset) {
+    use histogram::BinEdges;
+    use pcoords::{AxisSpec, Layer, ParallelCoordsPlot, PlotConfig, Rgba};
+
+    let mut s = Series::new(
+        "fig2_rendering",
+        "Figure 2: polyline vs histogram-based parallel coordinates",
+        args.samples,
+    );
+    let axes = ["x", "px", "y", "py"];
+    let columns: Vec<&[f64]> = axes
+        .iter()
+        .map(|&a| dataset.table().float_column(a).unwrap())
+        .collect();
+    let specs: Vec<AxisSpec> = axes
+        .iter()
+        .zip(&columns)
+        .map(|(&name, col)| AxisSpec::from_data(name, col))
+        .collect();
+    let plot = ParallelCoordsPlot::new(PlotConfig::default(), specs.clone());
+    let mut render = |op: &str, n: usize, layer: Layer| {
+        let layers = [layer];
+        s.measure(
+            op,
+            n,
+            || plot.render(&layers),
+            |image| assert_eq!(image.to_ppm(), plot.render(&layers).to_ppm(), "{op} at {n}"),
+        );
+    };
+    for records in [2_000usize, 8_000, 25_000] {
+        let records = records.min(dataset.num_particles());
+        let subset = columns.iter().map(|c| c[..records].to_vec()).collect();
+        let layer = Layer::polylines(subset, Rgba::WHITE);
+        render("render_polylines", records, layer);
+    }
+    for bins in [80usize, 256, 700] {
+        let hists: Vec<Hist2D> = (0..axes.len() - 1)
+            .map(|i| {
+                let ex = BinEdges::uniform(specs[i].min, specs[i].max, bins).unwrap();
+                let ey = BinEdges::uniform(specs[i + 1].min, specs[i + 1].max, bins).unwrap();
+                Hist2D::from_data(ex, ey, columns[i], columns[i + 1])
+            })
+            .collect();
+        let layer = Layer::histograms(hists, Rgba::CONTEXT_GRAY);
+        render("render_histogram_quads", bins, layer);
+    }
+    s.finish(&args.out).unwrap();
+}
+
+/// The three 2D histograms of Figures 11 and 12 over (`x`, `px`) with
+/// `bins` per axis, unconditional (n = bins²) or under `cond` (n = hits):
+/// FastBit-Regular and FastBit-Adaptive must hold every selected row, and
+/// Custom-Regular must equal FastBit-Regular bin for bin.
+fn hist2d_trio(
+    s: &mut Series,
+    fig: &str,
+    dataset: &Dataset,
+    bins: usize,
+    cond: Option<&QueryExpr>,
+) {
+    let engine = HistogramEngine::new(dataset);
+    let rows = cond.map_or(dataset.num_particles() as u64, |c| {
+        scan::scan_query(c, dataset).unwrap().count()
+    });
+    let n = cond.map_or(bins * bins, |_| rows as usize);
+    let hist = |spec: BinSpec, strategy| {
+        let engine = &engine;
+        move || {
+            engine
+                .hist2d("x", "px", &spec, &spec, cond, strategy)
+                .unwrap()
+        }
+    };
+    let uniform = BinSpec::Uniform(bins);
+    let (regular, _) = s.measure(
+        format!("{fig}_fastbit_regular"),
+        n,
+        hist(uniform.clone(), ExecStrategy::Auto),
+        |h| assert_eq!(h.total(), rows, "{fig}: FastBit-Regular total at {n}"),
+    );
+    s.measure(
+        format!("{fig}_fastbit_adaptive"),
+        n,
+        hist(BinSpec::Adaptive(bins), ExecStrategy::Auto),
+        |h| assert_eq!(h.total(), rows, "{fig}: FastBit-Adaptive total at {n}"),
+    );
+    s.measure(
+        format!("{fig}_custom_regular"),
+        n,
+        hist(uniform, ExecStrategy::ScanOnly),
+        |h: &Hist2D| assert_eq!(h, &regular, "{fig}: Custom diverged from FastBit at {n}"),
+    );
 }
 
 /// Figure 11: serial unconditional 2D histogram time vs number of bins.
-fn fig11_unconditional_histograms(args: &Args) {
-    println!("\n== Figure 11: unconditional 2D histograms (time vs bins) ==");
-    let dataset = serial_dataset(args.particles);
-    let engine = HistogramEngine::new(&dataset);
-    println!(
-        "{:>10} {:>16} {:>16} {:>16}",
-        "bins", "FastBit-Regular", "FastBit-Adaptive", "Custom-Regular"
+fn fig11_unconditional_histograms(args: &Args, dataset: &Dataset) {
+    let mut s = Series::new(
+        "fig11_unconditional_hist",
+        "Figure 11: unconditional 2D histograms (time vs bins)",
+        args.samples,
     );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
     for bins in [32usize, 64, 128, 256, 512, 1024, 2048] {
-        let (_, fb_reg) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    &BinSpec::Uniform(bins),
-                    None,
-                    ExecStrategy::Auto,
-                )
-                .unwrap()
-        });
-        let (_, fb_ad) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Adaptive(bins),
-                    &BinSpec::Adaptive(bins),
-                    None,
-                    ExecStrategy::Auto,
-                )
-                .unwrap()
-        });
-        let (_, cu_reg) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    &BinSpec::Uniform(bins),
-                    None,
-                    ExecStrategy::ScanOnly,
-                )
-                .unwrap()
-        });
-        println!(
-            "{:>10} {:>16.4} {:>16.4} {:>16.4}",
-            bins * bins,
-            fb_reg.median_s,
-            fb_ad.median_s,
-            cu_reg.median_s
-        );
-        rows.push(format!(
-            "{},{},{},{}",
-            bins * bins,
-            fb_reg.median_s,
-            fb_ad.median_s,
-            cu_reg.median_s
-        ));
-        records.push(BenchRecord::new(
-            "fig11_fastbit_regular",
-            bins * bins,
-            fb_reg,
-        ));
-        records.push(BenchRecord::new(
-            "fig11_fastbit_adaptive",
-            bins * bins,
-            fb_ad,
-        ));
-        records.push(BenchRecord::new(
-            "fig11_custom_regular",
-            bins * bins,
-            cu_reg,
-        ));
+        hist2d_trio(&mut s, "fig11", dataset, bins, None);
     }
-    write_csv(
-        &args.out,
-        "fig11_unconditional_hist.csv",
-        "bins,fastbit_regular_s,fastbit_adaptive_s,custom_regular_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_fig11_unconditional_hist.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Figure 12: serial conditional 2D histogram time vs number of hits
 /// (1024×1024 bins, px > threshold conditions).
-fn fig12_conditional_histograms(args: &Args) {
-    println!("\n== Figure 12: conditional 2D histograms (time vs hits, 1024x1024 bins) ==");
-    let dataset = serial_dataset(args.particles);
-    let engine = HistogramEngine::new(&dataset);
-    let bins = 1024usize;
-    println!(
-        "{:>12} {:>16} {:>16} {:>16}",
-        "hits", "FastBit-Regular", "FastBit-Adaptive", "Custom-Regular"
+fn fig12_conditional_histograms(args: &Args, dataset: &Dataset) {
+    let mut s = Series::new(
+        "fig12_conditional_hist",
+        "Figure 12: conditional 2D histograms (time vs hits, 1024x1024 bins)",
+        args.samples,
     );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
     let mut target = 10usize;
     while target < args.particles {
-        let threshold = threshold_for_hits(&dataset, target);
+        let threshold = threshold_for_hits(dataset, target);
         let cond = QueryExpr::pred("px", ValueRange::gt(threshold));
-        let hits = engine
-            .evaluate_condition(&cond, ExecStrategy::Auto)
-            .unwrap()
-            .count() as usize;
-        let (_, fb_reg) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    &BinSpec::Uniform(bins),
-                    Some(&cond),
-                    ExecStrategy::Auto,
-                )
-                .unwrap()
-        });
-        let (_, fb_ad) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Adaptive(bins),
-                    &BinSpec::Adaptive(bins),
-                    Some(&cond),
-                    ExecStrategy::Auto,
-                )
-                .unwrap()
-        });
-        let (_, cu_reg) = time_stats(args.samples, || {
-            engine
-                .hist2d(
-                    "x",
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    &BinSpec::Uniform(bins),
-                    Some(&cond),
-                    ExecStrategy::ScanOnly,
-                )
-                .unwrap()
-        });
-        println!(
-            "{:>12} {:>16.4} {:>16.4} {:>16.4}",
-            hits, fb_reg.median_s, fb_ad.median_s, cu_reg.median_s
-        );
-        rows.push(format!(
-            "{hits},{},{},{}",
-            fb_reg.median_s, fb_ad.median_s, cu_reg.median_s
-        ));
-        records.push(BenchRecord::new("fig12_fastbit_regular", hits, fb_reg));
-        records.push(BenchRecord::new("fig12_fastbit_adaptive", hits, fb_ad));
-        records.push(BenchRecord::new("fig12_custom_regular", hits, cu_reg));
+        hist2d_trio(&mut s, "fig12", dataset, 1024, Some(&cond));
         target *= 10;
     }
-    write_csv(
-        &args.out,
-        "fig12_conditional_hist.csv",
-        "hits,fastbit_regular_s,fastbit_adaptive_s,custom_regular_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_fig12_conditional_hist.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Figure 13: serial identifier-query time vs number of identifiers.
-fn fig13_id_queries(args: &Args) {
-    println!("\n== Figure 13: identifier queries (time vs number of identifiers) ==");
-    let dataset = serial_dataset(args.particles);
-    let ids_column = dataset.table().id_column("id").unwrap();
-    println!(
-        "{:>12} {:>14} {:>14} {:>10}",
-        "identifiers", "FastBit", "Custom", "ratio"
+fn fig13_id_queries(args: &Args, dataset: &Dataset) {
+    let mut s = Series::new(
+        "fig13_id_query",
+        "Figure 13: identifier queries (time vs number of identifiers)",
+        args.samples,
     );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
+    let ids_column = dataset.table().id_column("id").unwrap();
     let mut count = 10usize;
     while count < args.particles {
-        let search = id_search_set(&dataset, count);
-        let (fb_sel, fb) = time_stats(args.samples, || dataset.id_index().unwrap().select(&search));
-        let (cu_sel, cu) = time_stats(args.samples, || scan::scan_id_search(ids_column, &search));
-        assert_eq!(fb_sel.count(), cu_sel.count());
-        println!(
-            "{:>12} {:>14.6} {:>14.6} {:>10.1}",
-            search.len(),
-            fb.median_s,
-            cu.median_s,
-            cu.median_s / fb.median_s.max(1e-9)
+        let search = id_search_set(dataset, count);
+        let n = search.len();
+        let (fastbit, _) = s.measure(
+            "fig13_fastbit",
+            n,
+            || dataset.id_index().unwrap().select(&search),
+            |sel| assert_eq!(sel.count(), n as u64, "fig13: identifiers found"),
         );
-        rows.push(format!("{},{},{}", search.len(), fb.median_s, cu.median_s));
-        records.push(BenchRecord::new("fig13_fastbit", search.len(), fb));
-        records.push(BenchRecord::new("fig13_custom", search.len(), cu));
+        s.measure(
+            "fig13_custom",
+            n,
+            || scan::scan_id_search(ids_column, &search),
+            |sel| assert_eq!(sel.to_rows(), fastbit.to_rows(), "fig13: Custom rows"),
+        );
         count *= 10;
     }
-    write_csv(
-        &args.out,
-        "fig13_id_query.csv",
-        "identifiers,fastbit_s,custom_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_fig13_id_query.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
+}
+
+/// WAH compression against uncompressed bit vectors: build, AND and
+/// population count over the sparse bitmaps of a binned index (one bin of
+/// a 256-bin index holds ~0.4% of the rows). Both sides must hold the same
+/// rows.
+fn ablation_wah(args: &Args) {
+    use fastbit::{BitVec, Wah};
+
+    let mut s = Series::new(
+        "ablation_wah",
+        "Ablation: WAH-compressed vs uncompressed bitmaps",
+        args.samples,
+    );
+    let rows = args.particles * 5;
+    let a_idx: Vec<u64> = (0..rows as u64).step_by(256).collect();
+    let b_idx: Vec<u64> = (0..rows as u64).step_by(384).collect();
+    let bitvec = |idx: &[u64]| BitVec::from_indices(rows, idx.iter().map(|&i| i as usize));
+    let (wah_a, _) = s.measure(
+        "wah_build_wah",
+        rows,
+        || Wah::from_sorted_indices(rows as u64, a_idx.iter().copied()),
+        |w| assert_eq!(w.iter_ones().collect::<Vec<_>>(), a_idx),
+    );
+    let (bv_a, _) = s.measure(
+        "wah_build_bitvec",
+        rows,
+        || bitvec(&a_idx),
+        |bv| assert_eq!(bv, &wah_a.to_bitvec()),
+    );
+    let wah_b = Wah::from_sorted_indices(rows as u64, b_idx.iter().copied());
+    let bv_b = bitvec(&b_idx);
+    let (wah_and, _) = s.measure(
+        "wah_and_wah",
+        rows,
+        || wah_a.and(&wah_b).unwrap(),
+        |w| assert_eq!(w.count_ones(), (rows as u64).div_ceil(768)),
+    );
+    s.measure(
+        "wah_and_bitvec",
+        rows,
+        || {
+            let mut x = bv_a.clone();
+            x.and_assign(&bv_b);
+            x
+        },
+        |bv| assert_eq!(bv, &wah_and.to_bitvec()),
+    );
+    let ones = a_idx.len() as u64;
+    s.measure(
+        "wah_count_ones_wah",
+        rows,
+        || wah_a.count_ones(),
+        |&c| assert_eq!(c, ones),
+    );
+    s.measure(
+        "wah_count_ones_bitvec",
+        rows,
+        || bv_a.count_ones(),
+        |&c| assert_eq!(c, ones),
+    );
+    println!(
+        "   WAH {} B vs uncompressed {} B per bitmap",
+        wah_a.size_in_bytes(),
+        bv_a.size_in_bytes()
+    );
+    s.finish(&args.out).unwrap();
+}
+
+/// Index binnings (equal-width, equal-weight, precision boundaries): build
+/// time and one range query over the same column. Equal-weight bins spread
+/// candidate checks evenly; precision bins let a low-precision query
+/// constant be answered from the index alone. Every index must answer the
+/// query with the rows of a raw scan.
+fn ablation_binning(args: &Args, dataset: &Dataset) {
+    use fastbit::BitmapIndex;
+    use histogram::Binning;
+
+    let mut s = Series::new(
+        "ablation_binning",
+        "Ablation: index binnings (build and one range query)",
+        args.samples,
+    );
+    let px = dataset.table().float_column("px").unwrap();
+    let range = ValueRange::gt(2.5e10);
+    let scanned: Vec<usize> = (0..px.len()).filter(|&r| range.contains(px[r])).collect();
+    let binnings = [
+        ("equal_width", Binning::EqualWidth { bins: 256 }),
+        ("equal_weight", Binning::EqualWeight { bins: 256 }),
+        (
+            "precision2",
+            Binning::Precision {
+                bins: 256,
+                digits: 2,
+            },
+        ),
+    ];
+    for (name, binning) in &binnings {
+        let (index, _) = s.measure(
+            format!("binning_build_{name}"),
+            px.len(),
+            || BitmapIndex::build(px, binning).unwrap(),
+            |index| {
+                let binned: u64 = index.bin_counts().iter().sum();
+                assert_eq!(binned as usize + index.unbinned_rows().len(), px.len());
+            },
+        );
+        s.measure(
+            format!("binning_range_{name}"),
+            scanned.len(),
+            || index.evaluate(&range, px).unwrap(),
+            |sel| assert_eq!(sel.to_rows(), scanned, "{name}: scan oracle"),
+        );
+    }
+    s.finish(&args.out).unwrap();
 }
 
 /// Equality vs range (cumulative) bitmap encoding on narrow, wide and
-/// open-ended range queries. Every range is answered through both encodings
-/// *forced* plus the cost-selected auto path; before any time is recorded
-/// the two forced answers are asserted byte-identical (WAH selection words,
-/// not just row sets) and checked against a scan oracle — the differential
-/// guarantee, enforced even here. On any workload big enough to measure, the
-/// range encoding must beat the equality encoding on the wide-range queries
-/// (two WAH ops versus an OR across most of the bins), and the auto path
-/// must track whichever encoding won.
-fn fig_index_encoding(args: &Args) {
-    use fastbit::{IndexEncoding, ValueRange};
+/// open-ended range queries, each answered through both encodings *forced*
+/// plus the cost-selected auto path. The equality answer must hold the rows
+/// of a raw scan, and the range and auto answers its exact WAH selection
+/// words. On any workload big enough to measure, the range encoding must
+/// beat the equality encoding on the wide-range queries (two WAH ops versus
+/// an OR across most of the bins), and the auto path must pick it there.
+fn fig_index_encoding(args: &Args, dataset: &Dataset) {
+    use fastbit::{ColumnProvider, IndexEncoding};
 
-    println!("\n== Index encodings: equality vs range (cumulative) bitmaps ==");
-    let mut dataset = serial_dataset(args.particles);
+    let mut s = Series::new(
+        "index_encoding",
+        "Index encodings: equality vs range (cumulative) bitmaps",
+        args.samples,
+    );
+    let mut dataset = dataset.clone();
     assert!(dataset.build_range_encodings() > 0);
-    let px = dataset.table().float_column("px").unwrap().to_vec();
-    let idx = {
-        use fastbit::ColumnProvider;
-        dataset.index("px").expect("px index").clone()
-    };
+    let px = dataset.table().float_column("px").unwrap();
+    let idx = dataset.index("px").expect("px index");
     let (lo, hi) = (idx.edges().lo(), idx.edges().hi());
     let width = hi - lo;
     let queries: [(&str, ValueRange); 3] = [
@@ -343,65 +398,43 @@ fn fig_index_encoding(args: &Args) {
     ];
     let (eq_bytes, rg_bytes) = idx.encoding_size_bytes();
     println!(
-        "   px index: {} bins, equality {} B, range {} B",
-        idx.num_bins(),
-        eq_bytes,
-        rg_bytes
+        "   px index: {} bins, equality {eq_bytes} B, range {rg_bytes} B",
+        idx.num_bins()
     );
-    println!(
-        "{:>12} {:>8} {:>14} {:>14} {:>14} {:>10}",
-        "query", "chosen", "equality_s", "range_s", "auto_s", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
     let mut wide_speedup_ok = true;
     for (i, (label, range)) in queries.iter().enumerate() {
-        // Oracle first: both encodings must answer bit-identically, and the
-        // rows must match a raw scan.
-        let from_eq = idx
-            .evaluate_with(range, &px, IndexEncoding::Equality)
-            .unwrap();
-        let from_rg = idx.evaluate_with(range, &px, IndexEncoding::Range).unwrap();
-        assert_eq!(
-            from_eq.as_wah(),
-            from_rg.as_wah(),
-            "{label}: encodings diverged (WAH selection words)"
-        );
         let scanned = px.iter().filter(|&&v| range.contains(v)).count() as u64;
-        assert_eq!(from_rg.count(), scanned, "{label}: scan oracle");
-
-        let chosen = idx.choose_encoding(range);
-        let (_, eq_t) = time_stats(args.samples, || {
-            idx.evaluate_with(range, &px, IndexEncoding::Equality)
-                .unwrap()
-        });
-        let (_, rg_t) = time_stats(args.samples, || {
-            idx.evaluate_with(range, &px, IndexEncoding::Range).unwrap()
-        });
-        let (_, auto_t) = time_stats(args.samples, || idx.evaluate(range, &px).unwrap());
-        let speedup = eq_t.median_s / rg_t.median_s.max(1e-12);
-        println!(
-            "{:>12} {:>8} {:>14.6} {:>14.6} {:>14.6} {:>10.2}",
-            label,
-            match chosen {
-                IndexEncoding::Equality => "eq",
-                IndexEncoding::Range => "range",
+        let (from_eq, eq_t) = s.measure(
+            format!("enc_equality_{label}"),
+            i,
+            || {
+                idx.evaluate_with(range, px, IndexEncoding::Equality)
+                    .unwrap()
             },
-            eq_t.median_s,
-            rg_t.median_s,
-            auto_t.median_s,
-            speedup
+            |sel| assert_eq!(sel.count(), scanned, "{label}: scan oracle"),
         );
-        rows.push(format!(
-            "{label},{},{},{}",
-            eq_t.median_s, rg_t.median_s, auto_t.median_s
-        ));
-        records.push(BenchRecord::new(format!("enc_equality_{label}"), i, eq_t));
-        records.push(BenchRecord::new(format!("enc_range_{label}"), i, rg_t));
-        records.push(BenchRecord::new(format!("enc_auto_{label}"), i, auto_t));
+        let same_words = |sel: &fastbit::Selection| {
+            assert_eq!(
+                sel.as_wah(),
+                from_eq.as_wah(),
+                "{label}: encodings diverged (WAH selection words)"
+            )
+        };
+        let (_, rg_t) = s.measure(
+            format!("enc_range_{label}"),
+            i,
+            || idx.evaluate_with(range, px, IndexEncoding::Range).unwrap(),
+            same_words,
+        );
+        s.measure(
+            format!("enc_auto_{label}"),
+            i,
+            || idx.evaluate(range, px).unwrap(),
+            same_words,
+        );
         if *label != "narrow" {
             assert_eq!(
-                chosen,
+                idx.choose_encoding(range),
                 IndexEncoding::Range,
                 "{label}: cost model must pick the range encoding for wide spans"
             );
@@ -416,31 +449,27 @@ fn fig_index_encoding(args: &Args) {
         wide_speedup_ok,
         "range encoding must be faster than equality on measurable wide-range queries"
     );
-    write_csv(
-        &args.out,
-        "index_encoding.csv",
-        "query,equality_s,range_s,auto_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_index_encoding.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Compiled bytecode kernels vs the tree-walk evaluator, on compound
 /// expressions of growing depth. The deep (9-predicate) expression repeats
 /// predicates across its `||` branches, so the compiler's slot sharing
 /// evaluates each distinct predicate once where the tree-walk re-scans every
-/// occurrence. Correctness is oracle-asserted before any timing is reported:
-/// the compiled selection must carry bit-identical WAH words to the
-/// tree-walk of the normalized expression and the row set of a raw scan.
-fn fig_query_compile(args: &Args) {
-    use fastbit::compile::Program;
+/// occurrence. The tree-walk must select the rows of a raw scan, the
+/// compiled selection the exact WAH words of the tree-walk of the normalized
+/// expression, and a recompile the same program.
+fn fig_query_compile(args: &Args, dataset: &Dataset) {
+    use fastbit::compile::{execute, Program};
     use fastbit::testing::evaluate_with_strategy;
 
-    println!("\n== Query compilation: fused bytecode kernels vs tree-walk ==");
-    let dataset = serial_dataset(args.particles);
-    let t_hi = threshold_for_hits(&dataset, args.particles / 100);
-    let t_lo = threshold_for_hits(&dataset, args.particles / 4);
+    let mut s = Series::new(
+        "query_compile",
+        "Query compilation: fused bytecode kernels vs tree-walk",
+        args.samples,
+    );
+    let t_hi = threshold_for_hits(dataset, args.particles / 100);
+    let t_lo = threshold_for_hits(dataset, args.particles / 4);
     let pred = |c: &str, r: ValueRange| QueryExpr::pred(c, r);
     let beam = pred("px", ValueRange::gt(t_hi));
     let shallow = beam.clone().and(pred("y", ValueRange::gt(0.0)));
@@ -464,64 +493,40 @@ fn fig_query_compile(args: &Args) {
         ]),
     ]);
 
-    println!(
-        "{:>10} {:>6} {:>14} {:>14} {:>14} {:>10}",
-        "expr", "preds", "tree_s", "compiled_s", "compile_s", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
     let mut deep_speedup_ok = true;
     for (label, expr, preds) in [("shallow", &shallow, 2usize), ("deep", &deep, 9)] {
         let program = Program::compile(expr);
-        // Oracle before timing: byte-identical words to the tree-walk of
-        // the normalized expression, row-identical to the raw scan.
-        let compiled = fastbit::compile::execute(&program, &dataset, ExecStrategy::ScanOnly)
-            .expect("compiled evaluation");
-        let tree = evaluate_with_strategy(&expr.normalized(), &dataset, ExecStrategy::ScanOnly)
-            .expect("tree-walk evaluation");
-        assert_eq!(
-            compiled.as_wah(),
-            tree.as_wah(),
-            "{label}: compiled selection words diverged from the tree-walk"
-        );
-        let scanned = scan::scan_query(expr, &dataset).expect("scan oracle");
-        assert_eq!(
-            compiled.to_rows(),
-            scanned.to_rows(),
-            "{label}: compiled row set diverged from the scan oracle"
-        );
-
-        let (_, tree_t) = time_stats(args.samples, || {
-            evaluate_with_strategy(expr, &dataset, ExecStrategy::ScanOnly).unwrap()
-        });
-        let (_, fused_t) = time_stats(args.samples, || {
-            fastbit::compile::execute(&program, &dataset, ExecStrategy::ScanOnly).unwrap()
-        });
-        let (_, build_t) = time_stats(args.samples, || Program::compile(expr));
-        let speedup = tree_t.median_s / fused_t.median_s.max(1e-12);
-        println!(
-            "{:>10} {:>6} {:>14.6} {:>14.6} {:>14.9} {:>10.2}",
-            label, preds, tree_t.median_s, fused_t.median_s, build_t.median_s, speedup
-        );
-        rows.push(format!(
-            "{label},{preds},{},{},{}",
-            tree_t.median_s, fused_t.median_s, build_t.median_s
-        ));
-        records.push(BenchRecord::new(
+        let scanned = scan::scan_query(expr, dataset)
+            .expect("scan oracle")
+            .to_rows();
+        let normalized =
+            evaluate_with_strategy(&expr.normalized(), dataset, ExecStrategy::ScanOnly)
+                .expect("tree-walk evaluation");
+        let (_, tree_t) = s.measure(
             format!("compile_tree_{label}"),
             preds,
-            tree_t,
-        ));
-        records.push(BenchRecord::new(
+            || evaluate_with_strategy(expr, dataset, ExecStrategy::ScanOnly).unwrap(),
+            |sel| assert_eq!(sel.to_rows(), scanned, "{label}: tree-walk vs scan"),
+        );
+        let (_, fused_t) = s.measure(
             format!("compile_fused_{label}"),
             preds,
-            fused_t,
-        ));
-        records.push(BenchRecord::new(
+            || execute(&program, dataset, ExecStrategy::ScanOnly).unwrap(),
+            |sel| {
+                assert_eq!(
+                    sel.as_wah(),
+                    normalized.as_wah(),
+                    "{label}: compiled selection words diverged from the tree-walk"
+                )
+            },
+        );
+        s.measure(
             format!("compile_build_{label}"),
             preds,
-            build_t,
-        ));
+            || Program::compile(expr),
+            |p| assert_eq!(p, &program, "{label}: compilation is deterministic"),
+        );
+        let speedup = tree_t.median_s / fused_t.median_s.max(1e-12);
         // Only judge measurable runs: micro-runs in CI are noise below a
         // couple of milliseconds.
         if label == "deep" && tree_t.median_s > 2e-3 && speedup < 1.5 {
@@ -532,106 +537,69 @@ fn fig_query_compile(args: &Args) {
         deep_speedup_ok,
         "compiled kernels must be >=1.5x the tree-walk on deep compound expressions"
     );
-    write_csv(
-        &args.out,
-        "query_compile.csv",
-        "expr,preds,tree_s,compiled_s,compile_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_query_compile.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Sequential-vs-parallel chunked engine: one SELECT and one conditional 1D
 /// histogram over the serial dataset, at each thread count of `--nodes`.
-/// The sequential baselines (`seq_*`, the legacy non-chunked path) and the
-/// chunked series (`par_*`, n = threads) land in the same `BENCH` file so
-/// the speedup trajectory is machine-readable across PRs. Every measured
-/// result is asserted identical to the sequential oracle before timing is
-/// reported — the differential guarantee, enforced even here.
-fn fig_par_engine(args: &Args) {
-    println!("\n== Chunked parallel engine: select / conditional hist1d vs threads ==");
-    let dataset = serial_dataset(args.particles);
-    let engine = HistogramEngine::new(&dataset);
+/// The sequential baselines (`seq_*`) and the chunked series (`par_*`,
+/// n = threads) land in the same `BENCH` file. The sequential selection must
+/// hold the rows of a raw scan, and every chunked answer must equal the
+/// sequential one.
+fn fig_par_engine(args: &Args, dataset: &Dataset) {
+    let mut s = Series::new(
+        "par_engine",
+        "Chunked parallel engine: select / conditional hist1d vs threads",
+        args.samples,
+    );
+    let engine = HistogramEngine::new(dataset);
     // ~1% selectivity compound condition, as in the conditional figures.
-    let threshold = threshold_for_hits(&dataset, args.particles / 100);
+    let threshold = threshold_for_hits(dataset, args.particles / 100);
     let cond = QueryExpr::pred("px", ValueRange::gt(threshold))
         .and(QueryExpr::pred("x", ValueRange::gt(0.0)));
-    let bins = 1024usize;
+    let spec = BinSpec::Uniform(1024);
+    let scanned = scan::scan_query(&cond, dataset).unwrap().to_rows();
 
-    let (oracle_sel, seq_sel_t) = time_stats(args.samples, || {
-        engine
-            .evaluate_condition(&cond, ExecStrategy::ScanOnly)
-            .unwrap()
-    });
-    let (oracle_hist, seq_hist_t) = time_stats(args.samples, || {
-        engine
-            .hist1d(
-                "px",
-                &BinSpec::Uniform(bins),
-                Some(&cond),
-                ExecStrategy::ScanOnly,
-            )
-            .unwrap()
-    });
-    let mut records = vec![
-        BenchRecord::new("seq_select_scan", 1, seq_sel_t),
-        BenchRecord::new("seq_hist1d_cond", 1, seq_hist_t),
-    ];
-    println!(
-        "{:>8} {:>14} {:>14} {:>12} {:>12}",
-        "threads", "select_s", "hist1d_s", "sel_speedup", "hist_speedup"
+    let (oracle_sel, _) = s.measure(
+        "seq_select_scan",
+        1,
+        || {
+            engine
+                .evaluate_condition(&cond, ExecStrategy::ScanOnly)
+                .unwrap()
+        },
+        |sel| assert_eq!(sel.to_rows(), scanned, "sequential selection vs scan"),
     );
-    println!(
-        "{:>8} {:>14.4} {:>14.4} {:>12} {:>12}",
-        "seq", seq_sel_t.median_s, seq_hist_t.median_s, "-", "-"
+    let (oracle_hist, _) = s.measure(
+        "seq_hist1d_cond",
+        1,
+        || {
+            engine
+                .hist1d("px", &spec, Some(&cond), ExecStrategy::ScanOnly)
+                .unwrap()
+        },
+        |h| assert_eq!(h.total(), oracle_sel.count(), "sequential histogram total"),
     );
-    let mut rows = vec![format!("0,{},{}", seq_sel_t.median_s, seq_hist_t.median_s)];
     for &threads in &args.nodes {
         let exec = ParExec::new(threads, DEFAULT_CHUNK_ROWS);
-        let (sel, sel_t) = time_stats(args.samples, || {
-            evaluate_chunked(&cond, &dataset, &exec).unwrap()
-        });
-        assert_eq!(
-            sel.to_rows(),
-            oracle_sel.to_rows(),
-            "chunked selection diverged from the sequential oracle"
-        );
-        let (hist, hist_t) = time_stats(args.samples, || {
-            engine
-                .hist1d_par(
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    Some(&cond),
-                    ExecStrategy::ScanOnly,
-                    &exec,
-                )
-                .unwrap()
-        });
-        assert_eq!(
-            hist, oracle_hist,
-            "chunked histogram diverged from the sequential oracle"
-        );
-        println!(
-            "{:>8} {:>14.4} {:>14.4} {:>12.2} {:>12.2}",
+        s.measure(
+            "par_select",
             threads,
-            sel_t.median_s,
-            hist_t.median_s,
-            seq_sel_t.median_s / sel_t.median_s.max(1e-12),
-            seq_hist_t.median_s / hist_t.median_s.max(1e-12)
+            || evaluate_chunked(&cond, dataset, &exec).unwrap(),
+            |sel| assert_eq!(sel.to_rows(), scanned, "chunked selection diverged"),
         );
-        rows.push(format!("{threads},{},{}", sel_t.median_s, hist_t.median_s));
-        records.push(BenchRecord::new("par_select", threads, sel_t));
-        records.push(BenchRecord::new("par_hist1d_cond", threads, hist_t));
+        s.measure(
+            "par_hist1d_cond",
+            threads,
+            || {
+                engine
+                    .hist1d_par("px", &spec, Some(&cond), ExecStrategy::ScanOnly, &exec)
+                    .unwrap()
+            },
+            |h| assert_eq!(h, &oracle_hist, "chunked histogram diverged"),
+        );
     }
-    write_csv(
-        &args.out,
-        "par_engine.csv",
-        "threads,select_s,hist1d_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_par_engine.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Cold vs warm process start through the `vdx` store: the cold pass opens
@@ -639,34 +607,34 @@ fn fig_par_engine(args: &Args) {
 /// raw ingestion plus full index/id-index/zone-map construction (then
 /// writes its segment back); the warm pass re-opens the same directories
 /// and must serve every timestep from the store — zero indexes rebuilt,
-/// zero bytes written — at least 3x faster. Correctness is asserted before
-/// timing is reported: warm datasets carry the same indexed columns and
+/// zero bytes written — at least 2x faster. Correctness is asserted before
+/// timing is recorded: warm datasets carry the same indexed columns and
 /// answer a probe query row-identically to the cold ones.
 fn fig_store_warmstart(args: &Args) {
-    use datastore::{Catalog, Store};
+    use datastore::Store;
     use histogram::Binning;
     use lwfa::{SimConfig, Simulation};
 
-    println!("\n== Store warm start: cold (ingest + build indexes) vs warm (.vdx segments) ==");
+    let mut s = Series::new(
+        "store_warmstart",
+        "Store warm start: cold (ingest + build indexes) vs warm (.vdx segments)",
+        args.samples,
+    );
     let per_step = (args.particles / 4).max(10_000);
     let timesteps = args.timesteps.clamp(2, 8);
-    let dir = std::env::temp_dir().join(format!(
-        "vdx_store_warmstart_{per_step}_{timesteps}_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut catalog = Catalog::create(&dir).expect("create catalog dir");
+    let dir = vdx_bench::TempDir::new("store_warmstart");
+    let mut catalog = Catalog::create(dir.path()).expect("create catalog dir");
     Simulation::new(SimConfig::scaling(per_step, timesteps))
         .run_to_catalog(&mut catalog, None)
         .expect("catalog generation (no index sidecars)");
     drop(catalog);
-    let store_dir = dir.join("store");
+    let store_dir = dir.path().join("store");
     let binning = Binning::EqualWidth {
         bins: vdx_bench::INDEX_BINS,
     };
 
     let open = |label: &str| -> Catalog {
-        let mut catalog = Catalog::open(&dir).expect("open catalog");
+        let mut catalog = Catalog::open(dir.path()).expect("open catalog");
         let store = Store::open(&store_dir)
             .unwrap_or_else(|e| panic!("{label}: open store: {e}"))
             .with_binning(binning.clone());
@@ -721,48 +689,24 @@ fn fig_store_warmstart(args: &Args) {
         );
     }
 
+    for (i, &step) in steps.iter().enumerate() {
+        s.record("store_cold_start", step, TimeStats::once(cold_times[i]));
+        s.record("store_warm_start", step, TimeStats::once(warm_times[i]));
+    }
     let cold_total: f64 = cold_times.iter().sum();
     let warm_total: f64 = warm_times.iter().sum();
     let speedup = cold_total / warm_total.max(1e-12);
-    println!(
-        "{:>8} {:>14} {:>14} {:>10}",
-        "step", "cold_s", "warm_s", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    for (i, &step) in steps.iter().enumerate() {
-        println!(
-            "{:>8} {:>14.4} {:>14.4} {:>10.1}",
-            step,
-            cold_times[i],
-            warm_times[i],
-            cold_times[i] / warm_times[i].max(1e-12)
-        );
-        rows.push(format!("{step},{},{}", cold_times[i], warm_times[i]));
-        records.push(BenchRecord::new(
-            "store_cold_start",
-            step,
-            single_sample(cold_times[i]),
-        ));
-        records.push(BenchRecord::new(
-            "store_warm_start",
-            step,
-            single_sample(warm_times[i]),
-        ));
-    }
-    println!(
-        "   total: cold {cold_total:.4}s, warm {warm_total:.4}s -> {speedup:.1}x warm-start speedup"
-    );
-    records.push(BenchRecord::new(
+    s.record(
         "store_cold_start_total",
         steps.len(),
-        single_sample(cold_total),
-    ));
-    records.push(BenchRecord::new(
+        TimeStats::once(cold_total),
+    );
+    s.record(
         "store_warm_start_total",
         steps.len(),
-        single_sample(warm_total),
-    ));
+        TimeStats::once(warm_total),
+    );
+    println!("   warm-start speedup {speedup:.1}x");
     // The acceptance bar: warm restart must skip index construction (the
     // stats assertions above are the hard contract — all hits, zero builds,
     // zero writes) and be clearly faster than cold on any workload big
@@ -777,15 +721,7 @@ fn fig_store_warmstart(args: &Args) {
             "warm start only {speedup:.2}x faster than cold (cold {cold_total:.4}s, warm {warm_total:.4}s)"
         );
     }
-    write_csv(
-        &args.out,
-        "store_warmstart.csv",
-        "step,cold_s,warm_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_store_warmstart.json", &records).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    s.finish(&args.out).unwrap();
 }
 
 /// Observability overhead: the same request workload through two servers
@@ -796,7 +732,11 @@ fn fig_obs_overhead(args: &Args) {
     use std::sync::Arc;
     use vdx_server::{Server, ServerConfig};
 
-    println!("\n== Observability overhead: tracing off vs tracing every request ==");
+    let mut s = Series::new(
+        "obs_overhead",
+        "Observability overhead: tracing off vs tracing every request",
+        args.samples,
+    );
     let per_step = (args.particles / 8).max(10_000);
     let timesteps = args.timesteps.clamp(2, 4);
     let (catalog, _dir) = catalog_workload("obs", per_step, timesteps);
@@ -866,53 +806,32 @@ fn fig_obs_overhead(args: &Args) {
             on_stats.median_s
         );
     };
-    let overhead_pct = (on_stats.median_s / off_stats.median_s.max(1e-12) - 1.0) * 100.0;
+    s.record("obs_trace_off", requests.len(), off_stats);
+    s.record("obs_trace_on", requests.len(), on_stats);
     println!(
-        "{:>10} {:>14} {:>14} {:>10}",
-        "requests", "off_median_s", "on_median_s", "overhead"
+        "   tracing overhead {:.2}%",
+        (on_stats.median_s / off_stats.median_s.max(1e-12) - 1.0) * 100.0
     );
-    println!(
-        "{:>10} {:>14.6} {:>14.6} {:>9.2}%",
-        requests.len(),
-        off_stats.median_s,
-        on_stats.median_s,
-        overhead_pct
-    );
-
-    let rows = vec![format!(
-        "{},{},{},{:.4}",
-        requests.len(),
-        off_stats.median_s,
-        on_stats.median_s,
-        overhead_pct
-    )];
-    write_csv(
-        &args.out,
-        "obs_overhead.csv",
-        "requests,trace_off_median_s,trace_on_median_s,overhead_pct",
-        &rows,
-    )
-    .unwrap();
-    let records = vec![
-        BenchRecord::new("obs_trace_off", requests.len(), off_stats),
-        BenchRecord::new("obs_trace_on", requests.len(), on_stats),
-    ];
-    write_bench_json(&args.out, "BENCH_obs_overhead.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Connection-layer latency under concurrent clients: the same request
 /// script runs on 1..64 parallel connections against one server, recording
-/// per-request p50/p99. Replies are oracle-asserted against one canonical
-/// transcript before anything is timed — the connection layer must never
-/// change a byte. The series to look at: what each added client costs in
-/// p50/p99 once clients outnumber the worker pool (a waiting connection
-/// holds a buffer, not a worker).
+/// per-request p50/p99. Every measured reply is held to one canonical
+/// transcript — the connection layer must never change a byte. The series
+/// to look at: what each added client costs in p50/p99 once clients
+/// outnumber the worker pool (a waiting connection holds a buffer, not a
+/// worker).
 fn fig_connections(args: &Args) {
     use std::sync::Arc;
     use std::time::Instant;
     use vdx_server::{Client, Server, ServerConfig};
 
-    println!("\n== Connection layer: request latency vs concurrent clients ==");
+    let mut s = Series::new(
+        "connections",
+        "Connection layer: request latency vs concurrent clients",
+        args.samples,
+    );
     let per_step = (args.particles / 16).max(5_000);
     let (catalog, _dir) = catalog_workload("conn", per_step, 2);
 
@@ -945,9 +864,6 @@ fn fig_connections(args: &Args) {
     let canon: Vec<String> = script.iter().map(|r| warm.request(r).unwrap()).collect();
     assert_eq!(warm.request("QUIT").unwrap(), "OK\tBYE");
 
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    println!("{:>8} {:>12} {:>12}", "clients", "p50_s", "p99_s");
     for clients in [1usize, 4, 16, 64] {
         let mut latencies: Vec<f64> = Vec::new();
         std::thread::scope(|scope| {
@@ -976,27 +892,20 @@ fn fig_connections(args: &Args) {
         });
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         let at = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
-        let (p50, p99) = (at(0.50), at(0.99));
-        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        println!("{clients:>8} {p50:>12.6} {p99:>12.6}");
-        rows.push(format!("{clients},{p50},{p99}"));
-        for (op, value) in [("conn_p50", p50), ("conn_p99", p99)] {
-            records.push(BenchRecord::new(
-                op,
-                clients,
-                TimeStats {
-                    mean_s: mean,
-                    median_s: value,
-                    samples: latencies.len(),
-                },
-            ));
+        let mean_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        for (op, q) in [("conn_p50", 0.50), ("conn_p99", 0.99)] {
+            let stats = TimeStats {
+                mean_s,
+                median_s: at(q),
+                samples: latencies.len(),
+            };
+            s.record(op, clients, stats);
         }
     }
 
     handle.shutdown();
     join.join().unwrap().unwrap();
-    write_csv(&args.out, "connections.csv", "clients,p50_s,p99_s", &rows).unwrap();
-    write_bench_json(&args.out, "BENCH_connections.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
 /// Scatter-gather cluster: one request script through a 1-shard and a
@@ -1012,23 +921,26 @@ fn fig_cluster(args: &Args) {
     use vdx_server::testkit::spawn_cluster;
     use vdx_server::{Client, ConnConfig, RouterConfig, ServerConfig};
 
-    println!("\n== Cluster scatter-gather: 1 vs 3 shards behind the router ==");
+    let mut s = Series::new(
+        "cluster_scatter",
+        "Cluster scatter-gather: 1 vs 3 shards behind the router",
+        args.samples.max(3),
+    );
     let per_step = (args.particles / 16).max(5_000);
     let timesteps = args.timesteps.clamp(3, 6);
-    let rounds = args.samples.max(3);
 
     let mut script: Vec<String> = vec!["INFO".to_string(), "TRACK\t1,2,3,4,5,6,7,8".to_string()];
     for step in 0..timesteps {
         script.push(format!("SELECT\t{step}\tpx > 0 && x > 0"));
         script.push(format!("HIST\t{step}\tpx\t64"));
     }
+    let round = |client: &mut Client| -> usize {
+        script
+            .iter()
+            .map(|r| client.request(r).unwrap().len())
+            .sum()
+    };
 
-    println!(
-        "{:>12} {:>14} {:>14} {:>8}",
-        "topology", "median_s", "mean_s", "rounds"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
     for shards in [1usize, 3] {
         let cluster = spawn_cluster(
             &format!("figcluster_{shards}"),
@@ -1059,79 +971,73 @@ fn fig_cluster(args: &Args) {
         });
         let mut routed = Client::connect(cluster.addr()).expect("connect router");
         let mut single = Client::connect(oracle.addr()).expect("connect oracle");
+        let mut script_bytes = 0;
         for line in &script {
             let want = single.request(line).expect("oracle request");
             assert!(want.starts_with("OK\t"), "{line:?} -> {want}");
             let got = routed.request(line).expect("routed request");
             assert_eq!(got, want, "{shards}-shard router changed bytes: {line:?}");
+            script_bytes += want.len();
         }
 
         // Baseline once: the same script straight at the single server.
         if shards == 1 {
-            let (bytes, stats) = time_stats(rounds, || -> usize {
-                script
-                    .iter()
-                    .map(|r| single.request(r).unwrap().len())
-                    .sum()
-            });
-            assert!(bytes > 0);
-            println!(
-                "{:>12} {:>14.6} {:>14.6} {:>8}",
-                "single", stats.median_s, stats.mean_s, rounds
+            s.measure(
+                "cluster_single_baseline",
+                0,
+                || round(&mut single),
+                |&bytes| assert_eq!(bytes, script_bytes),
             );
-            rows.push(format!("single,0,{},{}", stats.median_s, stats.mean_s));
-            records.push(BenchRecord::new("cluster_single_baseline", 0, stats));
         }
         assert_eq!(single.request("QUIT").unwrap(), "OK\tBYE");
         drop(single);
         oracle.shutdown_and_clean();
 
-        let (bytes, stats) = time_stats(rounds, || -> usize {
-            script
-                .iter()
-                .map(|r| routed.request(r).unwrap().len())
-                .sum()
-        });
-        assert!(bytes > 0);
+        s.measure(
+            format!("cluster_{shards}shard_script"),
+            shards,
+            || round(&mut routed),
+            |&bytes| assert_eq!(bytes, script_bytes),
+        );
         let state = cluster.router.state();
         assert!(state.forwards() > 0, "router forwarded nothing");
         assert_eq!(state.failovers(), 0, "healthy run must not fail over");
-        println!(
-            "{:>12} {:>14.6} {:>14.6} {:>8}",
-            format!("{shards}-shard"),
-            stats.median_s,
-            stats.mean_s,
-            rounds
-        );
-        rows.push(format!(
-            "router,{shards},{},{}",
-            stats.median_s, stats.mean_s
-        ));
-        records.push(BenchRecord::new(
-            format!("cluster_{shards}shard_script"),
-            shards,
-            stats,
-        ));
 
         assert_eq!(routed.request("QUIT").unwrap(), "OK\tBYE");
         drop(routed);
         cluster.shutdown_and_clean();
     }
-    write_csv(
-        &args.out,
-        "cluster_scatter.csv",
-        "topology,shards,median_s,mean_s",
-        &rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_cluster_scatter.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }
 
-/// Figures 14 and 15: parallel histogram computation times and speedups.
-fn fig14_15_parallel_histograms(args: &Args) {
-    println!("\n== Figures 14/15: parallel histogram computation ==");
-    let per_step = (args.particles / 4).max(10_000);
-    let (catalog, _dir) = catalog_workload("fig14", per_step, args.timesteps);
+/// The per-timestep answer of a histogram stage run.
+fn stage_answer(out: &StageOutput) -> Vec<(usize, Option<u64>, &[Hist2D])> {
+    out.per_timestep
+        .iter()
+        .map(|t| (t.step, t.hits, t.hists.as_slice()))
+        .collect()
+}
+
+/// `base / value` per op: the speedup of each node count over the first.
+fn print_speedups(fig: &str, nodes: usize, base: &[f64], row: &[f64]) {
+    let speedups: Vec<String> = base
+        .iter()
+        .zip(row)
+        .map(|(b, r)| format!("{:.2}", b / r.max(1e-12)))
+        .collect();
+    println!("   {fig} speedup at {nodes} nodes: {}", speedups.join(" "));
+}
+
+/// Figures 14 and 15: parallel histogram computation times over the
+/// catalog, and the same runs as speedups over the first node count. At
+/// each node count FastBit and Custom must produce the same histograms for
+/// every timestep.
+fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
+    let mut s = Series::new(
+        "fig14_parallel_hist",
+        "Figures 14/15: parallel histogram computation (fastbit/custom uncond, cond)",
+        args.samples,
+    );
     let pairs = vec![
         ("x", "px"),
         ("y", "py"),
@@ -1139,20 +1045,12 @@ fn fig14_15_parallel_histograms(args: &Args) {
         ("x", "y"),
         ("px", "py"),
     ];
-    let bins = 1024;
     // Condition analogous to the paper's px > 7e10 on its momentum scale.
     let probe = catalog
-        .load(
-            catalog.steps()[args.timesteps - 1],
-            Some(&["px", "id"]),
-            true,
-        )
+        .load(catalog.steps()[args.timesteps - 1], Some(&["px"]), false)
         .unwrap();
-    let mut probe_ds = probe;
-    probe_ds.build_id_index().ok();
     let cond_threshold = {
-        let px = probe_ds.table().float_column("px").unwrap();
-        let mut sorted = px.to_vec();
+        let mut sorted = probe.table().float_column("px").unwrap().to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         sorted[sorted
             .len()
@@ -1161,83 +1059,56 @@ fn fig14_15_parallel_histograms(args: &Args) {
     };
     let condition = QueryExpr::pred("px", ValueRange::gt(cond_threshold));
 
-    println!(
-        "{:>6} {:>14} {:>14} {:>14} {:>14}",
-        "nodes", "FastBit-uncond", "Custom-uncond", "FastBit-cond", "Custom-cond"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    let mut baselines: Option<[f64; 4]> = None;
-    let mut speedups = Vec::new();
-    const FIG14_OPS: [&str; 4] = [
-        "fig14_fastbit_uncond",
-        "fig14_custom_uncond",
-        "fig14_fastbit_cond",
-        "fig14_custom_cond",
-    ];
+    let mut base: Option<[f64; 4]> = None;
     for &nodes in &args.nodes {
         let pool = NodePool::new(nodes);
         let mut row = [0.0f64; 4];
-        for (i, (engine, cond)) in [
-            (ExecStrategy::Auto, None),
-            (ExecStrategy::ScanOnly, None),
-            (ExecStrategy::Auto, Some(condition.clone())),
-            (ExecStrategy::ScanOnly, Some(condition.clone())),
-        ]
-        .into_iter()
-        .enumerate()
+        for (i, (kind, cond)) in [("uncond", None), ("cond", Some(&condition))]
+            .into_iter()
+            .enumerate()
         {
-            let mut stage = HistogramStage::new(pairs.clone(), bins).with_engine(engine);
-            if let Some(c) = cond {
-                stage = stage.with_condition(c);
-            }
-            let out = stage.run(&catalog, &pool).unwrap();
-            row[i] = out.elapsed.as_secs_f64();
-            records.push(BenchRecord::new(FIG14_OPS[i], nodes, single_sample(row[i])));
+            let run = |strategy| {
+                let mut stage = HistogramStage::new(pairs.clone(), 1024).with_engine(strategy);
+                if let Some(c) = cond {
+                    stage = stage.with_condition(c.clone());
+                }
+                stage.run(catalog, &pool).unwrap()
+            };
+            let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));
+            assert!(
+                stage_answer(&fastbit) == stage_answer(&custom),
+                "fig14: FastBit and Custom {kind} histograms differ at {nodes} nodes"
+            );
+            row[2 * i] = fastbit.elapsed.as_secs_f64();
+            row[2 * i + 1] = custom.elapsed.as_secs_f64();
+            s.record(
+                format!("fig14_fastbit_{kind}"),
+                nodes,
+                TimeStats::once(row[2 * i]),
+            );
+            s.record(
+                format!("fig14_custom_{kind}"),
+                nodes,
+                TimeStats::once(row[2 * i + 1]),
+            );
         }
-        println!(
-            "{:>6} {:>14.3} {:>14.3} {:>14.3} {:>14.3}",
-            nodes, row[0], row[1], row[2], row[3]
-        );
-        rows.push(format!(
-            "{nodes},{},{},{},{}",
-            row[0], row[1], row[2], row[3]
-        ));
-        let base = *baselines.get_or_insert(row);
-        speedups.push(format!(
-            "{nodes},{:.3},{:.3},{:.3},{:.3}",
-            base[0] / row[0],
-            base[1] / row[1],
-            base[2] / row[2],
-            base[3] / row[3]
-        ));
+        print_speedups("fig15", nodes, base.get_or_insert(row), &row);
     }
-    write_csv(
-        &args.out,
-        "fig14_parallel_hist_times.csv",
-        "nodes,fastbit_uncond_s,custom_uncond_s,fastbit_cond_s,custom_cond_s",
-        &rows,
-    )
-    .unwrap();
-    write_csv(
-        &args.out,
-        "fig15_parallel_hist_speedup.csv",
-        "nodes,fastbit_uncond,custom_uncond,fastbit_cond,custom_cond",
-        &speedups,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_fig14_parallel_hist.json", &records).unwrap();
-    println!("   (Figure 15 = the same runs expressed as speedup vs 1 node; see CSV)");
+    s.finish(&args.out).unwrap();
 }
 
-/// Figures 16 and 17: parallel particle tracking times and speedups.
-fn fig16_17_parallel_tracking(args: &Args) {
-    println!("\n== Figures 16/17: parallel particle tracking ==");
-    let per_step = (args.particles / 4).max(10_000);
-    let (catalog, _dir) = catalog_workload("fig14", per_step, args.timesteps);
+/// Figures 16 and 17: parallel particle tracking times over the catalog,
+/// and the same runs as speedups over the first node count. FastBit and
+/// Custom must find the same hits at every timestep.
+fn fig16_17_parallel_tracking(args: &Args, catalog: &Catalog) {
+    let mut s = Series::new(
+        "fig16_parallel_tracking",
+        "Figures 16/17: parallel particle tracking (fastbit, custom)",
+        args.samples,
+    );
     // Pick ~500 beam particles, as in the paper's px > 1e11 query.
     let last = *catalog.steps().last().unwrap();
-    let ds = catalog.load(last, Some(&["px", "id"]), true).unwrap();
+    let ds = catalog.load(last, Some(&["px", "id"]), false).unwrap();
     let px = ds.table().float_column("px").unwrap();
     let ids = ds.table().id_column("id").unwrap();
     let mut order: Vec<usize> = (0..px.len()).collect();
@@ -1249,55 +1120,23 @@ fn fig16_17_parallel_tracking(args: &Args) {
         catalog.num_timesteps()
     );
 
-    println!(
-        "{:>6} {:>14} {:>14} {:>12} {:>12}",
-        "nodes", "FastBit_s", "Custom_s", "fb_speedup", "cu_speedup"
-    );
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    let mut speedup_rows = Vec::new();
-    let mut base: Option<(f64, f64)> = None;
+    let mut base: Option<[f64; 2]> = None;
     for &nodes in &args.nodes {
         let pool = NodePool::new(nodes);
-        let fb = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &tracked, &pool)
-            .unwrap();
-        let cu = Tracker::new(ExecStrategy::ScanOnly)
-            .track(&catalog, &tracked, &pool)
-            .unwrap();
-        assert_eq!(fb.total_hits(), cu.total_hits());
-        let (fb_s, cu_s) = (fb.elapsed.as_secs_f64(), cu.elapsed.as_secs_f64());
-        records.push(BenchRecord::new(
-            "fig16_fastbit",
-            nodes,
-            single_sample(fb_s),
-        ));
-        records.push(BenchRecord::new("fig16_custom", nodes, single_sample(cu_s)));
-        let b = *base.get_or_insert((fb_s, cu_s));
-        println!(
-            "{:>6} {:>14.3} {:>14.3} {:>12.2} {:>12.2}",
-            nodes,
-            fb_s,
-            cu_s,
-            b.0 / fb_s,
-            b.1 / cu_s
+        let run = |strategy| {
+            Tracker::new(strategy)
+                .track(catalog, &tracked, &pool)
+                .unwrap()
+        };
+        let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));
+        assert_eq!(
+            fastbit.hits_per_step, custom.hits_per_step,
+            "fig16: FastBit and Custom hits differ at {nodes} nodes"
         );
-        rows.push(format!("{nodes},{fb_s},{cu_s}"));
-        speedup_rows.push(format!("{nodes},{:.3},{:.3}", b.0 / fb_s, b.1 / cu_s));
+        let row = [fastbit.elapsed.as_secs_f64(), custom.elapsed.as_secs_f64()];
+        s.record("fig16_fastbit", nodes, TimeStats::once(row[0]));
+        s.record("fig16_custom", nodes, TimeStats::once(row[1]));
+        print_speedups("fig17", nodes, base.get_or_insert(row), &row);
     }
-    write_csv(
-        &args.out,
-        "fig16_parallel_tracking_times.csv",
-        "nodes,fastbit_s,custom_s",
-        &rows,
-    )
-    .unwrap();
-    write_csv(
-        &args.out,
-        "fig17_parallel_tracking_speedup.csv",
-        "nodes,fastbit,custom",
-        &speedup_rows,
-    )
-    .unwrap();
-    write_bench_json(&args.out, "BENCH_fig16_parallel_tracking.json", &records).unwrap();
+    s.finish(&args.out).unwrap();
 }

@@ -4,7 +4,7 @@
 //! against a `vdx-server` — either one it self-hosts over a generated
 //! catalog (the default) or an external one via `--addr` — then checks the
 //! declared SLOs, reconciles client counts against the server's own
-//! STATS/METRICS, and writes `BENCH_workload_mixed.json` (+ CSV).
+//! STATS/METRICS, and writes `BENCH_workload_mixed.json`.
 //!
 //! Usage:
 //! ```text
@@ -25,7 +25,10 @@
 //! absorbed, so the same client==server identity holds on a cluster.
 //!
 //! Exit status: `0` all SLOs pass and counts reconcile; `1` an SLO was
-//! violated; `2` client/server counts diverged or the run itself failed.
+//! violated; `2` client/server counts diverged, the run itself failed, or
+//! the command line named an unknown flag or an unparsable value (checked
+//! before anything is generated). A self-hosted catalog is generated into
+//! a fresh temporary directory that is removed before the process exits.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -33,7 +36,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vdx_bench::catalog_workload;
-use vdx_bench::workload::{self, SessionMix, SessionSpace, SloSet, WorkloadConfig};
+use vdx_bench::workload::{
+    self, SessionMix, SessionSpace, SloSet, WorkloadConfig, WorkloadOutcome,
+};
 use vdx_server::testkit::spawn_cluster;
 use vdx_server::{Client, ConnConfig, RouterConfig, Server, ServerConfig};
 
@@ -54,50 +59,48 @@ struct Args {
     json: String,
 }
 
+const USAGE: &str = "[--addr HOST:PORT] [--particles N] [--timesteps N] [--workers N] \
+     [--queue-depth N] [--shards N] [--replicas R] [--sessions N] [--arrival-rps F] \
+     [--think-ms F] [--seed N] [--mix B:D:T] [--out DIR] [--json NAME]";
+
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let mix = get("--mix")
-        .map(|v| {
-            let parts: Vec<u32> = v.split(':').filter_map(|s| s.parse().ok()).collect();
-            assert_eq!(parts.len(), 3, "--mix wants BROWSE:DRILL:TRACKER weights");
-            SessionMix {
-                browse: parts[0],
-                drill_down: parts[1],
-                tracker: parts[2],
-            }
+    vdx_bench::cli("vdx-workload", USAGE, |flags| {
+        let mix = match flags.list("--mix", ':', vec![])?[..] {
+            [] => SessionMix::default(),
+            [browse, drill_down, tracker] => SessionMix {
+                browse,
+                drill_down,
+                tracker,
+            },
+            _ => return Err("--mix wants BROWSE:DRILL:TRACKER weights".to_string()),
+        };
+        let addr = match flags.value("--addr") {
+            None => None,
+            Some(v) => Some(
+                v.parse()
+                    .map_err(|_| format!("--addr expects HOST:PORT, got `{v}`"))?,
+            ),
+        };
+        Ok(Args {
+            addr,
+            particles: flags.num("--particles", 8_000)?,
+            timesteps: flags.num("--timesteps", 6)?,
+            workers: flags.num("--workers", 4)?,
+            queue_depth: flags.num("--queue-depth", 1024)?,
+            shards: flags.num("--shards", 0)?,
+            replicas: flags.num("--replicas", 1)?,
+            sessions: flags.num("--sessions", 40)?,
+            arrival_rps: flags.num("--arrival-rps", 40.0)?,
+            think_ms: flags.num("--think-ms", 4.0)?,
+            seed: flags.num("--seed", 42)?,
+            mix,
+            out: PathBuf::from(flags.value("--out").unwrap_or("experiments")),
+            json: flags
+                .value("--json")
+                .unwrap_or("BENCH_workload_mixed.json")
+                .to_string(),
         })
-        .unwrap_or_default();
-    Args {
-        addr: get("--addr").map(|v| v.parse().expect("--addr HOST:PORT")),
-        particles: get("--particles")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8_000),
-        timesteps: get("--timesteps").and_then(|v| v.parse().ok()).unwrap_or(6),
-        workers: get("--workers").and_then(|v| v.parse().ok()).unwrap_or(4),
-        queue_depth: get("--queue-depth")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1024),
-        shards: get("--shards").and_then(|v| v.parse().ok()).unwrap_or(0),
-        replicas: get("--replicas").and_then(|v| v.parse().ok()).unwrap_or(1),
-        sessions: get("--sessions").and_then(|v| v.parse().ok()).unwrap_or(40),
-        arrival_rps: get("--arrival-rps")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40.0),
-        think_ms: get("--think-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4.0),
-        seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42),
-        mix,
-        out: get("--out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("experiments")),
-        json: get("--json").unwrap_or_else(|| "BENCH_workload_mixed.json".to_string()),
-    }
+    })
 }
 
 /// Ask the server which timesteps it serves (`INFO` reply field 3).
@@ -125,7 +128,7 @@ fn main() {
     let addr = match (args.addr, args.shards) {
         (Some(addr), _) => addr,
         (None, 0) => {
-            let (catalog, _dir) = catalog_workload("workload", args.particles, args.timesteps);
+            let (catalog, dir) = catalog_workload("workload", args.particles, args.timesteps);
             let server = Server::bind(
                 Arc::new(catalog),
                 "127.0.0.1:0",
@@ -138,7 +141,7 @@ fn main() {
             .expect("bind workload server");
             let (handle, join) = server.spawn();
             let addr = handle.addr();
-            hosted = Some((handle, join));
+            hosted = Some((handle, join, dir));
             addr
         }
         (None, shards) => {
@@ -195,26 +198,16 @@ fn main() {
         config.seed,
     );
 
-    let outcome = match workload::run(addr, &config) {
-        Ok(outcome) => outcome,
+    let code = match workload::run(addr, &config) {
+        Ok(outcome) => report(&args, &outcome),
         Err(e) => {
             eprintln!("workload run failed: {e}");
-            std::process::exit(2);
+            2
         }
     };
-    let slos = SloSet::ci_default();
-    let report = workload::evaluate(&slos, &outcome);
 
-    let records = workload::report::build_records(&outcome, &report);
-    let json =
-        workload::report::write_json(&args.out, &args.json, &records).expect("write workload JSON");
-    let csv_name = args.json.replace(".json", ".csv");
-    let csv =
-        workload::report::write_csv(&args.out, &csv_name, &records).expect("write workload CSV");
-    print!("{}", workload::report::render_summary(&outcome, &report));
-    println!("# wrote {} and {}", json.display(), csv.display());
-
-    if let Some((handle, join)) = hosted {
+    // The generated catalog's directory goes with the server.
+    if let Some((handle, join, _dir)) = hosted {
         handle.shutdown();
         join.join().expect("server run loop").expect("server exit");
     }
@@ -228,12 +221,24 @@ fn main() {
         );
         cluster.shutdown_and_clean();
     }
+    std::process::exit(code);
+}
 
+/// Write the JSON records and print the summary, then return the exit
+/// status: 2 if the counts did not reconcile, 1 if an SLO failed, else 0.
+fn report(args: &Args, outcome: &WorkloadOutcome) -> i32 {
+    let slo = workload::evaluate(&SloSet::ci_default(), outcome);
+    let records = workload::report::build_records(outcome, &slo);
+    let json =
+        workload::report::write_json(&args.out, &args.json, &records).expect("write workload JSON");
+    print!("{}", workload::report::render_summary(outcome, &slo));
+    println!("# wrote {}", json.display());
     if let Err(e) = outcome.reconciled() {
         eprintln!("reconciliation failed: {e}");
-        std::process::exit(2);
-    }
-    if !report.pass {
-        std::process::exit(1);
+        2
+    } else if slo.pass {
+        0
+    } else {
+        1
     }
 }

@@ -10,7 +10,7 @@
 //! * [`driver`] — arrivals, fan-out, latency capture, STATS/METRICS
 //!   scraping and exact client/server reconciliation;
 //! * [`slo`] — objective declaration and the `SLO VERDICT:` gate;
-//! * [`report`] — `BENCH_workload_mixed.json` / CSV and the run summary.
+//! * [`report`] — `BENCH_workload_mixed.json` and the run summary.
 //!
 //! The `vdx-workload` binary ties these together; the
 //! `workload_determinism` and `workload_slo_gate` integration suites pin

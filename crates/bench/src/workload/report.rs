@@ -1,5 +1,5 @@
-//! Workload run reporting: the `BENCH_workload_mixed.json` artifact, its
-//! CSV sibling, and the human-readable run summary.
+//! Workload run reporting: the `BENCH_workload_mixed.json` artifact and
+//! the human-readable run summary.
 //!
 //! Every JSON record carries the repo-wide benchmark schema keys (`op`,
 //! `n`, `median_s`, `mean_s`, `samples`) so the CI-wide jq validation
@@ -162,34 +162,6 @@ pub fn write_json(dir: &Path, name: &str, records: &[WorkloadRecord]) -> io::Res
     out.push_str("]\n");
     std::fs::write(&path, out)?;
     Ok(path)
-}
-
-/// Write the records as CSV next to the JSON.
-pub fn write_csv(dir: &Path, name: &str, records: &[WorkloadRecord]) -> io::Result<PathBuf> {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{:.3},{:.3},{:.3},{:.6},{:.2},{}",
-                r.op,
-                r.ok,
-                r.errors,
-                r.busy,
-                r.p50_ms,
-                r.p99_ms,
-                r.p999_ms,
-                r.mean_s,
-                r.qps,
-                r.slo_pass
-            )
-        })
-        .collect();
-    crate::write_csv(
-        dir,
-        name,
-        "op,ok,errors,busy,p50_ms,p99_ms,p999_ms,mean_s,qps,slo_pass",
-        &rows,
-    )
 }
 
 /// Render the human-readable run summary: per-record table, server-side

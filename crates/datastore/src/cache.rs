@@ -22,13 +22,12 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError, Weak};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 
 use crate::catalog::Catalog;
 use crate::dataset::Dataset;
 use crate::error::Result;
+use crate::lock;
 
 /// Configuration of a [`DatasetCache`].
 #[derive(Debug, Clone)]
@@ -102,8 +101,8 @@ struct Shard {
 
 /// One shard's lock plus the condvar that announces finished loads.
 ///
-/// The `parking_lot` shim's guard is a `std` guard, so a `std::sync::Condvar`
-/// composes with it directly.
+/// Loaders wait on `loaded` with the guard [`lock`] returns, ignoring poison
+/// the same way.
 #[derive(Debug, Default)]
 struct ShardState {
     shard: Mutex<Shard>,
@@ -151,7 +150,7 @@ impl DatasetCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.shard.lock().entries.len())
+            .map(|s| lock(&s.shard).entries.len())
             .sum()
     }
 
@@ -163,13 +162,13 @@ impl DatasetCache {
     /// Whether timestep `step` is currently resident (does not touch LRU
     /// order or the hit/miss counters).
     pub fn contains(&self, step: usize) -> bool {
-        self.shard(step).shard.lock().entries.contains_key(&step)
+        lock(&self.shard(step).shard).entries.contains_key(&step)
     }
 
     /// Drop every resident dataset.
     pub fn clear(&self) {
         for state in &self.shards {
-            let mut shard = state.shard.lock();
+            let mut shard = lock(&state.shard);
             let freed: usize = shard.entries.values().map(|e| e.bytes).sum();
             let entries = std::mem::take(&mut shard.entries);
             shard.recent.clear();
@@ -193,7 +192,7 @@ impl DatasetCache {
         let _cache = obs::span("dataset_cache");
         obs::note("step", || step.to_string());
         let state = self.shard(step);
-        let mut shard = state.shard.lock();
+        let mut shard = lock(&state.shard);
         loop {
             if let Some(entry) = shard.entries.get_mut(&step) {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -220,7 +219,7 @@ impl DatasetCache {
         shard.loading.insert(step);
         drop(shard);
         let loaded = catalog.load(step, None, true).map(Arc::new);
-        let mut shard = state.shard.lock();
+        let mut shard = lock(&state.shard);
         shard.loading.remove(&step);
         let evicted = match &loaded {
             Ok(dataset) => {
@@ -247,7 +246,7 @@ impl DatasetCache {
     pub fn get_resident(&self, step: usize) -> Option<Arc<Dataset>> {
         let _cache = obs::span("dataset_cache");
         obs::note("step", || step.to_string());
-        let mut shard = self.shard(step).shard.lock();
+        let mut shard = lock(&self.shard(step).shard);
         let found = match shard.entries.get_mut(&step) {
             Some(entry) => {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -306,7 +305,7 @@ impl DatasetCache {
         let mut equality = 0u64;
         let mut range = 0u64;
         for state in &self.shards {
-            let shard = state.shard.lock();
+            let shard = lock(&state.shard);
             for entry in shard.entries.values() {
                 let (e, r) = entry.dataset.index_encoding_bytes();
                 equality += e;

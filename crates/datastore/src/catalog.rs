@@ -6,14 +6,15 @@
 //! file per Cray XT4 node.
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use fastbit::IdIndex;
 use histogram::Binning;
-use parking_lot::Mutex;
 
 use crate::dataset::Dataset;
 use crate::error::{DataStoreError, Result};
 use crate::format;
+use crate::lock;
 use crate::store::Store;
 use crate::table::ParticleTable;
 
@@ -212,7 +213,7 @@ impl Catalog {
         table: &ParticleTable,
         index_binning: Option<&Binning>,
     ) -> Result<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = lock(&self.write_lock);
         let data_path = self.dir.join(data_file_name(step));
         format::write_table(&data_path, table)?;
         let (index_path, id_index_path) = match index_binning {

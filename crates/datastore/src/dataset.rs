@@ -1,16 +1,16 @@
 //! The FastQuery-style dataset facade for one timestep.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fastbit::{
     BitmapIndex, ColumnProvider, ExecStrategy, HistogramEngine, IdIndex, QueryExpr, Selection,
     ZoneMaps,
 };
 use histogram::Binning;
-use parking_lot::Mutex;
 
 use crate::error::{DataStoreError, Result};
+use crate::lock;
 use crate::table::ParticleTable;
 
 /// One timestep's worth of particle data together with whatever indexes have
@@ -194,7 +194,7 @@ impl Dataset {
     /// instead of re-scanning the column.
     pub fn attach_zone_maps(&self, name: impl Into<String>, maps: Arc<ZoneMaps>) {
         let key = (name.into(), maps.chunk_rows().max(1));
-        self.zone_maps.lock().insert(key, maps);
+        lock(&self.zone_maps).insert(key, maps);
     }
 
     /// Drain the bitmap indexes for persistence.
@@ -220,9 +220,7 @@ impl Dataset {
         self.table.byte_len()
             + self.index_size_bytes()
             + self.id_index.as_ref().map_or(0, IdIndex::size_in_bytes)
-            + self
-                .zone_maps
-                .lock()
+            + lock(&self.zone_maps)
                 .values()
                 .map(|z| z.size_in_bytes())
                 .sum::<usize>()
@@ -285,7 +283,7 @@ impl ColumnProvider for Dataset {
 
     fn zone_maps(&self, name: &str, chunk_rows: usize) -> Option<Arc<ZoneMaps>> {
         let data = self.column(name)?;
-        let mut cache = self.zone_maps.lock();
+        let mut cache = lock(&self.zone_maps);
         Some(Arc::clone(
             cache
                 .entry((name.to_string(), chunk_rows.max(1)))

@@ -45,3 +45,50 @@ pub use dataset::Dataset;
 pub use error::{DataStoreError, Result};
 pub use store::{Store, StoreError, StoreStats};
 pub use table::{ParticleTable, STANDARD_COLUMNS};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, ignoring poison: a thread that panicked while holding the
+/// lock leaves the data as it was, and the caches and queues guarded this
+/// way stay consistent between statements, so the lock stays usable.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn mutex_guards_exclusive_access() {
+        let m = Arc::new(Mutex::new(0u64));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        *lock(&m) += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*lock(&m), 8000);
+    }
+
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let m = Arc::new(Mutex::new(5));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison the std lock");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 5);
+    }
+}

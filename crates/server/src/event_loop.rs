@@ -68,10 +68,10 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use datastore::lock;
 use polling::{Event, Interest, Poller, Waker};
 
 use crate::framing::{self, LineRead, LineSplitter};
@@ -202,7 +202,7 @@ pub(crate) fn run<S: LineService>(
             std::thread::spawn(move || loop {
                 // Take the next request, releasing the lock before running
                 // it so other workers keep draining the queue.
-                let next = job_rx.lock().recv();
+                let next = lock(&job_rx).recv();
                 match next {
                     Ok(job) => {
                         let (reply, close) = state.handle_line(&job.line);

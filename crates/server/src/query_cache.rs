@@ -19,9 +19,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use datastore::lock;
 
 /// Effectiveness counters of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,7 @@ impl QueryCache {
     /// still moves exactly one of the two counters.
     pub fn probe(&self, key: &str) -> Option<Arc<str>> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).lock();
+        let mut shard = lock(self.shard(key));
         let entry = shard.entries.get_mut(key)?;
         entry.last_used = now;
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -110,7 +110,7 @@ impl QueryCache {
             return;
         }
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock();
+        let mut shard = lock(self.shard(&key));
         while shard.entries.len() >= self.capacity_per_shard && !shard.entries.contains_key(&key) {
             let oldest = shard
                 .entries
@@ -161,7 +161,7 @@ impl QueryCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.shards.iter().map(|s| s.lock().entries.len()).sum(),
+            len: self.shards.iter().map(|s| lock(s).entries.len()).sum(),
         }
     }
 }
