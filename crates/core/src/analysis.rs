@@ -4,17 +4,19 @@
 //! threshold at a late timestep, trace the selected particles backwards (and
 //! forwards) in time, refine the selection with additional thresholds at an
 //! earlier timestep, and study beam evolution with per-timestep statistics
-//! and temporal parallel coordinates. [`BeamAnalyzer`] packages those stages
-//! on top of a [`Catalog`].
+//! and temporal parallel coordinates. Selection, refinement and tracking are
+//! [`DataExplorer::select`], [`DataExplorer::refine`] and
+//! [`DataExplorer::track`]; this module adds the two evolution views on top
+//! of them, [`DataExplorer::beam_statistics`] and
+//! [`DataExplorer::temporal_histograms`].
 
-use datastore::{Catalog, Dataset};
-use fastbit::{ExecStrategy, QueryExpr, Selection};
-use histogram::Hist2D;
+use std::collections::BTreeMap;
+
+use fastbit::BinSpec;
+use histogram::{BinEdges, Hist2D};
 
 use crate::error::Result;
-use crate::executor::NodePool;
-use crate::stages::HistogramStage;
-use crate::tracker::{Tracker, TrackingOutput};
+use crate::explorer::DataExplorer;
 
 /// Summary statistics of the beam at one timestep.
 #[derive(Debug, Clone)]
@@ -45,71 +47,12 @@ pub struct TemporalHistograms {
     pub pairs: Vec<(String, String)>,
 }
 
-/// High-level driver of the paper's analysis workflow.
-#[derive(Debug)]
-pub struct BeamAnalyzer<'a> {
-    catalog: &'a Catalog,
-    pool: NodePool,
-    engine: ExecStrategy,
-}
-
-impl<'a> BeamAnalyzer<'a> {
-    /// Analyse `catalog` with `pool` workers using the index-accelerated
-    /// engine.
-    pub fn new(catalog: &'a Catalog, pool: NodePool) -> Self {
-        Self {
-            catalog,
-            pool,
-            engine: ExecStrategy::Auto,
-        }
-    }
-
-    /// Choose index (`Auto`, FastBit) or scan (`ScanOnly`, the Custom
-    /// baseline) execution.
-    pub fn with_engine(mut self, engine: ExecStrategy) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Load one timestep with every standard column and its indexes.
-    pub fn load_step(&self, step: usize) -> Result<Dataset> {
-        Ok(self
-            .catalog
-            .load(step, None, self.engine == ExecStrategy::Auto)?)
-    }
-
-    /// Select particles at `step` matching `query` (e.g. the beam-selection
-    /// threshold `px > 8.872e10` of Figure 5) and return their identifiers
-    /// together with the selection.
-    pub fn select(&self, step: usize, query: &QueryExpr) -> Result<(Vec<u64>, Selection)> {
-        let dataset = self.load_step(step)?;
-        let selection = dataset.query(query)?;
-        let ids = dataset.ids_of(&selection)?;
-        Ok((ids, selection))
-    }
-
-    /// Refine an existing particle set: keep only the particles that *also*
-    /// satisfy `query` at timestep `step` (Figure 8 applies an extra `x`
-    /// threshold at t = 14 to isolate the first wake period).
-    pub fn refine(&self, step: usize, ids: &[u64], query: &QueryExpr) -> Result<Vec<u64>> {
-        let dataset = self.load_step(step)?;
-        let by_id = dataset.select_ids(ids)?;
-        let by_query = dataset.query(query)?;
-        let both = by_id.and(&by_query)?;
-        Ok(dataset.ids_of(&both)?)
-    }
-
-    /// Trace a particle set across every timestep of the catalog.
-    pub fn track(&self, ids: &[u64]) -> Result<TrackingOutput> {
-        Tracker::new(self.engine).track(self.catalog, ids, &self.pool)
-    }
-
+impl DataExplorer {
     /// Per-timestep beam statistics for a particle set (used to verify the
     /// acceleration/dephasing story of Figures 5 and 9 quantitatively).
     pub fn beam_statistics(&self, ids: &[u64]) -> Result<Vec<BeamStatistics>> {
         let tracking = self.track(ids)?;
-        let mut per_step: std::collections::BTreeMap<usize, Vec<(f64, f64, f64)>> =
-            std::collections::BTreeMap::new();
+        let mut per_step: BTreeMap<usize, Vec<(f64, f64, f64)>> = BTreeMap::new();
         for trace in &tracking.traces {
             for p in &trace.points {
                 per_step.entry(p.step).or_default().push((p.px, p.x, p.y));
@@ -136,22 +79,6 @@ impl<'a> BeamAnalyzer<'a> {
             .collect())
     }
 
-    /// Conditional histograms of `pairs` over the whole catalog (one entry
-    /// per timestep), for the context or focus view of a parallel-coordinates
-    /// plot.
-    pub fn histograms(
-        &self,
-        pairs: Vec<(&str, &str)>,
-        bins: usize,
-        condition: Option<QueryExpr>,
-    ) -> Result<crate::stages::StageOutput> {
-        let mut stage = HistogramStage::new(pairs, bins).with_engine(self.engine);
-        if let Some(c) = condition {
-            stage = stage.with_condition(c);
-        }
-        stage.run(self.catalog, &self.pool)
-    }
-
     /// Build the per-timestep histogram stack for a temporal parallel
     /// coordinates plot of the particle set `ids` over `steps`, with shared
     /// bin edges across timesteps.
@@ -162,9 +89,6 @@ impl<'a> BeamAnalyzer<'a> {
         pairs: Vec<(&str, &str)>,
         bins: usize,
     ) -> Result<TemporalHistograms> {
-        use fastbit::BinSpec;
-        use histogram::BinEdges;
-
         let pair_names: Vec<(String, String)> = pairs
             .iter()
             .map(|(a, b)| (a.to_string(), b.to_string()))
@@ -173,8 +97,7 @@ impl<'a> BeamAnalyzer<'a> {
         // First pass: global value ranges of every involved column over the
         // selected particles, so every timestep layer uses identical edges.
         let tracking = self.track(ids)?;
-        let mut ranges: std::collections::BTreeMap<&str, (f64, f64)> =
-            std::collections::BTreeMap::new();
+        let mut ranges: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
         let mut update = |name: &'static str, value: f64| {
             let e = ranges
                 .entry(name)
@@ -229,7 +152,7 @@ impl<'a> BeamAnalyzer<'a> {
                     &ex,
                     &ey,
                     Some(&selection),
-                    self.engine,
+                    self.config().engine,
                 )?);
             }
             per_timestep.push((step, hists));
@@ -243,43 +166,54 @@ impl<'a> BeamAnalyzer<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use fastbit::ValueRange;
-    use histogram::Binning;
-    use lwfa::physics::suggested_beam_threshold;
-    use lwfa::{SimConfig, Simulation};
     use std::path::PathBuf;
 
-    fn test_catalog(tag: &str) -> (Catalog, PathBuf, SimConfig) {
-        let dir = std::env::temp_dir().join(format!(
-            "vdx_pipeline_analysis_{tag}_{}",
-            std::process::id()
-        ));
+    use fastbit::ExecStrategy;
+    use histogram::Binning;
+    use lwfa::physics::suggested_beam_threshold;
+    use lwfa::SimConfig;
+
+    use crate::{BeamSelection, ExplorerConfig};
+
+    use super::*;
+
+    fn test_explorer(tag: &str) -> (DataExplorer, PathBuf, SimConfig) {
+        let dir =
+            std::env::temp_dir().join(format!("vdx_core_analysis_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut catalog = Catalog::create(&dir).unwrap();
-        let mut config = SimConfig::tiny();
-        config.particles_per_step = 800;
-        config.num_timesteps = 24;
-        Simulation::new(config.clone())
-            .run_to_catalog(&mut catalog, Some(&Binning::EqualWidth { bins: 32 }))
-            .unwrap();
-        (catalog, dir, config)
+        let mut sim = SimConfig::tiny();
+        sim.particles_per_step = 800;
+        sim.num_timesteps = 24;
+        let config = ExplorerConfig {
+            index_binning: Binning::EqualWidth { bins: 32 },
+            ..Default::default()
+        };
+        let explorer = DataExplorer::generate(&dir, sim.clone(), config).unwrap();
+        (explorer, dir, sim)
+    }
+
+    /// The beam at the last timestep: `px` above the suggested threshold.
+    fn select_beam(explorer: &DataExplorer, sim: &SimConfig) -> BeamSelection {
+        let last = sim.num_timesteps - 1;
+        let threshold = suggested_beam_threshold(sim, last);
+        explorer
+            .select(last, &format!("px > {threshold:e}"))
+            .unwrap()
     }
 
     #[test]
     fn beam_selection_and_tracking_workflow() {
-        let (catalog, dir, config) = test_catalog("workflow");
-        let analyzer = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let last = config.num_timesteps - 1;
-        let threshold = suggested_beam_threshold(&config, last);
-        let (ids, selection) = analyzer
-            .select(last, &QueryExpr::pred("px", ValueRange::gt(threshold)))
-            .unwrap();
-        assert!(!ids.is_empty());
-        assert_eq!(ids.len() as u64, selection.count());
+        let (explorer, dir, sim) = test_explorer("workflow");
+        let beam = select_beam(&explorer, &sim);
+        assert!(!beam.ids.is_empty());
+        let raw = explorer.catalog().load(beam.step, None, true).unwrap();
+        assert_eq!(
+            beam.ids.len() as u64,
+            raw.query(&beam.query).unwrap().count()
+        );
 
-        let tracking = analyzer.track(&ids).unwrap();
-        assert_eq!(tracking.traces.len(), ids.len());
+        let tracking = explorer.track(&beam.ids).unwrap();
+        assert_eq!(tracking.traces.len(), beam.ids.len());
         // Every trace ends at (or after) the selection timestep and the
         // particles were accelerated over time.
         let accelerated = tracking
@@ -296,35 +230,25 @@ mod tests {
 
     #[test]
     fn refinement_is_a_subset_of_the_original_selection() {
-        let (catalog, dir, config) = test_catalog("refine");
-        let analyzer = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let last = config.num_timesteps - 1;
-        let threshold = suggested_beam_threshold(&config, last);
-        let (ids, _) = analyzer
-            .select(last, &QueryExpr::pred("px", ValueRange::gt(threshold)))
-            .unwrap();
+        let (explorer, dir, sim) = test_explorer("refine");
+        let beam = select_beam(&explorer, &sim);
         // Refine at the injection timestep: keep only particles in the first
         // wake bucket (larger x).
-        let early = config.beam1_injection_step + 1;
-        let (b1_lo, _) = config.bucket_range(early, 1);
-        let refined = analyzer
-            .refine(early, &ids, &QueryExpr::pred("x", ValueRange::gt(b1_lo)))
+        let early = sim.beam1_injection_step + 1;
+        let (b1_lo, _) = sim.bucket_range(early, 1);
+        let refined = explorer
+            .refine(&beam, early, &format!("x > {b1_lo:e}"))
             .unwrap();
-        assert!(refined.len() <= ids.len());
-        assert!(refined.iter().all(|id| ids.contains(id)));
+        assert!(refined.ids.len() <= beam.ids.len());
+        assert!(refined.ids.iter().all(|id| beam.ids.contains(id)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn beam_statistics_show_acceleration_over_time() {
-        let (catalog, dir, config) = test_catalog("stats");
-        let analyzer = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let last = config.num_timesteps - 1;
-        let threshold = suggested_beam_threshold(&config, last);
-        let (ids, _) = analyzer
-            .select(last, &QueryExpr::pred("px", ValueRange::gt(threshold)))
-            .unwrap();
-        let stats = analyzer.beam_statistics(&ids).unwrap();
+        let (explorer, dir, sim) = test_explorer("stats");
+        let beam = select_beam(&explorer, &sim);
+        let stats = explorer.beam_statistics(&beam.ids).unwrap();
         assert!(!stats.is_empty());
         let first = stats.iter().find(|s| s.count > 0).unwrap();
         let last_stat = stats.last().unwrap();
@@ -339,17 +263,11 @@ mod tests {
 
     #[test]
     fn temporal_histograms_share_edges_across_timesteps() {
-        let (catalog, dir, config) = test_catalog("temporal");
-        let analyzer = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let last = config.num_timesteps - 1;
-        let threshold = suggested_beam_threshold(&config, last);
-        let (ids, _) = analyzer
-            .select(last, &QueryExpr::pred("px", ValueRange::gt(threshold)))
-            .unwrap();
-        let steps: Vec<usize> =
-            (config.beam2_injection_step..config.beam2_injection_step + 4).collect();
-        let temporal = analyzer
-            .temporal_histograms(&ids, &steps, vec![("x", "px"), ("px", "y")], 24)
+        let (explorer, dir, sim) = test_explorer("temporal");
+        let beam = select_beam(&explorer, &sim);
+        let steps: Vec<usize> = (sim.beam2_injection_step..sim.beam2_injection_step + 4).collect();
+        let temporal = explorer
+            .temporal_histograms(&beam.ids, &steps, vec![("x", "px"), ("px", "y")], 24)
             .unwrap();
         assert_eq!(temporal.per_timestep.len(), 4);
         let reference = &temporal.per_timestep[0].1[0];
@@ -362,15 +280,18 @@ mod tests {
 
     #[test]
     fn custom_engine_produces_identical_selections() {
-        let (catalog, dir, config) = test_catalog("custom");
-        let fast = BeamAnalyzer::new(&catalog, NodePool::new(2));
-        let custom =
-            BeamAnalyzer::new(&catalog, NodePool::new(2)).with_engine(ExecStrategy::ScanOnly);
-        let step = config.num_timesteps - 2;
-        let q = QueryExpr::pred("px", ValueRange::gt(1e10));
-        let (a, _) = fast.select(step, &q).unwrap();
-        let (b, _) = custom.select(step, &q).unwrap();
-        assert_eq!(a, b);
+        let (fast, dir, sim) = test_explorer("custom");
+        let custom = DataExplorer::from_catalog(
+            fast.catalog_arc(),
+            ExplorerConfig {
+                engine: ExecStrategy::ScanOnly,
+                ..Default::default()
+            },
+        );
+        let step = sim.num_timesteps - 2;
+        let a = fast.select(step, "px > 1e10").unwrap();
+        let b = custom.select(step, "px > 1e10").unwrap();
+        assert_eq!(a.ids, b.ids);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use datastore::{Catalog, Dataset, DatasetCache};
+use datastore::{Catalog, Dataset, DatasetCache, DatasetCacheConfig};
+use fastbit::par::DEFAULT_CHUNK_ROWS;
 use fastbit::{
     parse_query, BinSpec, ExecStrategy, IdIndex, ParExec, ParStatsSnapshot, PlanCache,
     PlanCacheStats, QueryExpr,
@@ -11,16 +12,13 @@ use fastbit::{
 use histogram::{Binning, Hist2D};
 use lwfa::{SimConfig, Simulation};
 use pcoords::{AxisSpec, Framebuffer, Layer, ParallelCoordsPlot, PlotConfig, Rgba};
-use pipeline::{BeamAnalyzer, NodePool, TrackingOutput};
+use pipeline::{NodePool, TrackingOutput};
 
 use crate::error::{Result, VdxError};
 
 /// Configuration of a [`DataExplorer`].
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
-    /// Number of parallel "nodes" (worker threads) used for catalog-wide
-    /// operations.
-    pub nodes: usize,
     /// Index or scan: [`ExecStrategy::Auto`] answers queries, histograms
     /// and tracking through the bitmap and identifier indexes (FastBit in
     /// the paper's charts), [`ExecStrategy::ScanOnly`] scans the raw
@@ -28,26 +26,21 @@ pub struct ExplorerConfig {
     pub engine: ExecStrategy,
     /// Binning strategy used when building bitmap indexes during generation.
     pub index_binning: Binning,
-    /// Default histogram resolution (bins per axis).
-    pub default_bins: usize,
-    /// Worker threads used *within* one query/histogram evaluation by the
-    /// chunked parallel engine. `1` (the default) runs the exact legacy
-    /// sequential path; `> 1` evaluates per-chunk with zone-map pruning and
-    /// produces the identical row sets and histogram counts.
+    /// Worker threads used *within* one query/histogram evaluation. `1`
+    /// (the default) runs the sequential compiled engine, which uses the
+    /// bitmap indexes under [`ExecStrategy::Auto`]; `> 1` runs the chunked
+    /// zone-pruned scan over [`fastbit::par::DEFAULT_CHUNK_ROWS`]-row
+    /// chunks, which never reads an index. Both give identical row sets and
+    /// histogram counts.
     pub threads: usize,
-    /// Rows per evaluation chunk of the parallel engine.
-    pub chunk_rows: usize,
 }
 
 impl Default for ExplorerConfig {
     fn default() -> Self {
         Self {
-            nodes: 4,
             engine: ExecStrategy::Auto,
             index_binning: Binning::EqualWidth { bins: 256 },
-            default_bins: 256,
             threads: 1,
-            chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
         }
     }
 }
@@ -66,8 +59,9 @@ pub struct BeamSelection {
 
 /// The top-level exploration session over one timestep catalog.
 ///
-/// The catalog is held behind an [`Arc`] so one catalog (and optionally one
-/// [`DatasetCache`]) can be shared by many explorers — e.g. one per server
+/// Every timestep load goes through a [`DatasetCache`] (full column set
+/// plus indexes). The catalog and the cache are held behind [`Arc`]s so one
+/// catalog and one cache can be shared by many explorers — e.g. one per server
 /// worker thread — without cloning the entry table. `DataExplorer` is
 /// `Send + Sync`; see the `shared_catalog_is_send_sync` test.
 ///
@@ -92,9 +86,11 @@ pub struct BeamSelection {
 pub struct DataExplorer {
     catalog: Arc<Catalog>,
     config: ExplorerConfig,
-    /// When set, timestep loads go through this shared cache (full column
-    /// set + indexes) instead of re-reading files per call.
-    cache: Option<Arc<DatasetCache>>,
+    /// The cache every timestep load goes through.
+    cache: Arc<DatasetCache>,
+    /// Catalog-wide operations (tracking, temporal histograms) fan their
+    /// timesteps out over one node per available core.
+    pool: NodePool,
     /// The chunked parallel executor (thread count, chunk size, lifetime
     /// pruning statistics). Only consulted when `config.threads > 1`.
     par: ParExec,
@@ -147,21 +143,25 @@ impl DataExplorer {
         Ok(Self::from_catalog(Arc::new(catalog), config))
     }
 
-    /// Build an explorer over an already opened, shared catalog.
+    /// Build an explorer over an already opened, shared catalog, with a
+    /// dataset cache of its own ([`DatasetCacheConfig::default`]).
     pub fn from_catalog(catalog: Arc<Catalog>, config: ExplorerConfig) -> Self {
-        let par = ParExec::new(config.threads, config.chunk_rows);
+        let par = ParExec::new(config.threads, DEFAULT_CHUNK_ROWS);
+        let nodes = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             catalog,
             config,
-            cache: None,
+            cache: Arc::new(DatasetCache::new(DatasetCacheConfig::default())),
+            pool: NodePool::new(nodes),
             par,
             plans: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
         }
     }
 
-    /// Route this explorer's timestep loads through a shared dataset cache.
+    /// Load through `cache`, shared with other explorers, instead of this
+    /// explorer's own.
     pub fn with_dataset_cache(mut self, cache: Arc<DatasetCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -175,23 +175,10 @@ impl DataExplorer {
         Arc::clone(&self.catalog)
     }
 
-    /// Load one timestep, consulting the shared cache when configured. The
-    /// cache always holds the full column set with indexes (a superset of
-    /// any projection), so cached loads ignore `projection`.
-    fn load_step(
-        &self,
-        step: usize,
-        projection: Option<&[&str]>,
-        with_indexes: bool,
-    ) -> Result<Arc<Dataset>> {
-        match &self.cache {
-            Some(cache) => Ok(cache.get_or_load(&self.catalog, step)?),
-            None => Ok(Arc::new(self.catalog.load(
-                step,
-                projection,
-                with_indexes,
-            )?)),
-        }
+    /// Load one timestep through the dataset cache: the full column set
+    /// with every index.
+    pub(crate) fn load_step(&self, step: usize) -> Result<Arc<Dataset>> {
+        Ok(self.cache.get_or_load(&self.catalog, step)?)
     }
 
     /// The configuration in use.
@@ -202,12 +189,6 @@ impl DataExplorer {
     /// The timesteps available.
     pub fn steps(&self) -> Vec<usize> {
         self.catalog.steps()
-    }
-
-    /// A [`BeamAnalyzer`] bound to this catalog.
-    pub fn analyzer(&self) -> BeamAnalyzer<'_> {
-        BeamAnalyzer::new(&self.catalog, NodePool::new(self.config.nodes))
-            .with_engine(self.config.engine)
     }
 
     /// Whether intra-query chunked parallelism is enabled.
@@ -247,9 +228,7 @@ impl DataExplorer {
     pub fn select(&self, step: usize, query: &str) -> Result<BeamSelection> {
         let expr = parse_query(query)?;
         let ids = if self.parallel() {
-            // The chunked evaluator never consults bitmap indexes, so skip
-            // the sidecar load (cached loads always carry them regardless).
-            let dataset = self.load_step(step, None, false)?;
+            let dataset = self.load_step(step)?;
             let program = self.plans.get_or_compile(&expr);
             let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
             let selection = {
@@ -258,7 +237,7 @@ impl DataExplorer {
             };
             dataset.ids_of(&selection)?
         } else {
-            let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+            let dataset = self.load_step(step)?;
             let program = self.plans.get_or_compile(&expr);
             let selection = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
             dataset.ids_of(&selection)?
@@ -292,7 +271,7 @@ impl DataExplorer {
     /// (like the server) that track id sets without a [`BeamSelection`].
     pub fn refine_ids(&self, step: usize, ids: &[u64], expr: &QueryExpr) -> Result<Vec<u64>> {
         if self.parallel() {
-            let dataset = self.load_step(step, None, true)?;
+            let dataset = self.load_step(step)?;
             let by_id = dataset.select_ids(ids)?;
             let program = self.plans.get_or_compile(expr);
             let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
@@ -302,52 +281,43 @@ impl DataExplorer {
             };
             return Ok(dataset.ids_of(&by_id.and(&by_query)?)?);
         }
-        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        let dataset = self.load_step(step)?;
         let by_id = dataset.select_ids(ids)?;
         let program = self.plans.get_or_compile(expr);
         let by_query = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
         Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
     }
 
-    /// Trace a particle set across every timestep. With a shared cache
-    /// attached, every timestep is served from (and admitted to) the cache
-    /// instead of re-reading files per request.
+    /// Trace a particle set across every timestep, each served from (and
+    /// admitted to) the dataset cache.
     pub fn track(&self, ids: &[u64]) -> Result<TrackingOutput> {
-        match &self.cache {
-            Some(cache) => {
-                let steps = self.catalog.steps();
-                let tracker = pipeline::Tracker::new(self.config.engine);
-                Ok(tracker.track_with(
-                    &steps,
-                    |step| Ok(cache.get_or_load(&self.catalog, step)?),
-                    ids,
-                    &NodePool::new(self.config.nodes),
-                )?)
-            }
-            None => Ok(self.analyzer().track(ids)?),
-        }
+        let steps = self.catalog.steps();
+        let tracker = pipeline::Tracker::new(self.config.engine);
+        Ok(tracker.track_with(
+            &steps,
+            |step| Ok(self.cache.get_or_load(&self.catalog, step)?),
+            ids,
+            &self.pool,
+        )?)
     }
 
     /// Matches per tracked particle over every timestep, as `(id, points)`
     /// pairs in ascending id order with ids found nowhere left out: the
     /// `(trace.id, trace.points.len())` of [`DataExplorer::track`], without
-    /// the trace points. With a shared cache under `ExecStrategy::Auto`,
-    /// each timestep is counted from an identifier index alone — a resident
-    /// dataset's, else the one [`Catalog::load_id_index`] reads — and
-    /// nothing is admitted into the cache. Otherwise the counts come from
+    /// the trace points. Under `ExecStrategy::Auto`, each timestep is
+    /// counted from an identifier index alone — a resident dataset's, else
+    /// the one [`Catalog::load_id_index`] reads — and nothing is admitted
+    /// into the cache. Under `ScanOnly` the counts come from
     /// [`DataExplorer::track`].
     pub fn track_counts(&self, ids: &[u64]) -> Result<Vec<(u64, u64)>> {
-        let cache = match &self.cache {
-            Some(cache) if self.config.engine == ExecStrategy::Auto => cache,
-            _ => {
-                let tracking = self.track(ids)?;
-                return Ok(tracking
-                    .traces
-                    .iter()
-                    .map(|t| (t.id, t.points.len() as u64))
-                    .collect());
-            }
-        };
+        if self.config.engine != ExecStrategy::Auto {
+            let tracking = self.track(ids)?;
+            return Ok(tracking
+                .traces
+                .iter()
+                .map(|t| (t.id, t.points.len() as u64))
+                .collect());
+        }
         let mut wanted = ids.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
@@ -358,8 +328,8 @@ impl DataExplorer {
                 .collect()
         };
         let steps = self.catalog.steps();
-        let (per_step, _) = NodePool::new(self.config.nodes).run(steps.len(), |i| {
-            Ok(match cache.get_resident(steps[i]) {
+        let (per_step, _) = self.pool.run(steps.len(), |i| {
+            Ok(match self.cache.get_resident(steps[i]) {
                 Some(dataset) => match dataset.id_index() {
                     Some(idx) => count(idx),
                     None => count(&IdIndex::build(dataset.table().id_column("id")?)),
@@ -391,7 +361,7 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<histogram::Hist1D> {
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        let dataset = self.load_step(step)?;
         if self.parallel() {
             return Ok(dataset.hist_engine().hist1d_par(
                 column,
@@ -423,7 +393,7 @@ impl DataExplorer {
             return Err(VdxError::Invalid("need at least two axes".into()));
         }
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        let dataset = self.load_step(step)?;
         let engine = dataset.hist_engine();
         let spec = if adaptive {
             BinSpec::Adaptive(bins)
@@ -476,7 +446,7 @@ impl DataExplorer {
         axes: &[&str],
         plot: PlotConfig,
     ) -> Result<ParallelCoordsPlot> {
-        let dataset = self.load_step(step, Some(axes), false)?;
+        let dataset = self.load_step(step)?;
         let specs: Vec<AxisSpec> = axes
             .iter()
             .map(|&name| {
@@ -527,9 +497,7 @@ impl DataExplorer {
             return Err(VdxError::Invalid("need at least two axes".into()));
         }
         let pairs: Vec<(&str, &str)> = axes.windows(2).map(|w| (w[0], w[1])).collect();
-        let temporal = self
-            .analyzer()
-            .temporal_histograms(ids, steps, pairs, bins)?;
+        let temporal = self.temporal_histograms(ids, steps, pairs, bins)?;
         let reference_step = steps.first().copied().unwrap_or(0);
         let plot = self.plot_for(reference_step, axes, PlotConfig::default())?;
         Ok(plot.render_temporal(&temporal.per_timestep, gamma))
@@ -545,7 +513,7 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<Framebuffer> {
         let plot = self.plot_for(step, axes, PlotConfig::default())?;
-        let dataset = self.load_step(step, None, self.config.engine == ExecStrategy::Auto)?;
+        let dataset = self.load_step(step)?;
         // Evaluate with the configured strategy (not Auto): a cached dataset
         // always carries indexes, and the ScanOnly baseline must keep scanning.
         let selection = match condition {
@@ -590,13 +558,15 @@ mod tests {
     }
 
     fn small_explorer(tag: &str) -> (DataExplorer, PathBuf) {
+        explorer_with(tag, 700)
+    }
+
+    fn explorer_with(tag: &str, particles: usize) -> (DataExplorer, PathBuf) {
         let dir = temp_dir(tag);
         let mut sim = SimConfig::tiny();
-        sim.particles_per_step = 700;
+        sim.particles_per_step = particles;
         sim.num_timesteps = 18;
         let config = ExplorerConfig {
-            nodes: 2,
-            default_bins: 64,
             index_binning: Binning::EqualWidth { bins: 32 },
             ..Default::default()
         };
@@ -672,7 +642,8 @@ mod tests {
         let refined = explorer.refine(&baseline, 16, "y > 0").unwrap();
         assert!(!refined.ids.is_empty() && refined.ids.len() < baseline.ids.len());
 
-        // Index or scan, with or without the shared cache: the same ids.
+        // Index or scan, through the shared cache or an explorer's own: the
+        // same ids.
         std::thread::scope(|scope| {
             for engine in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
                 for cached in [true, false] {
@@ -710,14 +681,14 @@ mod tests {
 
     #[test]
     fn parallel_explorer_matches_sequential_exactly() {
-        let (sequential, dir) = small_explorer("par_vs_seq");
+        // Three chunks of `DEFAULT_CHUNK_ROWS` per step, the last one short,
+        // so the chunked engine prunes and combines across chunks.
+        let (sequential, dir) = explorer_with("par_vs_seq", 2 * DEFAULT_CHUNK_ROWS + 700);
         let catalog = sequential.catalog_arc();
         let parallel = DataExplorer::from_catalog(
             Arc::clone(&catalog),
             ExplorerConfig {
                 threads: 4,
-                chunk_rows: 97,
-                nodes: 2,
                 index_binning: Binning::EqualWidth { bins: 32 },
                 ..Default::default()
             },
@@ -754,6 +725,11 @@ mod tests {
 
         let stats = parallel.par_stats();
         assert!(stats.queries >= 4, "chunked engine actually ran");
+        let chunks = stats.chunks_pruned_empty + stats.chunks_pruned_full + stats.chunks_scanned;
+        assert!(
+            chunks >= 3 * stats.queries,
+            "every evaluation spans three chunks"
+        );
         assert_eq!(sequential.par_stats().queries, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -761,11 +737,6 @@ mod tests {
     #[test]
     fn plan_cache_serves_repeated_queries_across_steps() {
         let (explorer, dir) = small_explorer("plan_cache");
-        // The compiled path runs behind a dataset cache (the analyzer
-        // fallback re-reads files per request and predates compilation).
-        let explorer = explorer.with_dataset_cache(Arc::new(DatasetCache::new(
-            datastore::DatasetCacheConfig::default(),
-        )));
         let a = explorer.select(17, "px > 1.5e10 && y > 0").unwrap();
         // Same query, different timestep: one compiled program serves both.
         let b = explorer.select(16, "px > 1.5e10 && y > 0").unwrap();

@@ -35,10 +35,12 @@
 
 #![deny(missing_docs)]
 
+pub mod analysis;
 pub mod error;
 pub mod explorer;
 pub mod prelude;
 
+pub use analysis::{BeamStatistics, TemporalHistograms};
 pub use error::{Result, VdxError};
 pub use explorer::{BeamSelection, DataExplorer, ExplorerConfig};
 

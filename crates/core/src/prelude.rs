@@ -1,5 +1,6 @@
 //! Convenient re-exports for applications built on VDX.
 
+pub use crate::analysis::{BeamStatistics, TemporalHistograms};
 pub use crate::error::{Result, VdxError};
 pub use crate::explorer::{BeamSelection, DataExplorer, ExplorerConfig};
 
@@ -8,4 +9,4 @@ pub use fastbit::{parse_query, BinSpec, ExecStrategy, QueryExpr, Selection, Valu
 pub use histogram::{BinEdges, Binning, Hist1D, Hist2D};
 pub use lwfa::{Dims, SimConfig, Simulation};
 pub use pcoords::{AxisSpec, Framebuffer, Layer, ParallelCoordsPlot, PlotConfig, Rgba};
-pub use pipeline::{BeamAnalyzer, HistogramStage, NodePool, Tracker, TrackingOutput};
+pub use pipeline::{HistogramStage, NodePool, Tracker, TrackingOutput};

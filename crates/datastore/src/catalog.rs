@@ -61,6 +61,26 @@ pub struct Catalog {
     store: Option<Store>,
 }
 
+/// Remove `path`; a file that is not there is not an error.
+fn remove_if_present(path: &Path) -> Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
+/// Reject a sidecar index that covers `found` rows of a `rows`-row table.
+fn check_index_rows(path: &Path, rows: usize, found: usize) -> Result<()> {
+    if found == rows {
+        return Ok(());
+    }
+    Err(DataStoreError::IndexRows {
+        path: path.to_path_buf(),
+        expected: rows,
+        found,
+    })
+}
+
 fn data_file_name(step: usize) -> String {
     format!("timestep_{step:05}.vdc")
 }
@@ -237,6 +257,15 @@ impl Catalog {
             }
             None => (None, None),
         };
+        // A sidecar this write did not produce indexes the step's old data.
+        for (written, name) in [
+            (&index_path, index_file_name(step)),
+            (&id_index_path, id_index_file_name(step)),
+        ] {
+            if written.is_none() {
+                remove_if_present(&self.dir.join(name))?;
+            }
+        }
         // The raw files changed: any persisted segment for this step is now
         // stale and must never be served again.
         if let Some(store) = &self.store {
@@ -312,7 +341,10 @@ impl Catalog {
             None => {
                 obs::note("source", || "raw".to_string());
                 if let Some(path) = &entry.id_index_path {
-                    return format::read_id_index(path);
+                    let id_index = format::read_id_index(path)?;
+                    let rows = format::read_header(&entry.data_path)?.num_rows as usize;
+                    check_index_rows(path, rows, id_index.num_rows())?;
+                    return Ok(id_index);
                 }
                 self.load_raw(entry, Some(&["id"]), false)?
             }
@@ -354,10 +386,14 @@ impl Catalog {
         with_indexes: bool,
     ) -> Result<Dataset> {
         let table = format::read_table(&entry.data_path, projection)?;
+        let rows = table.num_rows();
         let mut ds = Dataset::from_table(table, entry.step);
         if with_indexes {
             if let Some(index_path) = &entry.index_path {
                 let indexes = format::read_indexes(index_path, projection)?;
+                for (_, index) in &indexes {
+                    check_index_rows(index_path, rows, index.num_rows())?;
+                }
                 ds.attach_indexes(indexes);
             }
             let want_ids = projection
@@ -365,7 +401,9 @@ impl Catalog {
                 .unwrap_or(true);
             if want_ids {
                 if let Some(id_index_path) = &entry.id_index_path {
-                    ds.attach_id_index(format::read_id_index(id_index_path)?);
+                    let id_index = format::read_id_index(id_index_path)?;
+                    check_index_rows(id_index_path, rows, id_index.num_rows())?;
+                    ds.attach_id_index(id_index);
                 }
             }
         }
@@ -559,6 +597,69 @@ mod tests {
         cat.write_timestep(4, &table(75, 2), None).unwrap();
         assert_eq!(cat.num_timesteps(), 1);
         assert_eq!(cat.load(4, None, false).unwrap().num_particles(), 75);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A table whose `x` is `values` and whose ids count from 0.
+    fn x_table(values: Vec<f64>) -> ParticleTable {
+        let id: Vec<u64> = (0..values.len() as u64).collect();
+        ParticleTable::from_columns(vec![Column::float("x", values), Column::id("id", id)]).unwrap()
+    }
+
+    #[test]
+    fn rewriting_without_indexes_removes_the_old_sidecars() {
+        let dir = temp_catalog_dir("stale_sidecars");
+        let mut cat = Catalog::create(&dir).unwrap();
+        let ramp: Vec<f64> = (0..1000).map(f64::from).collect();
+        cat.write_timestep(
+            0,
+            &x_table(ramp.clone()),
+            Some(&Binning::EqualWidth { bins: 16 }),
+        )
+        .unwrap();
+        // The same values in reverse row order, written without indexes.
+        cat.write_timestep(0, &x_table(ramp.into_iter().rev().collect()), None)
+            .unwrap();
+        assert!(!dir.join(index_file_name(0)).exists());
+        assert!(!dir.join(id_index_file_name(0)).exists());
+
+        let reopened = Catalog::open(&dir).unwrap();
+        let entry = reopened.entry(0).unwrap();
+        assert_eq!((&entry.index_path, &entry.id_index_path), (&None, &None));
+        let ds = reopened.load(0, None, true).unwrap();
+        let rows = ds.query_str("x < 100").unwrap().to_rows();
+        assert_eq!(rows, (900..1000).collect::<Vec<usize>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sidecar_of_another_row_count_is_rejected() {
+        let dir = temp_catalog_dir("foreign_sidecars");
+        let mut cat = Catalog::create(&dir).unwrap();
+        let binning = Binning::EqualWidth { bins: 16 };
+        cat.write_timestep(0, &table(1000, 1), Some(&binning))
+            .unwrap();
+        cat.write_timestep(1, &table(500, 2), Some(&binning))
+            .unwrap();
+        // Step 1's indexes dropped in beside step 0's data from outside.
+        for name in [index_file_name, id_index_file_name] {
+            std::fs::copy(dir.join(name(1)), dir.join(name(0))).unwrap();
+            let reopened = Catalog::open(&dir).unwrap();
+            let expected = dir.join(name(0));
+            let is_stale = |e: &DataStoreError| {
+                matches!(e, DataStoreError::IndexRows { path, expected: 1000, found: 500 }
+                    if *path == expected)
+            };
+            let err = reopened.load(0, None, true).unwrap_err();
+            assert!(is_stale(&err), "{err}");
+            if name(0).ends_with(".vdj") {
+                let err = reopened.load_id_index(0).unwrap_err();
+                assert!(is_stale(&err), "{err}");
+            }
+            assert_eq!(reopened.load(0, None, false).unwrap().num_particles(), 1000);
+            cat.write_timestep(0, &table(1000, 1), Some(&binning))
+                .unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 /// Errors produced by the storage and dataset layer.
 #[derive(Debug)]
@@ -27,6 +28,16 @@ pub enum DataStoreError {
     UnknownTimestep(usize),
     /// The persistent `vdx` store rejected a segment file.
     Store(crate::store::StoreError),
+    /// A `.vdi`/`.vdj` sidecar indexes a different number of rows than the
+    /// timestep's table: it belongs to other data.
+    IndexRows {
+        /// The sidecar file.
+        path: PathBuf,
+        /// Rows in the table.
+        expected: usize,
+        /// Rows the index covers.
+        found: usize,
+    },
 }
 
 impl fmt::Display for DataStoreError {
@@ -43,6 +54,15 @@ impl fmt::Display for DataStoreError {
             DataStoreError::Query(e) => write!(f, "query error: {e}"),
             DataStoreError::UnknownTimestep(t) => write!(f, "unknown timestep {t}"),
             DataStoreError::Store(e) => write!(f, "store error: {e}"),
+            DataStoreError::IndexRows {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "{} indexes {found} rows, its table has {expected}",
+                path.display()
+            ),
         }
     }
 }

@@ -16,21 +16,20 @@
 //!   requested 2D histogram pairs and discard the raw data.
 //! * [`tracker`] — particle tracking: evaluate `ID IN (…)` across every
 //!   timestep and assemble per-particle traces.
-//! * [`analysis`] — the beam-analysis workflow of Section IV: beam selection
-//!   by momentum threshold, selection refinement, per-timestep beam
-//!   statistics and temporal histogram stacks for temporal parallel
-//!   coordinates.
+//!
+//! These are the substrate of the paper's Figures 14–17, which run them at
+//! an explicit node count. The beam-analysis workflow of Section IV lives
+//! on `vdx_core::DataExplorer`, which runs the tracker through its dataset
+//! cache.
 
 #![deny(missing_docs)]
 
-pub mod analysis;
 pub mod contract;
 pub mod error;
 pub mod executor;
 pub mod stages;
 pub mod tracker;
 
-pub use analysis::{BeamAnalyzer, BeamStatistics, TemporalHistograms};
 pub use contract::Contract;
 pub use error::{PipelineError, Result};
 pub use executor::{NodePool, NodeReport};

@@ -3,11 +3,11 @@
 //!
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
-//!                  [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N]
-//!                  [--chunk-rows N] [--store-dir DIR] [--trace-sample N]
-//!                  [--slow-ms MS] [--max-line-bytes N]
-//!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
-//!                  [--max-pipeline N] [--queue-depth N]
+//!                  [--cache-mb MB] [--query-cache N] [--threads N]
+//!                  [--store-dir DIR] [--trace-sample N] [--slow-ms MS]
+//!                  [--max-line-bytes N] [--idle-timeout-ms MS]
+//!                  [--write-timeout-ms MS] [--max-pipeline N]
+//!                  [--queue-depth N]
 //! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
 //!                  [--workers N] [--backend-timeout-ms MS]
 //!                  [--backend-inflight N] [--health-interval-ms MS]
@@ -29,6 +29,12 @@
 //! thread. The connection-hardening knobs (`--max-line-bytes`,
 //! `--idle-timeout-ms`, `--write-timeout-ms`, `--max-pipeline`,
 //! `--queue-depth`) are documented in docs/PROTOCOL.md.
+//!
+//! `--threads N` picks the engine one SELECT/REFINE/HIST evaluation runs
+//! on: `1` (the default) is the sequential compiled engine, which uses the
+//! bitmap indexes; `N > 1` is the chunked zone-pruned scan over 4096-row
+//! chunks, which never reads an index. A catalog-wide `TRACK` fans its
+//! timesteps out over one thread per available core.
 //!
 //! `--store-dir` attaches the persistent `vdx` segment store: loads check
 //! the store before ingesting raw data, cold loads write their segment back,
@@ -71,7 +77,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 /// subcommand accepts, and which of them take a number, from it, so the two
 /// cannot drift.
 const USAGE: [(&str, &str); 5] = [
-    ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
+    ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--threads N] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
     ("route", "--shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
     ("query", "--addr HOST:PORT <verb> [field ...]"),
     ("smoke", "[--dir DIR] [--store-dir DIR]"),
@@ -143,9 +149,7 @@ fn conn_config(args: &[String]) -> ConnConfig {
 fn server_config(args: &[String]) -> ServerConfig {
     let defaults = ServerConfig::with_conn(conn_config(args));
     ServerConfig {
-        nodes: parsed_flag(args, "--nodes", defaults.nodes),
         threads: parsed_flag(args, "--threads", defaults.threads),
-        chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows),
         dataset_cache: DatasetCacheConfig {
             max_bytes: flag(args, "--cache-mb")
                 .and_then(|v| mb_bytes(&v))

@@ -71,13 +71,11 @@ pub struct ServerConfig {
     /// Hard cap on one connection's buffered unsent reply bytes; a peer
     /// that reads slower than it queries is disconnected at this point.
     pub write_buf_limit: usize,
-    /// Parallel "nodes" used by catalog-wide tracking requests.
-    pub nodes: usize,
-    /// Worker threads used *within* one SELECT/REFINE/HIST evaluation by the
-    /// chunked parallel engine (1 = exact legacy sequential path).
+    /// Worker threads used *within* one SELECT/REFINE/HIST evaluation: `1`
+    /// runs the sequential compiled engine, which uses the bitmap indexes;
+    /// `> 1` runs the chunked zone-pruned scan, which never reads an index
+    /// (see [`ExplorerConfig::threads`]).
     pub threads: usize,
-    /// Rows per evaluation chunk of the parallel engine.
-    pub chunk_rows: usize,
     /// Budget and sharding of the resident dataset cache.
     pub dataset_cache: DatasetCacheConfig,
     /// Maximum memoized query replies (0 disables the query cache).
@@ -103,9 +101,7 @@ impl ServerConfig {
             max_pipeline: conn.max_pipeline,
             queue_depth: conn.queue_depth,
             write_buf_limit: conn.write_buf_limit,
-            nodes: 2,
             threads: 1,
-            chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
             dataset_cache: DatasetCacheConfig::default(),
             query_cache_entries: 1024,
             trace_sample: 1,
@@ -491,9 +487,7 @@ impl Server {
         let explorer = DataExplorer::from_catalog(
             catalog,
             ExplorerConfig {
-                nodes: config.nodes,
                 threads: config.threads,
-                chunk_rows: config.chunk_rows,
                 ..Default::default()
             },
         )

@@ -7,11 +7,15 @@ use std::process::Command;
 
 #[test]
 fn serve_rejects_unknown_flags_and_unparsable_values_before_opening_the_dir() {
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 7] = [
         // The retired connection-layer knob.
         ("io_mode", &["--io-mode", "threaded"], "--io-mode"),
         // The retired chunked-engine index-acceleration knob.
         ("index_accel", &["--index-accel"], "--index-accel"),
+        // The retired tracking fan-out knob (one node per available core).
+        ("nodes", &["--nodes", "2"], "--nodes"),
+        // The retired chunk-size knob (always `DEFAULT_CHUNK_ROWS`).
+        ("chunk_rows", &["--chunk-rows", "64"], "--chunk-rows"),
         // A misspelling of `--idle-timeout-ms`.
         ("idle", &["--idle-timeout", "5"], "--idle-timeout"),
         // A known flag whose value is not a number.

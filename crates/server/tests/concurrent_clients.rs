@@ -38,7 +38,6 @@ fn fixture(tag: &str) -> Fixture {
         &dir,
         sim.clone(),
         ExplorerConfig {
-            nodes: 2,
             index_binning: histogram::Binning::EqualWidth { bins: 32 },
             ..Default::default()
         },

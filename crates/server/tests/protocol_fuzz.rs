@@ -2,7 +2,9 @@
 //! produce an `ERR` (or `OK`) reply — never a panic, never a hang — both
 //! through the in-process `handle_line` path and over a real TCP connection.
 //! Also round-trips `STATS` and asserts the per-query thread metrics of the
-//! chunked parallel engine are reported and move.
+//! chunked parallel engine are reported and move. Every step holds three
+//! chunks of `DEFAULT_CHUNK_ROWS` rows, so the `threads: 2` servers prune
+//! and combine across chunks.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -11,6 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datastore::Catalog;
+use fastbit::par::DEFAULT_CHUNK_ROWS;
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -21,7 +24,7 @@ fn tiny_catalog(tag: &str) -> (Arc<Catalog>, PathBuf) {
     std::fs::remove_dir_all(&dir).ok();
     let mut catalog = Catalog::create(&dir).unwrap();
     let mut config = SimConfig::tiny();
-    config.particles_per_step = 250;
+    config.particles_per_step = 3 * DEFAULT_CHUNK_ROWS;
     config.num_timesteps = 4;
     Simulation::new(config)
         .run_to_catalog(&mut catalog, Some(&Binning::EqualWidth { bins: 16 }))
@@ -37,7 +40,6 @@ fn parallel_server(tag: &str) -> (Server, PathBuf) {
         ServerConfig {
             workers: 2,
             threads: 2,
-            chunk_rows: 64,
             ..Default::default()
         },
     )
@@ -181,7 +183,6 @@ fn stats_roundtrip_reports_parallel_thread_metrics() {
         ServerConfig {
             workers: 2,
             threads: 2,
-            chunk_rows: 64,
             ..Default::default()
         },
     )
@@ -193,7 +194,7 @@ fn stats_roundtrip_reports_parallel_thread_metrics() {
     let (stats, _) = state.handle_line("STATS");
     assert!(stats.starts_with("OK\tSTATS\t"));
     assert!(stats.contains("par_threads=2"), "{stats}");
-    assert!(stats.contains("par_chunk_rows=64"), "{stats}");
+    assert!(stats.contains("par_chunk_rows=4096"), "{stats}");
     assert!(stats.contains("par_queries=0"), "{stats}");
 
     // SELECT and conditional HIST run through the chunked engine.
@@ -215,7 +216,10 @@ fn stats_roundtrip_reports_parallel_thread_metrics() {
     let touched = field("par_chunks_pruned_empty")
         + field("par_chunks_pruned_full")
         + field("par_chunks_scanned");
-    assert!(touched > 0, "chunk accounting moved: {stats}");
+    assert!(
+        touched >= 3 * field("par_queries"),
+        "every evaluation spans three chunks: {stats}"
+    );
 
     // The replies themselves are byte-identical to a sequential server's
     // over the same catalog.

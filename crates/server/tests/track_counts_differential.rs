@@ -1,7 +1,10 @@
 //! A server's `TRACK` counts matches from identifier indexes alone; this
 //! suite pins that its reply bytes equal `protocol::track_reply` of a full
-//! `DataExplorer::track` over the same catalog, whatever the dataset cache
-//! holds and wherever the identifier indexes come from.
+//! tracking run over the same catalog, whatever the dataset cache holds and
+//! wherever the identifier indexes come from. The full run is
+//! `pipeline::Tracker` reading projected columns straight from the raw
+//! files, so the oracle shares neither the dataset cache nor the store
+//! with the server.
 //!
 //! Id sets (seeded): the ids of a SELECT, a subset with duplicates in
 //! shuffled order, present ids mixed with ids absent from every step, and a
@@ -19,6 +22,7 @@ use datastore::store::{crc32, HEADER_LEN, TABLE_ENTRY_LEN};
 use datastore::{Catalog, Column, DatasetCache, DatasetCacheConfig, ParticleTable, Store};
 use fastbit::ExecStrategy;
 use histogram::Binning;
+use pipeline::{NodePool, Tracker};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use vdx_core::{DataExplorer, ExplorerConfig};
 use vdx_server::protocol;
@@ -56,11 +60,13 @@ fn one_step_budget() -> ServerConfig {
     }
 }
 
-/// The expected reply: a full tracking run through an explorer without a
-/// dataset cache (projection loads from the raw files, never the store).
+/// The expected reply: a full tracking run with no dataset cache (projected
+/// loads from the raw files, never the store).
 fn expected(catalog: &Arc<Catalog>, ids: &[u64]) -> String {
-    let oracle = DataExplorer::from_catalog(Arc::clone(catalog), ExplorerConfig::default());
-    protocol::track_reply(&oracle.track(ids).unwrap())
+    let tracking = Tracker::new(ExecStrategy::Auto)
+        .track(catalog, ids, &NodePool::new(2))
+        .unwrap();
+    protocol::track_reply(&tracking)
 }
 
 fn track_line(ids: &[u64]) -> String {

@@ -63,7 +63,7 @@ fn main() -> vdx_core::Result<()> {
     explorer.save_image(&img, &image_dir.join(format!("beam_selection_{tag}.ppm")))?;
 
     // --- 2. Beam assessment: acceleration then dephasing ---------------------
-    let stats = explorer.analyzer().beam_statistics(&beam.ids)?;
+    let stats = explorer.beam_statistics(&beam.ids)?;
     let peak = stats
         .iter()
         .max_by(|a, b| a.mean_px.partial_cmp(&b.mean_px).unwrap())
@@ -103,7 +103,7 @@ fn main() -> vdx_core::Result<()> {
         refined.ids.len(),
         beam.ids.len()
     );
-    let refined_stats = explorer.analyzer().beam_statistics(&refined.ids)?;
+    let refined_stats = explorer.beam_statistics(&refined.ids)?;
     if let (Some(all_last), Some(ref_last)) = (stats.last(), refined_stats.last()) {
         println!(
             "  transverse spread at t={}: full beam {:.3e}, refined subset {:.3e}",

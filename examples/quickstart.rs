@@ -60,7 +60,7 @@ fn main() -> vdx_core::Result<()> {
     println!("  wrote {}", path.display());
 
     // 5. A quick look at how the beam evolved.
-    let stats = explorer.analyzer().beam_statistics(&beam.ids)?;
+    let stats = explorer.beam_statistics(&beam.ids)?;
     println!("  step   count   mean px       px spread");
     for s in stats
         .iter()

@@ -16,9 +16,7 @@ fn build_explorer(tag: &str, particles: usize, steps: usize) -> (DataExplorer, s
     sim.particles_per_step = particles;
     sim.num_timesteps = steps;
     let config = ExplorerConfig {
-        nodes: 3,
         index_binning: Binning::EqualWidth { bins: 64 },
-        default_bins: 64,
         ..Default::default()
     };
     let explorer = DataExplorer::generate(&dir, sim, config).unwrap();

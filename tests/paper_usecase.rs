@@ -19,7 +19,6 @@ fn setup() -> UseCase {
         &dir,
         sim.clone(),
         ExplorerConfig {
-            nodes: 4,
             index_binning: Binning::EqualWidth { bins: 64 },
             ..Default::default()
         },
@@ -81,8 +80,8 @@ fn paper_use_case_sections_a_through_e() {
             .map(|r| ids[r])
             .collect()
     };
-    let stats_b1 = explorer.analyzer().beam_statistics(&ids_b1).unwrap();
-    let stats_b2 = explorer.analyzer().beam_statistics(&ids_b2).unwrap();
+    let stats_b1 = explorer.beam_statistics(&ids_b1).unwrap();
+    let stats_b2 = explorer.beam_statistics(&ids_b2).unwrap();
     let b1_peak = stats_b1
         .iter()
         .max_by(|a, b| a.mean_px.partial_cmp(&b.mean_px).unwrap())
@@ -133,7 +132,6 @@ fn paper_use_case_sections_a_through_e() {
     // per-timestep histograms show increasing px.
     let steps: Vec<usize> = (sim.beam2_injection_step..sim.beam2_injection_step + 9).collect();
     let temporal = explorer
-        .analyzer()
         .temporal_histograms(&beam.ids, &steps, vec![("x", "px")], 64)
         .unwrap();
     assert_eq!(temporal.per_timestep.len(), steps.len());
@@ -175,7 +173,6 @@ fn paper_use_case_3d_selection_and_tracing() {
         &dir,
         sim.clone(),
         ExplorerConfig {
-            nodes: 4,
             index_binning: Binning::EqualWidth { bins: 64 },
             ..Default::default()
         },
