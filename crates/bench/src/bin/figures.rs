@@ -25,11 +25,11 @@ use datastore::{Catalog, Dataset};
 use fastbit::par::{evaluate_chunked, ParExec, DEFAULT_CHUNK_ROWS};
 use fastbit::{scan, BinSpec, ExecStrategy, HistogramEngine, QueryExpr, ValueRange};
 use histogram::Hist2D;
-use pipeline::{HistogramStage, NodePool, StageOutput, Tracker};
 use vdx_bench::{
     catalog_workload, id_search_set, serial_dataset, threshold_for_hits, time_stats, Series,
     TimeStats,
 };
+use vdx_core::pipeline::{HistogramStage, StageOutput, Tracker};
 
 const USAGE: &str =
     "[--particles N] [--timesteps N] [--nodes LIST] [--out DIR] [--samples N] [--quick]";
@@ -1061,7 +1061,6 @@ fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
 
     let mut base: Option<[f64; 4]> = None;
     for &nodes in &args.nodes {
-        let pool = NodePool::new(nodes);
         let mut row = [0.0f64; 4];
         for (i, (kind, cond)) in [("uncond", None), ("cond", Some(&condition))]
             .into_iter()
@@ -1072,7 +1071,7 @@ fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
                 if let Some(c) = cond {
                     stage = stage.with_condition(c.clone());
                 }
-                stage.run(catalog, &pool).unwrap()
+                stage.run(catalog, nodes).unwrap()
             };
             let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));
             assert!(
@@ -1122,10 +1121,9 @@ fn fig16_17_parallel_tracking(args: &Args, catalog: &Catalog) {
 
     let mut base: Option<[f64; 2]> = None;
     for &nodes in &args.nodes {
-        let pool = NodePool::new(nodes);
         let run = |strategy| {
             Tracker::new(strategy)
-                .track(catalog, &tracked, &pool)
+                .track(catalog, &tracked, nodes)
                 .unwrap()
         };
         let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));

@@ -7,10 +7,9 @@ use std::fmt;
 pub enum VdxError {
     /// Storage-layer failure.
     Store(datastore::DataStoreError),
-    /// Index/query failure (including query-string parse errors).
+    /// Index/query failure (including query-string parse errors and a
+    /// panicked fan-out worker).
     Query(fastbit::FastBitError),
-    /// Pipeline execution failure.
-    Pipeline(pipeline::PipelineError),
     /// I/O failure outside the storage layer (e.g. writing an image).
     Io(std::io::Error),
     /// The request was inconsistent with the catalog (missing axis, etc.).
@@ -22,7 +21,6 @@ impl fmt::Display for VdxError {
         match self {
             VdxError::Store(e) => write!(f, "{e}"),
             VdxError::Query(e) => write!(f, "{e}"),
-            VdxError::Pipeline(e) => write!(f, "{e}"),
             VdxError::Io(e) => write!(f, "{e}"),
             VdxError::Invalid(msg) => write!(f, "{msg}"),
         }
@@ -40,12 +38,6 @@ impl From<datastore::DataStoreError> for VdxError {
 impl From<fastbit::FastBitError> for VdxError {
     fn from(e: fastbit::FastBitError) -> Self {
         VdxError::Query(e)
-    }
-}
-
-impl From<pipeline::PipelineError> for VdxError {
-    fn from(e: pipeline::PipelineError) -> Self {
-        VdxError::Pipeline(e)
     }
 }
 

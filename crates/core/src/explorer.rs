@@ -12,9 +12,9 @@ use fastbit::{
 use histogram::{Binning, Hist2D};
 use lwfa::{SimConfig, Simulation};
 use pcoords::{AxisSpec, Framebuffer, Layer, ParallelCoordsPlot, PlotConfig, Rgba};
-use pipeline::{NodePool, TrackingOutput};
 
 use crate::error::{Result, VdxError};
+use crate::pipeline::{Tracker, TrackingOutput};
 
 /// Configuration of a [`DataExplorer`].
 #[derive(Debug, Clone)]
@@ -89,8 +89,8 @@ pub struct DataExplorer {
     /// The cache every timestep load goes through.
     cache: Arc<DatasetCache>,
     /// Catalog-wide operations (tracking, temporal histograms) fan their
-    /// timesteps out over one node per available core.
-    pool: NodePool,
+    /// timesteps out over one thread per available core.
+    track_threads: usize,
     /// The chunked parallel executor (thread count, chunk size, lifetime
     /// pruning statistics). Only consulted when `config.threads > 1`.
     par: ParExec,
@@ -147,12 +147,11 @@ impl DataExplorer {
     /// dataset cache of its own ([`DatasetCacheConfig::default`]).
     pub fn from_catalog(catalog: Arc<Catalog>, config: ExplorerConfig) -> Self {
         let par = ParExec::new(config.threads, DEFAULT_CHUNK_ROWS);
-        let nodes = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             catalog,
             config,
             cache: Arc::new(DatasetCache::new(DatasetCacheConfig::default())),
-            pool: NodePool::new(nodes),
+            track_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             par,
             plans: Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
         }
@@ -292,13 +291,12 @@ impl DataExplorer {
     /// admitted to) the dataset cache.
     pub fn track(&self, ids: &[u64]) -> Result<TrackingOutput> {
         let steps = self.catalog.steps();
-        let tracker = pipeline::Tracker::new(self.config.engine);
-        Ok(tracker.track_with(
+        Tracker::new(self.config.engine).track_with(
             &steps,
             |step| Ok(self.cache.get_or_load(&self.catalog, step)?),
             ids,
-            &self.pool,
-        )?)
+            self.track_threads,
+        )
     }
 
     /// Matches per tracked particle over every timestep, as `(id, points)`
@@ -328,7 +326,7 @@ impl DataExplorer {
                 .collect()
         };
         let steps = self.catalog.steps();
-        let (per_step, _) = self.pool.run(steps.len(), |i| {
+        let per_step = fastbit::par::run(self.track_threads, steps.len(), |i| -> Result<_> {
             Ok(match self.cache.get_resident(steps[i]) {
                 Some(dataset) => match dataset.id_index() {
                     Some(idx) => count(idx),

@@ -9,8 +9,10 @@
 //! * FastBit-style compressed bitmap indexing and compound Boolean range
 //!   queries ([`fastbit`]),
 //! * histogram computation ([`histogram`]),
-//! * the parallel, contract-driven pipeline with particle tracking
-//!   ([`pipeline`]), and
+//! * the catalog-wide stages of the paper's Figures 14–17 ([`pipeline`]):
+//!   the contract-driven reader-level [`pipeline::HistogramStage`] and the
+//!   particle [`pipeline::Tracker`], each fanning timestep files out over
+//!   [`fastbit::par::run`], and
 //! * histogram-based parallel-coordinates rendering ([`pcoords`]).
 //!
 //! The central type is [`DataExplorer`], which owns a timestep catalog and
@@ -39,6 +41,28 @@ pub mod analysis;
 pub mod error;
 pub mod explorer;
 pub mod prelude;
+mod stages;
+mod tracker;
+
+/// The paper's catalog-wide stages, run at an explicit thread count. The
+/// paper hands whole timestep files to compute nodes that never talk to
+/// each other; here each timestep is one item of [`fastbit::par::run`]'s
+/// work queue, which keeps that embarrassingly parallel structure (and the
+/// strong scaling of Figures 14–17).
+///
+/// * [`HistogramStage`](pipeline::HistogramStage) — the reader-level
+///   histogram stage: per timestep file, load only the columns its
+///   [`datastore::Contract`] names, evaluate the condition, compute the
+///   requested 2D histogram pairs and discard the raw data.
+/// * [`Tracker`](pipeline::Tracker) — particle tracking: evaluate
+///   `ID IN (…)` across every timestep and assemble per-particle traces.
+///
+/// The beam-analysis workflow of Section IV runs the tracker through
+/// [`DataExplorer`]'s dataset cache.
+pub mod pipeline {
+    pub use crate::stages::{HistogramStage, StageOutput, TimestepHistograms};
+    pub use crate::tracker::{ParticleTrace, TracePoint, Tracker, TrackingOutput};
+}
 
 pub use analysis::{BeamStatistics, TemporalHistograms};
 pub use error::{Result, VdxError};
@@ -51,4 +75,3 @@ pub use fastbit;
 pub use histogram;
 pub use lwfa;
 pub use pcoords;
-pub use pipeline;

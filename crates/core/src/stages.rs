@@ -6,15 +6,13 @@
 //! away, so only small histograms ever flow downstream. This module is that
 //! stage.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use datastore::Catalog;
+use datastore::{Catalog, Contract};
 use fastbit::{BinSpec, ExecStrategy, QueryExpr};
 use histogram::Hist2D;
 
-use crate::contract::Contract;
-use crate::error::{PipelineError, Result};
-use crate::executor::{NodePool, NodeReport};
+use crate::error::{Result, VdxError};
 
 /// Configuration of one histogram computation over a whole catalog.
 #[derive(Debug, Clone)]
@@ -93,9 +91,7 @@ impl HistogramStage {
     /// Compute the histograms of one timestep.
     pub fn run_one(&self, catalog: &Catalog, step: usize) -> Result<TimestepHistograms> {
         if self.pairs.is_empty() {
-            return Err(PipelineError::InvalidConfig(
-                "no axis pairs requested".into(),
-            ));
+            return Err(VdxError::Invalid("no axis pairs requested".into()));
         }
         let contract = self.contract();
         let columns = contract.required_columns();
@@ -126,16 +122,16 @@ impl HistogramStage {
         })
     }
 
-    /// Compute the histograms of every timestep in the catalog, distributing
-    /// timestep files over `pool` with strided assignment.
-    pub fn run(&self, catalog: &Catalog, pool: &NodePool) -> Result<StageOutput> {
+    /// Compute the histograms of every timestep in the catalog, fanning
+    /// timestep files out over `threads` threads ([`fastbit::par::run`]).
+    pub fn run(&self, catalog: &Catalog, threads: usize) -> Result<StageOutput> {
         let steps = catalog.steps();
-        let (per_timestep, reports, elapsed) =
-            pool.run_timed(steps.len(), |i| self.run_one(catalog, steps[i]))?;
+        let start = Instant::now();
+        let per_timestep =
+            fastbit::par::run(threads, steps.len(), |i| self.run_one(catalog, steps[i]))?;
         Ok(StageOutput {
             per_timestep,
-            per_node: reports,
-            elapsed,
+            elapsed: start.elapsed(),
         })
     }
 }
@@ -159,8 +155,6 @@ pub struct TimestepHistograms {
 pub struct StageOutput {
     /// Per-timestep histograms in ascending timestep order.
     pub per_timestep: Vec<TimestepHistograms>,
-    /// Per-node work accounting.
-    pub per_node: Vec<NodeReport>,
     /// Wall-clock time of the parallel section.
     pub elapsed: Duration,
 }
@@ -186,8 +180,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn test_catalog(tag: &str, steps: usize, particles: usize) -> (Catalog, PathBuf) {
-        let dir =
-            std::env::temp_dir().join(format!("vdx_pipeline_stage_{tag}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("vdx_core_stage_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut catalog = Catalog::create(&dir).unwrap();
         let mut config = SimConfig::tiny();
@@ -203,7 +196,7 @@ mod tests {
     fn unconditional_stage_histograms_every_particle() {
         let (catalog, dir) = test_catalog("uncond", 6, 800);
         let stage = HistogramStage::new(vec![("x", "px"), ("y", "py")], 32);
-        let out = stage.run(&catalog, &NodePool::new(3)).unwrap();
+        let out = stage.run(&catalog, 3).unwrap();
         assert_eq!(out.per_timestep.len(), 6);
         for t in &out.per_timestep {
             assert_eq!(t.hists.len(), 2);
@@ -221,12 +214,12 @@ mod tests {
         let fast = HistogramStage::new(vec![("x", "px")], 24)
             .with_condition(cond.clone())
             .with_engine(ExecStrategy::Auto)
-            .run(&catalog, &NodePool::new(2))
+            .run(&catalog, 2)
             .unwrap();
         let custom = HistogramStage::new(vec![("x", "px")], 24)
             .with_condition(cond)
             .with_engine(ExecStrategy::ScanOnly)
-            .run(&catalog, &NodePool::new(2))
+            .run(&catalog, 2)
             .unwrap();
         assert_eq!(fast.total_hits(), custom.total_hits());
         for (a, b) in fast.per_timestep.iter().zip(custom.per_timestep.iter()) {
@@ -240,8 +233,8 @@ mod tests {
         let (catalog, dir) = test_catalog("nodes", 8, 400);
         let stage = HistogramStage::new(vec![("x", "px")], 16)
             .with_condition(QueryExpr::pred("px", ValueRange::gt(5e9)));
-        let serial = stage.run(&catalog, &NodePool::new(1)).unwrap();
-        let parallel = stage.run(&catalog, &NodePool::new(4)).unwrap();
+        let serial = stage.run(&catalog, 1).unwrap();
+        let parallel = stage.run(&catalog, 4).unwrap();
         assert_eq!(serial.per_timestep.len(), parallel.per_timestep.len());
         for (a, b) in serial.per_timestep.iter().zip(parallel.per_timestep.iter()) {
             assert_eq!(a.step, b.step);
@@ -256,7 +249,7 @@ mod tests {
         let (catalog, dir) = test_catalog("adaptive", 3, 700);
         let out = HistogramStage::new(vec![("x", "px")], 16)
             .with_adaptive(true)
-            .run(&catalog, &NodePool::new(2))
+            .run(&catalog, 2)
             .unwrap();
         // px is heavily skewed (thermal background plus a beam tail), so the
         // adaptive y-edges must not be uniform.
@@ -285,7 +278,7 @@ mod tests {
             condition: None,
             engine: ExecStrategy::Auto,
         };
-        assert!(bad.run(&catalog, &NodePool::new(1)).is_err());
+        assert!(bad.run(&catalog, 1).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

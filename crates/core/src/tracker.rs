@@ -5,17 +5,16 @@
 //! queries against every timestep file. With the FastBit identifier index the
 //! per-timestep cost is proportional to the number of particles found; the
 //! "Custom" baseline scans every record of every timestep. The tracker
-//! parallelises over timestep files with the same strided assignment as the
-//! histogram stage (Figures 16 and 17).
+//! fans timestep files out over [`fastbit::par::run`], like the histogram
+//! stage (Figures 16 and 17).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use datastore::{Catalog, Dataset};
 use fastbit::ExecStrategy;
 
 use crate::error::Result;
-use crate::executor::{NodePool, NodeReport};
 
 /// The state of one particle at one timestep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +66,6 @@ pub struct TrackingOutput {
     pub traces: Vec<ParticleTrace>,
     /// Matches found per timestep (ascending step order).
     pub hits_per_step: Vec<(usize, u64)>,
-    /// Per-node work accounting.
-    pub per_node: Vec<NodeReport>,
     /// Wall-clock time of the parallel section.
     pub elapsed: Duration,
 }
@@ -116,9 +113,10 @@ impl Tracker {
         cols
     }
 
-    /// Track `ids` across every timestep of `catalog`, loading each
-    /// timestep's file (with only the tracked columns) directly from disk.
-    pub fn track(&self, catalog: &Catalog, ids: &[u64], pool: &NodePool) -> Result<TrackingOutput> {
+    /// Track `ids` across every timestep of `catalog` on `threads` threads,
+    /// loading each timestep's file (with only the tracked columns) directly
+    /// from disk.
+    pub fn track(&self, catalog: &Catalog, ids: &[u64], threads: usize) -> Result<TrackingOutput> {
         let steps = catalog.steps();
         let columns = self.columns_for_load();
         // The Custom baseline deliberately ignores the identifier index, as
@@ -128,28 +126,31 @@ impl Tracker {
             &steps,
             |step| Ok(catalog.load(step, Some(&columns), with_indexes)?),
             ids,
-            pool,
+            threads,
         )
     }
 
-    /// Track `ids` across `steps`, obtaining each timestep's dataset through
-    /// `load` — the hook that lets a serving layer feed resident cached
-    /// datasets (`Arc<Dataset>`) instead of re-reading files per request.
+    /// Track `ids` across `steps` on `threads` threads, obtaining each
+    /// timestep's dataset through `load` — the hook that lets a serving layer
+    /// feed resident cached datasets (`Arc<Dataset>`) instead of re-reading
+    /// files per request.
     pub fn track_with<D, F>(
         &self,
         steps: &[usize],
         load: F,
         ids: &[u64],
-        pool: &NodePool,
+        threads: usize,
     ) -> Result<TrackingOutput>
     where
         D: std::borrow::Borrow<Dataset> + Send,
         F: Fn(usize) -> Result<D> + Sync,
     {
-        let (matches, per_node, elapsed) = pool.run_timed(steps.len(), |i| {
+        let start = Instant::now();
+        let matches = fastbit::par::run(threads, steps.len(), |i| {
             let dataset = load(steps[i])?;
             self.track_one(dataset.borrow(), steps[i], ids)
         })?;
+        let elapsed = start.elapsed();
 
         let mut per_particle: BTreeMap<u64, Vec<TracePoint>> = BTreeMap::new();
         let mut hits_per_step = Vec::with_capacity(matches.len());
@@ -169,7 +170,6 @@ impl Tracker {
         Ok(TrackingOutput {
             traces,
             hits_per_step,
-            per_node,
             elapsed,
         })
     }
@@ -219,7 +219,7 @@ mod tests {
 
     fn test_catalog(tag: &str) -> (Catalog, PathBuf, SimConfig) {
         let dir =
-            std::env::temp_dir().join(format!("vdx_pipeline_tracker_{tag}_{}", std::process::id()));
+            std::env::temp_dir().join(format!("vdx_core_tracker_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut catalog = Catalog::create(&dir).unwrap();
         let mut config = SimConfig::tiny();
@@ -238,10 +238,10 @@ mod tests {
         // until they leave the window.
         let ids: Vec<u64> = vec![1, 2, 3, 100, 599];
         let fast = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &ids, &NodePool::new(3))
+            .track(&catalog, &ids, 3)
             .unwrap();
         let custom = Tracker::new(ExecStrategy::ScanOnly)
-            .track(&catalog, &ids, &NodePool::new(3))
+            .track(&catalog, &ids, 3)
             .unwrap();
         assert_eq!(fast.total_hits(), custom.total_hits());
         assert_eq!(fast.traces.len(), custom.traces.len());
@@ -260,7 +260,7 @@ mod tests {
         let (catalog, dir, _) = test_catalog("chrono");
         let ids: Vec<u64> = (0..20).collect();
         let out = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &ids, &NodePool::new(2))
+            .track(&catalog, &ids, 2)
             .unwrap();
         assert!(!out.traces.is_empty());
         for trace in &out.traces {
@@ -279,7 +279,7 @@ mod tests {
     fn unknown_ids_produce_no_traces() {
         let (catalog, dir, _) = test_catalog("unknown");
         let out = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &[999_999_999], &NodePool::new(2))
+            .track(&catalog, &[999_999_999], 2)
             .unwrap();
         assert!(out.traces.is_empty());
         assert_eq!(out.total_hits(), 0);
@@ -291,10 +291,10 @@ mod tests {
         let (catalog, dir, _) = test_catalog("nodes");
         let ids: Vec<u64> = vec![10, 20, 30];
         let serial = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &ids, &NodePool::new(1))
+            .track(&catalog, &ids, 1)
             .unwrap();
         let parallel = Tracker::new(ExecStrategy::Auto)
-            .track(&catalog, &ids, &NodePool::new(5))
+            .track(&catalog, &ids, 5)
             .unwrap();
         assert_eq!(serial.total_hits(), parallel.total_hits());
         assert_eq!(serial.traces.len(), parallel.traces.len());

@@ -14,6 +14,10 @@
 //!   step.
 //! * [`catalog::Catalog`] — a directory of timestep files; the unit of
 //!   parallel work distribution in the scalability experiments.
+//! * [`contract::Contract`] — what a downstream computation needs from the
+//!   reader (columns, selection, identifiers, indexes): the out-of-band
+//!   information that keeps [`Catalog::load`] from touching data it does
+//!   not need.
 //! * [`dataset::Dataset`] — the FastQuery-style facade: it implements
 //!   [`fastbit::ColumnProvider`] and offers query evaluation, conditional
 //!   histograms and ID selection over one timestep.
@@ -32,6 +36,7 @@
 pub mod cache;
 pub mod catalog;
 pub mod column;
+pub mod contract;
 pub mod dataset;
 pub mod error;
 pub mod format;
@@ -41,6 +46,7 @@ pub mod table;
 pub use cache::{DatasetCache, DatasetCacheConfig, DatasetCacheStats};
 pub use catalog::{Catalog, TimestepEntry};
 pub use column::{Column, ColumnData};
+pub use contract::Contract;
 pub use dataset::Dataset;
 pub use error::{DataStoreError, Result};
 pub use store::{Store, StoreError, StoreStats};

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::{FastBitError, Result};
 use crate::index::IndexEncoding;
-use crate::par::DEFAULT_CHUNK_ROWS;
+use crate::par::{mask_padding, words_for, DEFAULT_CHUNK_ROWS};
 use crate::query::{evaluate_predicate, ColumnProvider, ExecStrategy, Predicate, QueryExpr};
 use crate::selection::Selection;
 use crate::wah::{Wah, WahBuilder};
@@ -481,20 +481,6 @@ fn has_default_zones(provider: &impl ColumnProvider, column: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Fused sequential execution
 // ---------------------------------------------------------------------------
-
-fn words_for(len: usize) -> usize {
-    len.div_ceil(64)
-}
-
-/// Zero the bits at positions `>= len` of the final word.
-fn mask_padding(words: &mut [u64], len: usize) {
-    let tail = len % 64;
-    if tail != 0 {
-        if let Some(last) = words.last_mut() {
-            *last &= (1u64 << tail) - 1;
-        }
-    }
-}
 
 /// Set bits `[start, start + len)`, whole words at a time where possible.
 fn set_bit_range(words: &mut [u64], start: usize, len: usize) {

@@ -4,8 +4,9 @@
 //! histogram computation; this module supplies the intra-query half of that
 //! story. Columns are partitioned into fixed-size row chunks, each carrying a
 //! [`Zone`] (min / max / NaN count). A compound [`QueryExpr`] is evaluated
-//! chunk-by-chunk over a small work-queue thread pool
-//! (`std::thread::scope`-based, no external dependencies):
+//! chunk-by-chunk over [`run`] (a small work queue of scoped threads, no
+//! external dependencies, which also fans catalog-wide work out over
+//! timesteps):
 //!
 //! * a chunk whose zone proves the predicate can match **nothing** is pruned
 //!   to an empty mask without touching a single row;
@@ -24,7 +25,7 @@
 //! never silently mean "different answers".
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::compile::{OpCode, PlanMode, PredSource, Program, Root};
@@ -317,52 +318,78 @@ impl ParExec {
         }
     }
 
-    /// Run `work(chunk_index)` for every chunk in `0..num_chunks` over the
-    /// work-queue pool and return the results in chunk order. With one
-    /// thread the work runs inline on the caller's thread.
+    /// Run `work(chunk_index)` for every chunk in `0..num_chunks` over
+    /// this executor's threads ([`run`]) and return the results in chunk
+    /// order.
     pub fn run_chunks<T, F>(&self, num_chunks: usize, work: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
-        let threads = self.threads.min(num_chunks.max(1));
-        if threads <= 1 {
-            return (0..num_chunks).map(work).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let work = &work;
-        let next = &next;
-        let per_thread = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || -> Result<Vec<(usize, T)>> {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= num_chunks {
-                                return Ok(out);
-                            }
-                            out.push((i, work(i)?));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(FastBitError::Execution("chunk worker panicked".into()))
-                    })
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut tagged = Vec::with_capacity(num_chunks);
-        for r in per_thread {
-            tagged.extend(r?);
-        }
-        tagged.sort_by_key(|(i, _)| *i);
-        Ok(tagged.into_iter().map(|(_, v)| v).collect())
+        run(self.threads, num_chunks, work)
     }
+}
+
+// ---------------------------------------------------------------------------
+// The fan-out
+// ---------------------------------------------------------------------------
+
+/// Run `work(i)` for every item `i` in `0..n` on up to `threads` scoped
+/// threads pulling items from one atomic counter, and return the results in
+/// item order. With one thread (or at most one item) the items run inline on
+/// the caller's thread.
+///
+/// After the first failure no thread takes a new item; items already taken
+/// finish. Items are taken in increasing order, so every item below a failing
+/// one has run, and the error returned is always that of the lowest failing
+/// item, whatever the thread count or interleaving. A panicking item counts
+/// as failing with [`FastBitError::Execution`]; the caller's thread carries
+/// on.
+pub fn run<T, E, F>(threads: usize, n: usize, work: F) -> std::result::Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send + From<FastBitError>,
+    F: Fn(usize) -> std::result::Result<T, E> + Sync,
+{
+    let attempt = |i: usize| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(i))).unwrap_or_else(|_| {
+            Err(FastBitError::Execution(format!("worker panicked on item {i}")).into())
+        })
+    };
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return (0..n).map(attempt).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let (attempt, next, failed) = (&attempt, &next, &failed);
+    let mut tagged: Vec<(usize, std::result::Result<T, E>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    while !failed.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = attempt(i);
+                        if result.is_err() {
+                            failed.store(true, Ordering::Relaxed);
+                        }
+                        out.push((i, result));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("items' panics are caught"))
+            .collect()
+    });
+    tagged.sort_unstable_by_key(|(i, _)| *i);
+    tagged.into_iter().map(|(_, result)| result).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +411,9 @@ pub enum Mask {
     Bits(Vec<u64>),
 }
 
-fn words_for(len: usize) -> usize {
+/// Words of a bitmap over `len` rows.
+#[inline]
+pub(crate) fn words_for(len: usize) -> usize {
     len.div_ceil(64)
 }
 
@@ -396,7 +425,8 @@ fn full_words(len: usize) -> Vec<u64> {
 }
 
 /// Zero the bits at positions `>= len` of the final word.
-fn mask_padding(words: &mut [u64], len: usize) {
+#[inline]
+pub(crate) fn mask_padding(words: &mut [u64], len: usize) {
     let tail = len % 64;
     if tail != 0 {
         if let Some(last) = words.last_mut() {
@@ -950,6 +980,109 @@ mod tests {
             let oracle = evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap();
             let got = evaluate_chunked(&expr, &p, &ParExec::new(3, 37)).unwrap();
             assert_eq!(got.to_rows(), oracle.to_rows(), "{expr}");
+        }
+    }
+
+    /// Fails items `1` and `2` of `0..6`, each with its own index. Item 1
+    /// fails last: another thread has taken and failed item 2 by then.
+    fn fail_one_and_two(i: usize) -> Result<usize> {
+        if i == 1 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        if i == 1 || i == 2 {
+            Err(FastBitError::Execution(format!("item {i}")))
+        } else {
+            Ok(i)
+        }
+    }
+
+    #[test]
+    fn results_come_back_in_item_order() {
+        for threads in [1, 2, 4] {
+            let results = run(threads, 8, |i| Ok::<_, FastBitError>(i * 10)).unwrap();
+            assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70], "{threads}");
+        }
+    }
+
+    #[test]
+    fn every_item_is_processed_exactly_once() {
+        for threads in [1, 2, 4] {
+            let seen: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            let results = run(threads, 100, |i| {
+                seen[i].fetch_add(1, Ordering::SeqCst);
+                Ok::<_, FastBitError>(i)
+            })
+            .unwrap();
+            assert_eq!(results.len(), 100);
+            assert!(
+                seen.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                "{threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn errors_abort_the_run() {
+        for threads in [1, 2, 4] {
+            let ran = AtomicUsize::new(0);
+            let result = run(threads, 1000, |i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if i == 5 {
+                    Err(FastBitError::Execution("boom".into()))
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(result, Err(FastBitError::Execution("boom".into())));
+            // Nothing is handed out after the failure but the few items
+            // other threads took while item 5 ran.
+            assert!(ran.load(Ordering::SeqCst) < 1000, "{threads}");
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_item_wins_at_every_thread_count() {
+        for threads in [1, 2, 4] {
+            for _ in 0..50 {
+                let err = run(threads, 6, fail_one_and_two).unwrap_err();
+                assert_eq!(err, FastBitError::Execution("item 1".into()), "{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_items_runs_every_item() {
+        assert_eq!(run(16, 3, Ok::<_, FastBitError>).unwrap(), vec![0, 1, 2]);
+        assert!(run(4, 0, Ok::<_, FastBitError>).unwrap().is_empty());
+    }
+
+    #[test]
+    fn zero_or_one_thread_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            let results = run(threads, 3, |i| {
+                assert_eq!(std::thread::current().id(), caller, "{threads}");
+                Ok::<_, FastBitError>(i)
+            })
+            .unwrap();
+            assert_eq!(results, vec![0, 1, 2], "{threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_becomes_an_error() {
+        for threads in [1, 2, 4] {
+            let result = run(threads, 6, |i| {
+                if i == 3 {
+                    panic!("item {i} panics");
+                }
+                Ok::<_, FastBitError>(i)
+            });
+            assert_eq!(
+                result,
+                Err(FastBitError::Execution("worker panicked on item 3".into())),
+                "{threads}"
+            );
         }
     }
 }

@@ -1,70 +1,38 @@
-//! Backend replica connections: a bounded pool of protocol clients per
-//! replica, plus the health flag failover decisions read.
+//! Backend replica connections: a pool of protocol clients per replica,
+//! plus the health flag failover decisions read.
 //!
-//! Each [`Replica`] owns a small stack of idle [`Client`] connections and a
-//! counting semaphore bounding its in-flight requests — the "bounded
-//! per-backend pipeline" of the scatter-gather design: a slow shard can
-//! stall at most `max_inflight` router workers, not the whole router.
+//! Each [`Replica`] owns a small stack of idle [`Client`] connections.
 //! Connections are created lazily with a connect/read/write deadline, reused
 //! on success, and dropped on any transport error (the next request opens a
 //! fresh one), so a replica restart heals without explicit reconnect logic.
+//! A router worker forwards one request per group at a time, so a replica
+//! never has more requests in flight than the router has workers, and a
+//! slow shard holds each of them for at most the backend deadline.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::client::Client;
 
-/// A tiny counting semaphore (std has none; the workspace takes no external
-/// dependencies).
-#[derive(Debug)]
-struct Semaphore {
-    permits: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Self {
-        Self {
-            permits: Mutex::new(permits.max(1)),
-            available: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
-    }
-
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore poisoned") += 1;
-        self.available.notify_one();
-    }
-}
-
-/// One backend replica: its address, health, and bounded connection pool.
+/// One backend replica: its address, health, and connection pool.
 #[derive(Debug)]
 pub(crate) struct Replica {
     addr: SocketAddr,
     timeout: Duration,
     healthy: AtomicBool,
     idle: Mutex<Vec<Client>>,
-    inflight: Semaphore,
 }
 
 impl Replica {
     /// A replica handle; no connection is opened until the first request.
-    pub(crate) fn new(addr: SocketAddr, timeout: Duration, max_inflight: usize) -> Self {
+    pub(crate) fn new(addr: SocketAddr, timeout: Duration) -> Self {
         Self {
             addr,
             timeout,
             healthy: AtomicBool::new(true),
             idle: Mutex::new(Vec::new()),
-            inflight: Semaphore::new(max_inflight),
         }
     }
 
@@ -78,20 +46,13 @@ impl Replica {
         self.healthy.swap(healthy, Ordering::Relaxed) != healthy
     }
 
-    /// Send one request line and read its reply, under the in-flight bound.
+    /// Send one request line and read its reply.
     ///
     /// On success the connection returns to the idle pool; on any transport
     /// error it is dropped and the error surfaces to the failover logic.
     /// `QUIT`/`SHUTDOWN` lines must not pass through here — the router never
     /// forwards connection-lifecycle verbs.
     pub(crate) fn request(&self, line: &str) -> std::io::Result<String> {
-        self.inflight.acquire();
-        let result = self.request_inner(line);
-        self.inflight.release();
-        result
-    }
-
-    fn request_inner(&self, line: &str) -> std::io::Result<String> {
         let pooled = self.idle.lock().expect("pool poisoned").pop();
         let mut client = match pooled {
             Some(client) => client,
@@ -125,33 +86,6 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn semaphore_bounds_concurrent_holders() {
-        let sem = Arc::new(Semaphore::new(2));
-        let peak = Arc::new(Mutex::new((0usize, 0usize))); // (current, max)
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let sem = Arc::clone(&sem);
-                let peak = Arc::clone(&peak);
-                scope.spawn(move || {
-                    sem.acquire();
-                    {
-                        let mut p = peak.lock().unwrap();
-                        p.0 += 1;
-                        p.1 = p.1.max(p.0);
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                    peak.lock().unwrap().0 -= 1;
-                    sem.release();
-                });
-            }
-        });
-        let (current, max) = *peak.lock().unwrap();
-        assert_eq!(current, 0);
-        assert!(max <= 2, "at most 2 concurrent holders, saw {max}");
-    }
 
     #[test]
     fn dead_replica_fails_fast_and_flags_health() {
@@ -160,7 +94,7 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap()
         };
-        let replica = Replica::new(addr, Duration::from_millis(200), 4);
+        let replica = Replica::new(addr, Duration::from_millis(200));
         assert!(replica.is_healthy(), "assumed healthy until proven dead");
         assert!(replica.request("PING").is_err());
         assert!(!replica.probe());

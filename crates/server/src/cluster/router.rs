@@ -53,9 +53,6 @@ pub struct RouterConfig {
     /// Deadline for connecting to a backend and for each backend
     /// read/write (milliseconds); a dead shard fails over after this.
     pub backend_timeout_ms: u64,
-    /// Bounded in-flight requests per backend replica — a slow shard can
-    /// stall at most this many router workers.
-    pub backend_inflight: usize,
     /// Background health-probe period (milliseconds); `0` disables the
     /// prober (health still feeds back from request outcomes).
     pub health_interval_ms: u64,
@@ -70,7 +67,6 @@ impl Default for RouterConfig {
         Self {
             conn: ConnConfig::default(),
             backend_timeout_ms: 5_000,
-            backend_inflight: 32,
             health_interval_ms: 1_000,
             trace_sample: 1,
             slow_ms: 100,
@@ -111,7 +107,7 @@ impl Topology {
                     replicas: spec
                         .replicas
                         .iter()
-                        .map(|&addr| Arc::new(Replica::new(addr, timeout, config.backend_inflight)))
+                        .map(|&addr| Arc::new(Replica::new(addr, timeout)))
                         .collect(),
                     forwards: registry.counter_or_existing(
                         "vdx_cluster_shard_forwards_total",

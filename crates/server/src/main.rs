@@ -1,5 +1,5 @@
 //! The `vdx-server` binary: serve a catalog, drive a running server from the
-//! command line, run the CI smoke session, or load-test hot vs cold caches.
+//! command line, or run the CI smoke session.
 //!
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
@@ -10,13 +10,12 @@
 //!                  [--queue-depth N]
 //! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
 //!                  [--workers N] [--backend-timeout-ms MS]
-//!                  [--backend-inflight N] [--health-interval-ms MS]
-//!                  [--trace-sample N] [--slow-ms MS] [--max-line-bytes N]
+//!                  [--health-interval-ms MS] [--trace-sample N]
+//!                  [--slow-ms MS] [--max-line-bytes N]
 //!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!                  [--max-pipeline N] [--queue-depth N]
 //! vdx-server query --addr HOST:PORT <verb> [field ...]
 //! vdx-server smoke [--dir DIR] [--store-dir DIR]
-//! vdx-server bench [--clients N] [--rounds N] [--particles N] [--timesteps N]
 //! ```
 //!
 //! Every subcommand but `query` checks its flags before it opens anything:
@@ -60,7 +59,6 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use datastore::{Catalog, DatasetCacheConfig};
 use histogram::Binning;
@@ -76,16 +74,15 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 /// Each subcommand's usage line. [`check_flags`] derives the flags a
 /// subcommand accepts, and which of them take a number, from it, so the two
 /// cannot drift.
-const USAGE: [(&str, &str); 5] = [
+const USAGE: [(&str, &str); 4] = [
     ("serve", "--dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--threads N] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
-    ("route", "--shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
+    ("route", "--shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]"),
     ("query", "--addr HOST:PORT <verb> [field ...]"),
     ("smoke", "[--dir DIR] [--store-dir DIR]"),
-    ("bench", "[--clients N] [--rounds N] [--particles N] [--timesteps N]"),
 ];
 
 fn print_usage() {
-    eprintln!("usage: vdx-server <serve|route|query|smoke|bench> [options]");
+    eprintln!("usage: vdx-server <serve|route|query|smoke> [options]");
     for (name, line) in USAGE {
         eprintln!("  {name} {line}");
     }
@@ -183,8 +180,7 @@ fn main() -> ExitCode {
         "serve" => serve(args),
         "route" => route(args),
         "query" => query(args),
-        "smoke" => smoke(args),
-        _ => bench(args),
+        _ => smoke(args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -227,7 +223,6 @@ fn route(args: &[String]) -> Result<(), String> {
     let config = RouterConfig {
         conn: conn_config(args),
         backend_timeout_ms: parsed_flag(args, "--backend-timeout-ms", defaults.backend_timeout_ms),
-        backend_inflight: parsed_flag(args, "--backend-inflight", defaults.backend_inflight),
         health_interval_ms: parsed_flag(args, "--health-interval-ms", defaults.health_interval_ms),
         trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample),
         slow_ms: parsed_flag(args, "--slow-ms", defaults.slow_ms),
@@ -501,83 +496,6 @@ fn smoke(args: &[String]) -> Result<(), String> {
     if scratch {
         std::fs::remove_dir_all(&dir).ok();
     }
-    Ok(())
-}
-
-/// Load generator: replay a mixed select/histogram workload from N client
-/// threads, twice — the first pass is cold (empty caches), the second hot —
-/// and report queries/sec for both.
-fn bench(args: &[String]) -> Result<(), String> {
-    let clients = parsed_flag(args, "--clients", 8usize).max(1);
-    let rounds = parsed_flag(args, "--rounds", 20usize).max(1);
-    let particles = parsed_flag(args, "--particles", 20_000usize);
-    let timesteps = parsed_flag(args, "--timesteps", 8usize).max(2);
-    let (catalog, _sim, dir) = scratch_catalog("bench", particles, timesteps)?;
-    let steps = catalog.steps();
-    let server =
-        Server::bind(catalog, "127.0.0.1:0", server_config(args)).map_err(|e| e.to_string())?;
-    let addr = server.local_addr();
-    let (_handle, join) = server.spawn();
-
-    // A repeating mixed workload over every step and a few thresholds.
-    let mut workload = Vec::new();
-    for round in 0..rounds {
-        let step = steps[round % steps.len()];
-        let threshold = 1e9 * (1 + round % 5) as f64;
-        workload.push(format!("SELECT\t{step}\tpx > {threshold}"));
-        workload.push(format!("HIST\t{step}\tpx\t64"));
-        workload.push(format!("HIST\t{step}\tx\t64\tpx > {threshold}"));
-    }
-
-    let run_pass = |label: &str| -> Result<f64, String> {
-        let started = Instant::now();
-        std::thread::scope(|scope| -> Result<(), String> {
-            let mut joins = Vec::new();
-            for _ in 0..clients {
-                let workload = &workload;
-                joins.push(scope.spawn(move || -> Result<(), String> {
-                    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-                    for line in workload {
-                        let reply = client.request(line).map_err(|e| e.to_string())?;
-                        if !reply.starts_with("OK\t") {
-                            return Err(format!("{line}: {reply}"));
-                        }
-                    }
-                    Ok(())
-                }));
-            }
-            for j in joins {
-                j.join().map_err(|_| "client panicked".to_string())??;
-            }
-            Ok(())
-        })?;
-        let elapsed = started.elapsed().as_secs_f64();
-        let qps = (clients * workload.len()) as f64 / elapsed;
-        println!(
-            "bench: {label:>4} pass: {} requests in {elapsed:.3}s -> {qps:.0} req/s",
-            clients * workload.len()
-        );
-        Ok(qps)
-    };
-
-    let cold = run_pass("cold")?;
-    let hot = run_pass("hot")?;
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let stats = client.stats().map_err(|e| e.to_string())?;
-    println!(
-        "bench: hot/cold speedup {:.2}x; ds_hits={} ds_misses={} qc_hits={} evaluations={}",
-        hot / cold.max(1e-9),
-        stats.get("ds_hits").map(String::as_str).unwrap_or("?"),
-        stats.get("ds_misses").map(String::as_str).unwrap_or("?"),
-        stats.get("qc_hits").map(String::as_str).unwrap_or("?"),
-        stats.get("evaluations").map(String::as_str).unwrap_or("?"),
-    );
-    client.request("SHUTDOWN").map_err(|e| e.to_string())?;
-    drop(client);
-    join.join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| e.to_string())?;
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
 

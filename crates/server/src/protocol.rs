@@ -37,7 +37,7 @@
 //! a line-oriented client knows how many more lines to consume.
 
 use histogram::Hist1D;
-use pipeline::TrackingOutput;
+use vdx_core::pipeline::TrackingOutput;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]

@@ -623,6 +623,24 @@ mod tests {
     }
 
     #[test]
+    fn track_and_select_fail_a_missing_step_with_the_same_error() {
+        // A store-less catalog: TRACK counts from the `.vdj` sidecar and
+        // then reads the `.vdc` header; SELECT loads the `.vdc`.
+        let (catalog, dir) = tiny_catalog("missing_step");
+        let data_path = catalog.entry(3).unwrap().data_path.clone();
+        let handle = Server::bind(catalog, "127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .handle();
+        let state = handle.state();
+        std::fs::remove_file(data_path).unwrap();
+        let (select, _) = state.handle_line("SELECT\t3\tpx > 0");
+        let (track, _) = state.handle_line("TRACK\t1,2,3");
+        assert!(select.starts_with("ERR\t"), "{select}");
+        assert_eq!(track, select);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn cold_select_trace_walks_every_stage() {
         let (server, dir) = test_server("trace");
         let handle = server.handle();

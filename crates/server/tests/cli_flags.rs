@@ -44,3 +44,34 @@ fn serve_rejects_unknown_flags_and_unparsable_values_before_opening_the_dir() {
         assert!(!dir.exists(), "[{tag}] {} was created", dir.display());
     }
 }
+
+#[test]
+fn route_rejects_the_retired_per_replica_bound() {
+    // A router worker forwards one request per group at a time, so a
+    // replica never sees more than `--workers` requests in flight.
+    let output = Command::new(env!("CARGO_BIN_EXE_vdx-server"))
+        .args(["route", "--shard-map", "m.toml", "--backend-inflight", "4"])
+        .output()
+        .expect("run vdx-server");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("usage: vdx-server"), "{stderr}");
+    let error = stderr
+        .lines()
+        .find(|line| line.starts_with("vdx-server:"))
+        .unwrap_or_else(|| panic!("no error line in {stderr}"));
+    assert!(error.contains("--backend-inflight"), "{error}");
+}
+
+#[test]
+fn the_retired_bench_subcommand_prints_the_usage() {
+    // `vdx-workload` is the load generator.
+    let output = Command::new(env!("CARGO_BIN_EXE_vdx-server"))
+        .arg("bench")
+        .output()
+        .expect("run vdx-server");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("usage: vdx-server"), "{stderr}");
+    assert!(!stderr.contains("  bench "), "{stderr}");
+}

@@ -22,8 +22,8 @@ use datastore::store::{crc32, HEADER_LEN, TABLE_ENTRY_LEN};
 use datastore::{Catalog, Column, DatasetCache, DatasetCacheConfig, ParticleTable, Store};
 use fastbit::ExecStrategy;
 use histogram::Binning;
-use pipeline::{NodePool, Tracker};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use vdx_core::pipeline::Tracker;
 use vdx_core::{DataExplorer, ExplorerConfig};
 use vdx_server::protocol;
 use vdx_server::testkit::tiny_catalog;
@@ -64,7 +64,7 @@ fn one_step_budget() -> ServerConfig {
 /// loads from the raw files, never the store).
 fn expected(catalog: &Arc<Catalog>, ids: &[u64]) -> String {
     let tracking = Tracker::new(ExecStrategy::Auto)
-        .track(catalog, ids, &NodePool::new(2))
+        .track(catalog, ids, 2)
         .unwrap();
     protocol::track_reply(&tracking)
 }

@@ -52,7 +52,6 @@ fn main() -> vdx_core::Result<()> {
     );
     let mut baseline: Option<[f64; 4]> = None;
     for &nodes in &node_counts {
-        let pool = NodePool::new(nodes);
         let mut row = [0.0f64; 4];
         for (i, (engine, cond)) in [
             (ExecStrategy::Auto, None),
@@ -67,7 +66,7 @@ fn main() -> vdx_core::Result<()> {
             if let Some(c) = cond {
                 stage = stage.with_condition(c);
             }
-            let out = stage.run(explorer.catalog(), &pool)?;
+            let out = stage.run(explorer.catalog(), nodes)?;
             row[i] = out.elapsed.as_secs_f64();
         }
         println!(
@@ -97,13 +96,12 @@ fn main() -> vdx_core::Result<()> {
     );
     let mut fb_one = None;
     for &nodes in &node_counts {
-        let pool = NodePool::new(nodes);
         let fb =
-            Tracker::new(ExecStrategy::Auto).track(explorer.catalog(), &track_sel.ids, &pool)?;
+            Tracker::new(ExecStrategy::Auto).track(explorer.catalog(), &track_sel.ids, nodes)?;
         let cu = Tracker::new(ExecStrategy::ScanOnly).track(
             explorer.catalog(),
             &track_sel.ids,
-            &pool,
+            nodes,
         )?;
         let fb_s = fb.elapsed.as_secs_f64();
         if fb_one.is_none() {

@@ -99,7 +99,7 @@ fn conditional_histograms_match_between_engines_and_respect_hits() {
         let stage = HistogramStage::new(vec![("x", "px"), ("y", "py")], 128)
             .with_engine(engine)
             .with_condition(parse_query(condition).unwrap());
-        let out = stage.run(explorer.catalog(), &NodePool::new(3)).unwrap();
+        let out = stage.run(explorer.catalog(), 3).unwrap();
         for t in &out.per_timestep {
             let hits = t.hits.unwrap();
             assert_eq!(t.hists[0].total(), hits);
@@ -110,12 +110,12 @@ fn conditional_histograms_match_between_engines_and_respect_hits() {
     let fast = HistogramStage::new(vec![("x", "px")], 64)
         .with_engine(ExecStrategy::Auto)
         .with_condition(parse_query(condition).unwrap())
-        .run(explorer.catalog(), &NodePool::new(2))
+        .run(explorer.catalog(), 2)
         .unwrap();
     let custom = HistogramStage::new(vec![("x", "px")], 64)
         .with_engine(ExecStrategy::ScanOnly)
         .with_condition(parse_query(condition).unwrap())
-        .run(explorer.catalog(), &NodePool::new(2))
+        .run(explorer.catalog(), 2)
         .unwrap();
     assert_eq!(fast.total_hits(), custom.total_hits());
     std::fs::remove_dir_all(&dir).ok();
@@ -128,12 +128,12 @@ fn tracking_agrees_between_engines_and_node_counts() {
     assert!(!beam.ids.is_empty());
 
     let reference = Tracker::new(ExecStrategy::Auto)
-        .track(explorer.catalog(), &beam.ids, &NodePool::new(1))
+        .track(explorer.catalog(), &beam.ids, 1)
         .unwrap();
     for engine in [ExecStrategy::Auto, ExecStrategy::ScanOnly] {
         for nodes in [2usize, 5] {
             let out = Tracker::new(engine)
-                .track(explorer.catalog(), &beam.ids, &NodePool::new(nodes))
+                .track(explorer.catalog(), &beam.ids, nodes)
                 .unwrap();
             assert_eq!(out.total_hits(), reference.total_hits());
             assert_eq!(out.traces.len(), reference.traces.len());
