@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use fastbit::BinSpec;
+use fastbit::{BinSpec, EvaluatedCondition, ParExec};
 use histogram::{BinEdges, Hist2D};
 
 use crate::error::Result;
@@ -127,10 +127,12 @@ impl DataExplorer {
             Ok(BinEdges::uniform(lo, hi, bins)?)
         };
 
+        // The steps and the pairs run one after the other, on this thread.
+        let exec = ParExec::sequential();
         let mut per_timestep = Vec::with_capacity(steps.len());
         for &step in steps {
             let dataset = self.load_step(step)?;
-            let selection = dataset.select_ids(ids)?;
+            let cond = EvaluatedCondition::from_selection(dataset.select_ids(ids)?, &exec);
             let engine = dataset.hist_engine();
             let mut hists = Vec::with_capacity(pair_names.len());
             for (a, b) in &pair_names {
@@ -146,13 +148,14 @@ impl DataExplorer {
                 } else {
                     BinSpec::Edges(edges_for(b)?)
                 };
-                hists.push(engine.hist2d_with_selection(
+                hists.push(engine.hist2d_with_condition_par(
                     a,
                     b,
                     &ex,
                     &ey,
-                    Some(&selection),
+                    Some(&cond),
                     self.config().engine,
+                    &exec,
                 )?);
             }
             per_timestep.push((step, hists));

@@ -7,7 +7,7 @@ use datastore::{Catalog, Dataset, DatasetCache, DatasetCacheConfig};
 use fastbit::par::DEFAULT_CHUNK_ROWS;
 use fastbit::{
     parse_query, BinSpec, ExecStrategy, IdIndex, ParExec, ParStatsSnapshot, PlanCache,
-    PlanCacheStats, QueryExpr,
+    PlanCacheStats, QueryExpr, Selection,
 };
 use histogram::{Binning, Hist2D};
 use lwfa::{SimConfig, Simulation};
@@ -26,11 +26,13 @@ pub struct ExplorerConfig {
     pub engine: ExecStrategy,
     /// Binning strategy used when building bitmap indexes during generation.
     pub index_binning: Binning,
-    /// Worker threads used *within* one query/histogram evaluation. `1`
-    /// (the default) runs the sequential compiled engine, which uses the
-    /// bitmap indexes under [`ExecStrategy::Auto`]; `> 1` runs the chunked
-    /// zone-pruned scan over [`fastbit::par::DEFAULT_CHUNK_ROWS`]-row
-    /// chunks, which never reads an index. Both give identical row sets and
+    /// Worker threads used *within* one query/histogram evaluation. Every
+    /// thread count runs the one evaluator ([`fastbit::par`]) over
+    /// [`fastbit::par::DEFAULT_CHUNK_ROWS`]-row chunks; `threads` sets how
+    /// many chunks run at once. Its plan rule
+    /// ([`fastbit::ParExec::plan_mode`]) takes the bitmap indexes under
+    /// [`ExecStrategy::Auto`] at `1` (the default) and scans zone-pruned
+    /// chunks at `> 1`. Every thread count gives identical row sets and
     /// histogram counts.
     pub threads: usize,
 }
@@ -91,8 +93,8 @@ pub struct DataExplorer {
     /// Catalog-wide operations (tracking, temporal histograms) fan their
     /// timesteps out over one thread per available core.
     track_threads: usize,
-    /// The chunked parallel executor (thread count, chunk size, lifetime
-    /// pruning statistics). Only consulted when `config.threads > 1`.
+    /// The query evaluator's executor (thread count, chunk size, lifetime
+    /// pruning statistics).
     par: ParExec,
     /// Compiled query programs keyed by [`QueryExpr::cache_key`]. Programs
     /// are provider-independent (planner decisions bind per execution), so
@@ -190,18 +192,13 @@ impl DataExplorer {
         self.catalog.steps()
     }
 
-    /// Whether intra-query chunked parallelism is enabled.
-    fn parallel(&self) -> bool {
-        self.config.threads > 1
-    }
-
-    /// The chunked parallel executor (thread count, chunk size, stats).
+    /// The query evaluator's executor (thread count, chunk size, stats).
     pub fn par_exec(&self) -> &ParExec {
         &self.par
     }
 
-    /// Lifetime counters of the chunked parallel engine: evaluations run and
-    /// chunks pruned/scanned. All zero while `threads == 1`.
+    /// Lifetime counters of the query evaluator: evaluations run and chunks
+    /// pruned/scanned.
     pub fn par_stats(&self) -> ParStatsSnapshot {
         self.par.stats()
     }
@@ -212,7 +209,7 @@ impl DataExplorer {
     }
 
     /// Register this explorer's engine-level collectors — plan cache,
-    /// chunked parallel executor, index encoding counters and the attached
+    /// query evaluator, index encoding counters and the attached
     /// segment store (when present) — into a metrics registry. The dataset
     /// cache registers itself separately (it is shared across explorers).
     pub fn register_metrics(&self, registry: &obs::Registry) {
@@ -226,21 +223,8 @@ impl DataExplorer {
     /// `"px > 8.872e10"` and return their identifiers.
     pub fn select(&self, step: usize, query: &str) -> Result<BeamSelection> {
         let expr = parse_query(query)?;
-        let ids = if self.parallel() {
-            let dataset = self.load_step(step)?;
-            let program = self.plans.get_or_compile(&expr);
-            let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
-            let selection = {
-                let _combine = obs::span("combine");
-                masks.to_selection()
-            };
-            dataset.ids_of(&selection)?
-        } else {
-            let dataset = self.load_step(step)?;
-            let program = self.plans.get_or_compile(&expr);
-            let selection = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
-            dataset.ids_of(&selection)?
-        };
+        let dataset = self.load_step(step)?;
+        let ids = dataset.ids_of(&self.evaluate(&dataset, &expr)?)?;
         Ok(BeamSelection {
             step,
             query: expr,
@@ -269,22 +253,22 @@ impl DataExplorer {
     /// of `ids` that also satisfies `expr` at `step`. Exposed for callers
     /// (like the server) that track id sets without a [`BeamSelection`].
     pub fn refine_ids(&self, step: usize, ids: &[u64], expr: &QueryExpr) -> Result<Vec<u64>> {
-        if self.parallel() {
-            let dataset = self.load_step(step)?;
-            let by_id = dataset.select_ids(ids)?;
-            let program = self.plans.get_or_compile(expr);
-            let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
-            let by_query = {
-                let _combine = obs::span("combine");
-                masks.to_selection()
-            };
-            return Ok(dataset.ids_of(&by_id.and(&by_query)?)?);
-        }
         let dataset = self.load_step(step)?;
         let by_id = dataset.select_ids(ids)?;
-        let program = self.plans.get_or_compile(expr);
-        let by_query = fastbit::compile::execute(&program, &*dataset, self.config.engine)?;
+        let by_query = self.evaluate(&dataset, expr)?;
         Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
+    }
+
+    /// Evaluate `expr` over `dataset` with the cached program, on this
+    /// explorer's executor under its engine.
+    fn evaluate(&self, dataset: &Dataset, expr: &QueryExpr) -> Result<Selection> {
+        let program = self.plans.get_or_compile(expr);
+        Ok(fastbit::par::evaluate_program(
+            &program,
+            dataset,
+            &self.par,
+            self.config.engine,
+        )?)
     }
 
     /// Trace a particle set across every timestep, each served from (and
@@ -360,20 +344,12 @@ impl DataExplorer {
     ) -> Result<histogram::Hist1D> {
         let condition = condition.map(parse_query).transpose()?;
         let dataset = self.load_step(step)?;
-        if self.parallel() {
-            return Ok(dataset.hist_engine().hist1d_par(
-                column,
-                &BinSpec::Uniform(bins),
-                condition.as_ref(),
-                self.config.engine,
-                &self.par,
-            )?);
-        }
-        Ok(dataset.hist_engine().hist1d(
+        Ok(dataset.hist_engine().hist1d_par(
             column,
             &BinSpec::Uniform(bins),
             condition.as_ref(),
             self.config.engine,
+            &self.par,
         )?)
     }
 
@@ -398,16 +374,15 @@ impl DataExplorer {
         } else {
             BinSpec::Uniform(bins)
         };
-        let mut hists = Vec::with_capacity(axes.len() - 1);
-        if self.parallel() {
-            // One chunked evaluation of the condition shared by every pair;
-            // binning itself is chunked across the pool too.
-            let cond = condition
-                .as_ref()
-                .map(|c| engine.evaluate_condition_chunked(c, &self.par))
-                .transpose()?;
-            for pair in axes.windows(2) {
-                hists.push(engine.hist2d_with_condition_par(
+        // One evaluation of the condition shared by every pair; binning
+        // itself is chunked across the pool too.
+        let cond = condition
+            .as_ref()
+            .map(|c| engine.evaluate_condition_par(c, self.config.engine, &self.par))
+            .transpose()?;
+        axes.windows(2)
+            .map(|pair| {
+                Ok(engine.hist2d_with_condition_par(
                     pair[0],
                     pair[1],
                     &spec,
@@ -415,25 +390,9 @@ impl DataExplorer {
                     cond.as_ref(),
                     self.config.engine,
                     &self.par,
-                )?);
-            }
-            return Ok(hists);
-        }
-        let selection = condition
-            .as_ref()
-            .map(|c| engine.evaluate_condition(c, self.config.engine))
-            .transpose()?;
-        for pair in axes.windows(2) {
-            hists.push(engine.hist2d_with_selection(
-                pair[0],
-                pair[1],
-                &spec,
-                &spec,
-                selection.as_ref(),
-                self.config.engine,
-            )?);
-        }
-        Ok(hists)
+                )?)
+            })
+            .collect()
     }
 
     /// Build a [`ParallelCoordsPlot`] whose axes cover the value ranges of
@@ -728,7 +687,9 @@ mod tests {
             chunks >= 3 * stats.queries,
             "every evaluation spans three chunks"
         );
-        assert_eq!(sequential.par_stats().queries, 0);
+        // One evaluator at every thread count: the one-thread explorer ran
+        // the same evaluations.
+        assert_eq!(sequential.par_stats().queries, stats.queries);
         std::fs::remove_dir_all(&dir).ok();
     }
 

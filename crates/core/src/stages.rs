@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use datastore::{Catalog, Contract};
-use fastbit::{BinSpec, ExecStrategy, QueryExpr};
+use fastbit::{BinSpec, ExecStrategy, ParExec, QueryExpr};
 use histogram::Hist2D;
 
 use crate::error::{Result, VdxError};
@@ -97,26 +97,29 @@ impl HistogramStage {
         let columns = contract.required_columns();
         let dataset = catalog.load(step, Some(&columns), contract.wants_indexes)?;
         let engine = dataset.hist_engine();
-        let selection = self
+        // Timesteps fan out over threads (`run`); each runs at one thread.
+        let exec = ParExec::sequential();
+        let cond = self
             .condition
             .as_ref()
-            .map(|c| engine.evaluate_condition(c, self.engine))
+            .map(|c| engine.evaluate_condition_par(c, self.engine, &exec))
             .transpose()?;
         let spec = self.bin_spec();
         let mut hists = Vec::with_capacity(self.pairs.len());
         for (a, b) in &self.pairs {
-            hists.push(engine.hist2d_with_selection(
+            hists.push(engine.hist2d_with_condition_par(
                 a,
                 b,
                 &spec,
                 &spec,
-                selection.as_ref(),
+                cond.as_ref(),
                 self.engine,
+                &exec,
             )?);
         }
         Ok(TimestepHistograms {
             step,
-            hits: selection.as_ref().map(|s| s.count()),
+            hits: cond.as_ref().map(|c| c.selection.count()),
             num_particles: dataset.num_particles(),
             hists,
         })

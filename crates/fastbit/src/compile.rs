@@ -1,11 +1,10 @@
 //! Query compilation: from a [`QueryExpr`] tree to a linear bytecode program.
 //!
-//! Both engines used to tree-walk the expression per evaluation (the chunked
-//! engine per *chunk*), re-dispatching on node kind and re-deriving planner
+//! A tree-walk evaluator re-dispatches on node kind and re-derives planner
 //! decisions — index-vs-scan, equality-vs-range encoding, zone-map pruning —
-//! at every node. Deep compound drill-down queries, exactly the workload the
-//! paper's interactive exploration loop produces, pay that dispatch cost over
-//! and over.
+//! at every node of every evaluation (a chunked one per *chunk*). Deep
+//! compound drill-down queries, exactly the workload the paper's interactive
+//! exploration loop produces, pay that dispatch cost over and over.
 //!
 //! [`Program::compile`] normalizes the expression once
 //! ([`QueryExpr::normalized`]) and lowers it to a small linear program:
@@ -21,10 +20,10 @@
 //! and is rendered by the deterministic plan printer ([`Program::explain`])
 //! so planner choices are snapshot-testable.
 //!
-//! Execution is fused and word-at-a-time: [`execute`] materializes each slot
-//! as a dense `u64` bitmap (scan kernels fill words directly, index answers
-//! are expanded in bulk) and interprets the ops as tight word loops, emitting
-//! one WAH selection at the end. The determinism invariant, pinned by
+//! Execution is the one evaluator of [`crate::par`]: it binds each slot once
+//! (an index slot answered over the whole column, a scan slot zone-pruned per
+//! chunk) and interprets the ops over per-chunk masks; [`execute`] is that
+//! evaluator at one thread. The determinism invariant, pinned by
 //! `tests/compile_differential.rs`, is that the compiled engine selects the
 //! same rows as the tree-walk oracle ([`crate::testing`]) and — for
 //! normalized expressions — emits bit-identical WAH words. Programs are
@@ -37,10 +36,9 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::{FastBitError, Result};
 use crate::index::IndexEncoding;
-use crate::par::{mask_padding, words_for, DEFAULT_CHUNK_ROWS};
-use crate::query::{evaluate_predicate, ColumnProvider, ExecStrategy, Predicate, QueryExpr};
+use crate::par::{ParExec, DEFAULT_CHUNK_ROWS};
+use crate::query::{ColumnProvider, ExecStrategy, Predicate, QueryExpr};
 use crate::selection::Selection;
-use crate::wah::{Wah, WahBuilder};
 
 // ---------------------------------------------------------------------------
 // Bytecode
@@ -176,12 +174,14 @@ impl std::fmt::Display for PredSource {
     }
 }
 
-/// Which engine a plan is bound for; determines the per-slot source rules.
+/// The per-slot source rules a plan is bound under;
+/// [`ParExec::plan_mode`] picks one per evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// The sequential engine under an [`ExecStrategy`].
+    /// Indexes where they answer under an [`ExecStrategy`] (`ScanOnly` scans
+    /// every slot, guarded by the provider's default zone maps).
     Sequential(ExecStrategy),
-    /// The chunked parallel engine: every slot is a scan.
+    /// Every slot is a chunk scan.
     Chunked {
         /// Zone-map pruning enabled ([`crate::ParExec::pruning`]).
         pruning: bool,
@@ -431,7 +431,7 @@ impl Program {
 
 /// Resolve one predicate to its [`PredSource`] under `mode`, replicating the
 /// decision rules (and error strings) of the tree-walk evaluator
-/// (`query::evaluate_predicate`) and of the chunked engine (`par`).
+/// (`query::evaluate_predicate`).
 fn plan_predicate(
     pred: &Predicate,
     provider: &impl ColumnProvider,
@@ -449,10 +449,10 @@ fn plan_predicate(
             })
         }
         PlanMode::Sequential(ExecStrategy::Auto) => match (index, data) {
-            (Some(index), Some(_)) => Ok(PredSource::Index {
-                encoding: index.choose_encoding(&pred.range),
-                exact: index.answers_exactly(&pred.range),
-            }),
+            (Some(index), Some(_)) => {
+                let (encoding, exact) = index.plan_range(&pred.range);
+                Ok(PredSource::Index { encoding, exact })
+            }
             (Some(index), None) if index.answers_exactly(&pred.range) => Ok(PredSource::Index {
                 encoding: index.choose_encoding(&pred.range),
                 exact: true,
@@ -470,7 +470,8 @@ fn plan_predicate(
 }
 
 /// Whether `provider` carries usable zone maps for `column` at the default
-/// chunk size — the condition for arming a prune guard on a sequential scan.
+/// chunk size — the condition for arming a prune guard under
+/// [`PlanMode::Sequential`].
 fn has_default_zones(provider: &impl ColumnProvider, column: &str) -> bool {
     provider
         .zone_maps(column, DEFAULT_CHUNK_ROWS)
@@ -479,231 +480,23 @@ fn has_default_zones(provider: &impl ColumnProvider, column: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Fused sequential execution
+// Execution
 // ---------------------------------------------------------------------------
 
-/// Set bits `[start, start + len)`, whole words at a time where possible.
-fn set_bit_range(words: &mut [u64], start: usize, len: usize) {
-    let end = start + len;
-    let mut i = start;
-    while i < end {
-        let w = i / 64;
-        let bit = i % 64;
-        if bit == 0 && end - i >= 64 {
-            words[w] = u64::MAX;
-            i += 64;
-        } else {
-            let take = (64 - bit).min(end - i);
-            words[w] |= (((1u128 << take) - 1) as u64) << bit;
-            i += take;
-        }
-    }
-}
-
-/// Scan rows `[start, start + len)` of `data` against `range`, setting the
-/// matching bits.
-fn scan_bit_range(
-    words: &mut [u64],
-    data: &[f64],
-    start: usize,
-    len: usize,
-    range: &crate::query::ValueRange,
-) {
-    for (i, &v) in data[start..start + len].iter().enumerate() {
-        if range.contains(v) {
-            let row = start + i;
-            words[row / 64] |= 1u64 << (row % 64);
-        }
-    }
-}
-
-/// Materialize one slot as a dense word bitmap over all `n` rows.
-fn dense_slot(
-    pred: &Predicate,
-    source: PredSource,
-    provider: &impl ColumnProvider,
-    n: usize,
-) -> Result<Vec<u64>> {
-    let mut words = vec![0u64; words_for(n)];
-    match source {
-        PredSource::Scan { pruned } => {
-            let data = provider
-                .column(&pred.column)
-                .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
-            if data.len() != n {
-                return Err(FastBitError::RowCountMismatch {
-                    index_rows: n,
-                    data_rows: data.len(),
-                });
-            }
-            let zones = if pruned {
-                provider
-                    .zone_maps(&pred.column, DEFAULT_CHUNK_ROWS)
-                    .filter(|z| z.chunk_rows() == DEFAULT_CHUNK_ROWS && z.num_rows() == n)
-            } else {
-                None
-            };
-            match zones {
-                Some(maps) => {
-                    for chunk in 0..maps.num_chunks() {
-                        let start = chunk * DEFAULT_CHUNK_ROWS;
-                        let len = DEFAULT_CHUNK_ROWS.min(n - start);
-                        match maps.zone(chunk).classify(&pred.range) {
-                            crate::par::ZoneVerdict::Empty => {}
-                            crate::par::ZoneVerdict::Full => set_bit_range(&mut words, start, len),
-                            crate::par::ZoneVerdict::Scan => {
-                                scan_bit_range(&mut words, data, start, len, &pred.range)
-                            }
-                        }
-                    }
-                }
-                None => scan_bit_range(&mut words, data, 0, n, &pred.range),
-            }
-        }
-        PredSource::Index { encoding, .. } => {
-            let index = provider
-                .index(&pred.column)
-                .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
-            let selection = match provider.column(&pred.column) {
-                Some(data) => index.evaluate_with(&pred.range, data, encoding)?,
-                None => index.evaluate_index_only_with(&pred.range, encoding)?.0,
-            };
-            crate::index::note_encoding_query(encoding);
-            selection.as_wah().write_dense_words(&mut words);
-        }
-    }
-    Ok(words)
-}
-
-fn and_words(dst: &mut [u64], src: &[u64]) {
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a &= *b;
-    }
-}
-
-fn or_words(dst: &mut [u64], src: &[u64]) {
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a |= *b;
-    }
-}
-
-/// Rebuild a WAH bitmap from a dense word bitmap of `n` bits.
-fn words_to_wah(words: &[u64], n: usize) -> Wah {
-    let mut builder = WahBuilder::new();
-    let mut remaining = n;
-    for &w in words {
-        let take = remaining.min(64);
-        if w == 0 {
-            builder.push_run(false, take as u64);
-        } else if take == 64 && w == u64::MAX {
-            builder.push_run(true, 64);
-        } else {
-            for bit in 0..take {
-                builder.push_bit(w >> bit & 1 == 1);
-            }
-        }
-        remaining -= take;
-    }
-    builder.finish()
-}
-
-/// Trace label of a planned predicate source.
-fn source_name(source: PredSource) -> &'static str {
-    match source {
-        PredSource::Scan { pruned: true } => "scan+prune",
-        PredSource::Scan { pruned: false } => "scan",
-        PredSource::Index { .. } => "index",
-    }
-}
-
-/// Execute a compiled program against `provider` with the sequential fused
-/// engine. The selected rows equal the [`crate::testing`] oracle's for the same
-/// expression; for the program's (normalized) expression the WAH words are
-/// bit-identical too.
+/// Execute a compiled program against `provider` at one thread: the
+/// evaluator of [`crate::par`] at [`ParExec::sequential`]. The selected rows
+/// equal the [`crate::testing`] oracle's for the same expression; for the
+/// program's (normalized) expression the WAH words are bit-identical too.
 pub fn execute(
     program: &Program,
     provider: &impl ColumnProvider,
     strategy: ExecStrategy,
 ) -> Result<Selection> {
-    let _eval = obs::span("evaluate");
-    let n = provider.num_rows();
-    match program.root {
-        // A single-predicate program delegates to the exact tree-walk leaf
-        // path (identical output form and counters by construction).
-        Root::Pred(slot) => {
-            let pred = &program.slots[slot as usize];
-            let _slot = obs::span("slot");
-            obs::note("pred", || pred.to_string());
-            if obs::is_active() {
-                // The source note is trace-only decoration; plan() is cheap
-                // next to the evaluation but still skipped when untraced.
-                if let Ok(sources) = program.plan(provider, PlanMode::Sequential(strategy)) {
-                    obs::note("source", || source_name(sources[slot as usize]).to_string());
-                }
-            }
-            return evaluate_predicate(pred, provider, strategy);
-        }
-        Root::Const(true) => return Ok(Selection::all(n)),
-        Root::Const(false) => return Ok(Selection::none(n)),
-        Root::Ops { .. } => {}
-    }
-    let sources = program.plan(provider, PlanMode::Sequential(strategy))?;
-    let mut slot_words = Vec::with_capacity(program.slots.len());
-    for (pred, &source) in program.slots.iter().zip(&sources) {
-        let _slot = obs::span("slot");
-        obs::note("pred", || pred.to_string());
-        obs::note("source", || source_name(source).to_string());
-        slot_words.push(dense_slot(pred, source, provider, n)?);
-    }
-    let _combine = obs::span("combine");
-    let mut regs: Vec<Vec<u64>> = vec![Vec::new(); program.num_regs];
-    for op in &program.ops {
-        match *op {
-            OpCode::Load { dst, slot } => {
-                regs[dst as usize] = slot_words[slot as usize].clone();
-            }
-            OpCode::LoadConst { dst, ones } => {
-                let mut w = vec![if ones { u64::MAX } else { 0 }; words_for(n)];
-                if ones {
-                    mask_padding(&mut w, n);
-                }
-                regs[dst as usize] = w;
-            }
-            OpCode::AndReg { dst, src } => {
-                let src_w = std::mem::take(&mut regs[src as usize]);
-                and_words(&mut regs[dst as usize], &src_w);
-            }
-            OpCode::AndSlot { dst, slot } => {
-                and_words(&mut regs[dst as usize], &slot_words[slot as usize]);
-            }
-            OpCode::OrReg { dst, src } => {
-                let src_w = std::mem::take(&mut regs[src as usize]);
-                or_words(&mut regs[dst as usize], &src_w);
-            }
-            OpCode::OrSlot { dst, slot } => {
-                or_words(&mut regs[dst as usize], &slot_words[slot as usize]);
-            }
-            OpCode::Not { dst } => {
-                for w in regs[dst as usize].iter_mut() {
-                    *w = !*w;
-                }
-                mask_padding(&mut regs[dst as usize], n);
-            }
-        }
-    }
-    let Root::Ops { result } = program.root else {
-        unreachable!("leaf roots returned above")
-    };
-    let built = words_to_wah(&regs[result as usize], n);
-    // Canonicalize to operator form: the tree-walk evaluator's result for a
-    // combiner root is always the output of a WAH boolean op, which is a
-    // pure function of the logical bits. OR-ing with zeros reproduces it.
-    let canonical = Wah::zeros(n as u64).or(&built)?;
-    Ok(Selection::from_wah(canonical))
+    crate::par::evaluate_program(program, provider, &ParExec::sequential(), strategy)
 }
 
-/// Compile `expr` and execute it sequentially — the product's one
-/// sequential evaluator, held to the [`crate::testing`] oracle.
+/// Compile `expr` and execute it at one thread, held to the
+/// [`crate::testing`] oracle.
 pub fn evaluate(
     expr: &QueryExpr,
     provider: &impl ColumnProvider,
@@ -1013,19 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn set_bit_range_handles_unaligned_spans() {
-        for (start, len) in [(0usize, 64usize), (3, 7), (60, 10), (64, 128), (1, 191)] {
-            let mut words = vec![0u64; 3];
-            set_bit_range(&mut words, start, len);
-            for bit in 0..192 {
-                let expected = bit >= start && bit < start + len;
-                let got = words[bit / 64] >> (bit % 64) & 1 == 1;
-                assert_eq!(got, expected, "start {start} len {len} bit {bit}");
-            }
-        }
-    }
-
-    #[test]
     fn explain_is_deterministic() {
         let p = ramp(100);
         let e = parse_query("(x > 1 && y < 5) || !(x > 1)").unwrap();
@@ -1039,20 +819,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with(&format!("plan {}\n", e.cache_key())));
         assert!(a.contains("<- scan"));
-    }
-
-    #[test]
-    fn words_to_wah_round_trips() {
-        for n in [0usize, 1, 63, 64, 65, 127, 200] {
-            let mut words = vec![0u64; words_for(n)];
-            for bit in (0..n).step_by(3) {
-                words[bit / 64] |= 1 << (bit % 64);
-            }
-            let wah = words_to_wah(&words, n);
-            assert_eq!(wah.len(), n as u64);
-            let rows: Vec<u64> = wah.iter_ones().collect();
-            let expected: Vec<u64> = (0..n as u64).step_by(3).collect();
-            assert_eq!(rows, expected);
-        }
     }
 }

@@ -15,9 +15,16 @@
 //! FastBit-style indexed path; under [`ExecStrategy::ScanOnly`] it scans like
 //! the "Custom" baseline, so the two can be benchmarked against each other as
 //! in Figures 11, 12 and 14.
+//!
+//! Each histogram shape has one body, run over a [`ParExec`]: the condition
+//! goes through the one query evaluator ([`crate::par`]) and the binning is
+//! chunked across the executor's threads, with per-chunk partial counts
+//! merged in chunk order. [`HistogramEngine::hist1d`] and
+//! [`HistogramEngine::hist2d`] are those bodies at one thread.
 
 use histogram::{rebin_equal_weight, BinEdges, Hist1D, Hist2D};
 
+use crate::compile::Program;
 use crate::error::{FastBitError, Result};
 use crate::par::{self, ChunkMasks, ParExec};
 use crate::query::{ColumnProvider, ExecStrategy, QueryExpr};
@@ -123,8 +130,8 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         }
     }
 
-    /// Evaluate the condition of a conditional histogram through the
-    /// compiled engine (selected rows identical to the
+    /// Evaluate the condition of a conditional histogram at one thread
+    /// ([`crate::compile::evaluate`]; selected rows identical to the
     /// [`crate::testing`] oracle — pinned by `tests/compile_differential.rs`).
     pub fn evaluate_condition(
         &self,
@@ -134,7 +141,22 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         crate::compile::evaluate(condition, self.provider, strategy)
     }
 
-    /// Compute a 1D histogram of `column`.
+    /// Evaluate the condition of a conditional histogram over `exec`'s
+    /// threads: the per-chunk masks for binning together with the merged
+    /// selection for edge resolution.
+    pub fn evaluate_condition_par(
+        &self,
+        condition: &QueryExpr,
+        strategy: ExecStrategy,
+        exec: &ParExec,
+    ) -> Result<EvaluatedCondition> {
+        let program = Program::compile(condition);
+        let answer = par::run_program(&program, self.provider, exec, exec.plan_mode(strategy))?;
+        let (masks, selection) = answer.into_parts(&program, exec.chunk_rows())?;
+        Ok(EvaluatedCondition { masks, selection })
+    }
+
+    /// Compute a 1D histogram of `column` at one thread.
     pub fn hist1d(
         &self,
         column: &str,
@@ -142,30 +164,12 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         condition: Option<&QueryExpr>,
         strategy: ExecStrategy,
     ) -> Result<Hist1D> {
-        let selection = condition
-            .map(|c| self.evaluate_condition(c, strategy))
-            .transpose()?;
-        let edges = self.resolve_edges(column, spec, selection.as_ref(), strategy)?;
-
-        // Pure-index fast path: unconditional, uniform request whose bins can
-        // be read straight off the index bin counts.
-        if strategy == ExecStrategy::Auto && selection.is_none() {
-            if let Some(idx) = self.provider.index(column) {
-                if idx.edges() == &edges {
-                    return Ok(Hist1D::from_counts(edges, idx.bin_counts())?);
-                }
-            }
-        }
-
-        let data = self.column(column)?;
-        Ok(match &selection {
-            None => Hist1D::from_data(edges, data),
-            Some(sel) => Hist1D::from_data_masked(edges, data, sel.iter_rows()),
-        })
+        self.hist1d_par(column, spec, condition, strategy, &ParExec::sequential())
     }
 
-    /// Compute a 2D histogram of the pair `(x_column, y_column)` — the unit
-    /// of work for one pair of adjacent parallel-coordinate axes.
+    /// Compute a 2D histogram of the pair `(x_column, y_column)` at one
+    /// thread — the unit of work for one pair of adjacent parallel-coordinate
+    /// axes.
     pub fn hist2d(
         &self,
         x_column: &str,
@@ -175,102 +179,25 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         condition: Option<&QueryExpr>,
         strategy: ExecStrategy,
     ) -> Result<Hist2D> {
-        let selection = condition
-            .map(|c| self.evaluate_condition(c, strategy))
+        let exec = ParExec::sequential();
+        let cond = condition
+            .map(|c| self.evaluate_condition_par(c, strategy, &exec))
             .transpose()?;
-        self.hist2d_with_selection(
+        self.hist2d_with_condition_par(
             x_column,
             y_column,
             x_spec,
             y_spec,
-            selection.as_ref(),
+            cond.as_ref(),
             strategy,
+            &exec,
         )
     }
 
-    /// Same as [`HistogramEngine::hist2d`] but reusing an already evaluated
-    /// selection; this is what the pipeline does when several axis pairs are
-    /// histogrammed under one condition.
-    pub fn hist2d_with_selection(
-        &self,
-        x_column: &str,
-        y_column: &str,
-        x_spec: &BinSpec,
-        y_spec: &BinSpec,
-        selection: Option<&Selection>,
-        strategy: ExecStrategy,
-    ) -> Result<Hist2D> {
-        let x_edges = self.resolve_edges(x_column, x_spec, selection, strategy)?;
-        let y_edges = self.resolve_edges(y_column, y_spec, selection, strategy)?;
-        let xs = self.column(x_column)?;
-        let ys = self.column(y_column)?;
-        if xs.len() != ys.len() {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: xs.len(),
-                data_rows: ys.len(),
-            });
-        }
-        Ok(match selection {
-            None => Hist2D::from_data(x_edges, y_edges, xs, ys),
-            Some(sel) => {
-                sel.check_rows(xs.len())?;
-                Hist2D::from_data_masked(x_edges, y_edges, xs, ys, sel.iter_rows())
-            }
-        })
-    }
-
-    /// Compute the 2D histograms of several adjacent axis pairs under one
-    /// shared condition — the per-timestep work unit of the parallel
-    /// histogram benchmark (five position/momentum pairs in Section V-C).
-    pub fn hist2d_pairs(
-        &self,
-        pairs: &[(String, String)],
-        spec: &BinSpec,
-        condition: Option<&QueryExpr>,
-        strategy: ExecStrategy,
-    ) -> Result<Vec<Hist2D>> {
-        let selection = condition
-            .map(|c| self.evaluate_condition(c, strategy))
-            .transpose()?;
-        pairs
-            .iter()
-            .map(|(x, y)| {
-                self.hist2d_with_selection(x, y, spec, spec, selection.as_ref(), strategy)
-            })
-            .collect()
-    }
-}
-
-/// A condition evaluated by the chunked parallel engine: the per-chunk masks
-/// (for parallel binning) together with the merged [`Selection`] (for edge
-/// resolution and for callers that need the row set).
-#[derive(Debug, Clone)]
-pub struct EvaluatedCondition {
-    /// Per-chunk match masks.
-    pub masks: ChunkMasks,
-    /// The merged selection (same row set as sequential evaluation).
-    pub selection: Selection,
-}
-
-impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
-    /// Evaluate a condition with the chunked parallel engine. The selected
-    /// row set is identical to [`HistogramEngine::evaluate_condition`] for
-    /// either strategy — chunked evaluation is scan-exact by construction.
-    pub fn evaluate_condition_chunked(
-        &self,
-        condition: &QueryExpr,
-        exec: &ParExec,
-    ) -> Result<EvaluatedCondition> {
-        let masks = par::evaluate_chunk_masks(condition, self.provider, exec)?;
-        let selection = masks.to_selection();
-        Ok(EvaluatedCondition { masks, selection })
-    }
-
-    /// Parallel counterpart of [`HistogramEngine::hist1d`]: the condition is
-    /// evaluated chunk-by-chunk (zone-map pruned) and the binning itself is
-    /// chunked across the pool, with per-chunk partial counts merged in
-    /// chunk order. Bin edges are resolved exactly as in the sequential
-    /// path, so the resulting histogram is identical bin-for-bin.
+    /// Compute a 1D histogram of `column` over `exec`'s threads: the
+    /// condition is evaluated chunk-by-chunk and the binning is chunked
+    /// across the pool. Bin edges do not depend on the thread count, so the
+    /// histogram is identical bin-for-bin at every one.
     pub fn hist1d_par(
         &self,
         column: &str,
@@ -280,14 +207,13 @@ impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
         exec: &ParExec,
     ) -> Result<Hist1D> {
         let cond = condition
-            .map(|c| self.evaluate_condition_chunked(c, exec))
+            .map(|c| self.evaluate_condition_par(c, strategy, exec))
             .transpose()?;
         let edges =
             self.resolve_edges(column, spec, cond.as_ref().map(|c| &c.selection), strategy)?;
 
-        // Mirror the sequential pure-index fast path bit-for-bit: an
-        // unconditional `Auto` request whose edges coincide with the index
-        // reads the counts straight off the bitmaps.
+        // Pure-index fast path: an unconditional `Auto` request whose edges
+        // coincide with the index reads the counts straight off the bitmaps.
         if strategy == ExecStrategy::Auto && cond.is_none() {
             if let Some(idx) = self.provider.index(column) {
                 if idx.edges() == &edges {
@@ -300,10 +226,10 @@ impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
         par_hist1d(edges, data, cond.as_ref().map(|c| &c.masks), exec)
     }
 
-    /// Parallel counterpart of [`HistogramEngine::hist2d_with_selection`],
-    /// reusing an already chunk-evaluated condition so several axis pairs
+    /// Compute a 2D histogram of `(x_column, y_column)` over `exec`'s
+    /// threads under an already evaluated condition, so several axis pairs
     /// can share one evaluation.
-    #[allow(clippy::too_many_arguments)] // mirrors hist2d_with_selection + exec
+    #[allow(clippy::too_many_arguments)] // two columns, two specs, the condition, strategy and exec
     pub fn hist2d_with_condition_par(
         &self,
         x_column: &str,
@@ -332,9 +258,45 @@ impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
     }
 }
 
-/// Chunked 1D binning: each chunk bins its (selected) rows into a private
-/// histogram; partials are merged in chunk order. Counts are exact integer
-/// sums, so the result equals the sequential histogram bin-for-bin.
+/// A histogram condition evaluated over a [`ParExec`]: the per-chunk masks
+/// (for chunked binning) together with the merged [`Selection`] (for edge
+/// resolution and for callers that need the row set).
+#[derive(Debug, Clone)]
+pub struct EvaluatedCondition {
+    /// Per-chunk match masks.
+    pub masks: ChunkMasks,
+    /// The merged selection.
+    pub selection: Selection,
+}
+
+impl EvaluatedCondition {
+    /// A condition whose rows are already chosen (say, by particle
+    /// identifier), split into `exec`'s chunks.
+    pub fn from_selection(selection: Selection, exec: &ParExec) -> Self {
+        EvaluatedCondition {
+            masks: ChunkMasks::from_selection(&selection, exec.chunk_rows()),
+            selection,
+        }
+    }
+}
+
+/// The runs of chunks binned into one partial histogram each: one run of
+/// every chunk at one thread, where a partial per chunk only adds zeroing
+/// and merging (a 2048×2048 2D histogram is 32 MiB of counts, and partials
+/// per chunk made one-thread 2D histograms 19× slower); one run per chunk
+/// at more threads, so workers balance chunk by chunk.
+fn chunk_runs(exec: &ParExec, num_chunks: usize) -> (usize, usize) {
+    let per_run = if exec.threads() == 1 {
+        num_chunks.max(1)
+    } else {
+        1
+    };
+    (num_chunks.div_ceil(per_run), per_run)
+}
+
+/// Chunked 1D binning: each run of chunks bins its (selected) rows into a
+/// private histogram; partials are merged in chunk order. Counts are exact
+/// integer sums, so the result equals the sequential histogram bin-for-bin.
 fn par_hist1d(
     edges: BinEdges,
     data: &[f64],
@@ -351,19 +313,23 @@ fn par_hist1d(
     }
     let chunk_rows = exec.chunk_rows();
     let num_chunks = data.len().div_ceil(chunk_rows);
-    let partials = exec.run_chunks(num_chunks, |chunk| {
-        let start = chunk * chunk_rows;
-        let len = chunk_rows.min(data.len() - start);
+    let (runs, per_run) = chunk_runs(exec, num_chunks);
+    let partials = exec.run_chunks(runs, |run| {
         let mut h = Hist1D::new(edges.clone());
-        match masks {
-            None => h.accumulate(&data[start..start + len]),
-            Some(m) => m.mask(chunk).for_each_row(len, |r| h.push(data[start + r])),
+        for chunk in run * per_run..num_chunks.min((run + 1) * per_run) {
+            let start = chunk * chunk_rows;
+            let len = chunk_rows.min(data.len() - start);
+            match masks {
+                None => h.accumulate(&data[start..start + len]),
+                Some(m) => m.mask(chunk).for_each_row(len, |r| h.push(data[start + r])),
+            }
         }
         Ok(h)
     })?;
-    let mut out = Hist1D::new(edges);
-    for p in &partials {
-        out.merge_counts(p)?;
+    let mut partials = partials.into_iter();
+    let mut out = partials.next().unwrap_or_else(|| Hist1D::new(edges));
+    for p in partials {
+        out.merge_counts(&p)?;
     }
     Ok(out)
 }
@@ -387,21 +353,27 @@ fn par_hist2d(
     }
     let chunk_rows = exec.chunk_rows();
     let num_chunks = xs.len().div_ceil(chunk_rows);
-    let partials = exec.run_chunks(num_chunks, |chunk| {
-        let start = chunk * chunk_rows;
-        let len = chunk_rows.min(xs.len() - start);
+    let (runs, per_run) = chunk_runs(exec, num_chunks);
+    let partials = exec.run_chunks(runs, |run| {
         let mut h = Hist2D::new(x_edges.clone(), y_edges.clone());
-        match masks {
-            None => h.accumulate(&xs[start..start + len], &ys[start..start + len]),
-            Some(m) => m
-                .mask(chunk)
-                .for_each_row(len, |r| h.push(xs[start + r], ys[start + r])),
+        for chunk in run * per_run..num_chunks.min((run + 1) * per_run) {
+            let start = chunk * chunk_rows;
+            let len = chunk_rows.min(xs.len() - start);
+            match masks {
+                None => h.accumulate(&xs[start..start + len], &ys[start..start + len]),
+                Some(m) => m
+                    .mask(chunk)
+                    .for_each_row(len, |r| h.push(xs[start + r], ys[start + r])),
+            }
         }
         Ok(h)
     })?;
-    let mut out = Hist2D::new(x_edges, y_edges);
-    for p in &partials {
-        out.merge_counts(p)?;
+    let mut partials = partials.into_iter();
+    let mut out = partials
+        .next()
+        .unwrap_or_else(|| Hist2D::new(x_edges, y_edges));
+    for p in partials {
+        out.merge_counts(&p)?;
     }
     Ok(out)
 }
@@ -589,28 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn hist2d_pairs_shares_the_condition() {
-        let p = provider(3000);
-        let engine = HistogramEngine::new(&p);
-        let cond = QueryExpr::pred("px", ValueRange::gt(5e10));
-        let pairs = vec![
-            ("x".to_string(), "px".to_string()),
-            ("y".to_string(), "px".to_string()),
-        ];
-        let hists = engine
-            .hist2d_pairs(
-                &pairs,
-                &BinSpec::Uniform(32),
-                Some(&cond),
-                ExecStrategy::Auto,
-            )
-            .unwrap();
-        assert_eq!(hists.len(), 2);
-        let hits = p.columns["px"].iter().filter(|&&v| v > 5e10).count() as u64;
-        assert!(hists.iter().all(|h| h.total() == hits));
-    }
-
-    #[test]
     fn unknown_column_is_an_error() {
         let p = provider(100);
         let engine = HistogramEngine::new(&p);
@@ -671,36 +621,57 @@ mod tests {
         let p = provider(5000);
         let engine = HistogramEngine::new(&p);
         let cond = QueryExpr::pred("px", ValueRange::gt(5e10));
-        let exec = ParExec::new(3, 333);
-        let evaluated = engine.evaluate_condition_chunked(&cond, &exec).unwrap();
         let spec = BinSpec::Uniform(48);
-        let seq_sel = engine
-            .evaluate_condition(&cond, ExecStrategy::Auto)
-            .unwrap();
-        assert_eq!(evaluated.selection.to_rows(), seq_sel.to_rows());
-        let par = engine
-            .hist2d_with_condition_par(
-                "x",
-                "px",
-                &spec,
-                &spec,
-                Some(&evaluated),
-                ExecStrategy::Auto,
-                &exec,
-            )
-            .unwrap();
-        let seq = engine
-            .hist2d_with_selection("x", "px", &spec, &spec, Some(&seq_sel), ExecStrategy::Auto)
-            .unwrap();
-        assert_eq!(par.counts(), seq.counts());
-        assert_eq!(par.out_of_range(), seq.out_of_range());
-        // Unconditional as well.
-        let par_u = engine
-            .hist2d_with_condition_par("x", "px", &spec, &spec, None, ExecStrategy::ScanOnly, &exec)
-            .unwrap();
-        let seq_u = engine
-            .hist2d_with_selection("x", "px", &spec, &spec, None, ExecStrategy::ScanOnly)
-            .unwrap();
-        assert_eq!(par_u.counts(), seq_u.counts());
+        let oracle_sel =
+            crate::testing::evaluate_with_strategy(&cond, &p, ExecStrategy::Auto).unwrap();
+        let oracle = |selection: Option<&Selection>, strategy| {
+            let x_edges = engine
+                .resolve_edges("x", &spec, selection, strategy)
+                .unwrap();
+            let y_edges = engine
+                .resolve_edges("px", &spec, selection, strategy)
+                .unwrap();
+            let (xs, ys) = (&p.columns["x"], &p.columns["px"]);
+            match selection {
+                Some(sel) => Hist2D::from_data_masked(x_edges, y_edges, xs, ys, sel.iter_rows()),
+                None => Hist2D::from_data(x_edges, y_edges, xs, ys),
+            }
+        };
+        for exec in [ParExec::new(1, 333), ParExec::new(3, 333)] {
+            let evaluated = engine
+                .evaluate_condition_par(&cond, ExecStrategy::Auto, &exec)
+                .unwrap();
+            assert_eq!(evaluated.selection.to_rows(), oracle_sel.to_rows());
+            let par = engine
+                .hist2d_with_condition_par(
+                    "x",
+                    "px",
+                    &spec,
+                    &spec,
+                    Some(&evaluated),
+                    ExecStrategy::Auto,
+                    &exec,
+                )
+                .unwrap();
+            let expected = oracle(Some(&oracle_sel), ExecStrategy::Auto);
+            assert_eq!(par.counts(), expected.counts());
+            assert_eq!(par.out_of_range(), expected.out_of_range());
+            // Unconditional as well.
+            let par_u = engine
+                .hist2d_with_condition_par(
+                    "x",
+                    "px",
+                    &spec,
+                    &spec,
+                    None,
+                    ExecStrategy::ScanOnly,
+                    &exec,
+                )
+                .unwrap();
+            assert_eq!(
+                par_u.counts(),
+                oracle(None, ExecStrategy::ScanOnly).counts()
+            );
+        }
     }
 }

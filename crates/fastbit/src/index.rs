@@ -654,6 +654,20 @@ impl BitmapIndex {
     /// could match unbinned (out-of-span) rows needs the raw column too.
     pub fn answers_exactly(&self, range: &ValueRange) -> bool {
         let (_, partial) = self.classify_bins(range);
+        self.exact_classified(&partial, range)
+    }
+
+    /// [`BitmapIndex::choose_encoding`] and [`BitmapIndex::answers_exactly`]
+    /// from one bin classification: the planner's view of an index slot.
+    pub(crate) fn plan_range(&self, range: &ValueRange) -> (IndexEncoding, bool) {
+        let (full, partial) = self.classify_bins(range);
+        (
+            self.choose_encoding_classified(&full),
+            self.exact_classified(&partial, range),
+        )
+    }
+
+    fn exact_classified(&self, partial: &[usize], range: &ValueRange) -> bool {
         partial.is_empty() && (self.unbinned.is_empty() || !self.range_may_match_unbinned(range))
     }
 }

@@ -66,7 +66,7 @@ pub mod wah;
 pub use bitvec::BitVec;
 pub use compile::{OpCode, PlanCache, PlanCacheStats, PlanMode, PredSource, Program, Root};
 pub use error::{FastBitError, Result};
-pub use hist::{BinSpec, HistogramEngine};
+pub use hist::{BinSpec, EvaluatedCondition, HistogramEngine};
 pub use index::{
     encoding_stats, register_encoding_metrics, BitmapIndex, EncodingStatsSnapshot, IdIndex,
     IndexEncoding,

@@ -1,28 +1,35 @@
-//! Chunked parallel query evaluation with zone-map pruning.
+//! The one query evaluator: chunked evaluation with zone-map pruning.
 //!
 //! The paper's headline numbers come from *parallel* index evaluation and
 //! histogram computation; this module supplies the intra-query half of that
-//! story. Columns are partitioned into fixed-size row chunks, each carrying a
-//! [`Zone`] (min / max / NaN count). A compound [`QueryExpr`] is evaluated
+//! story. Every query, at every thread count, runs here: columns are
+//! partitioned into fixed-size row chunks, each carrying a [`Zone`]
+//! (min / max / NaN count), and a compiled [`Program`] is evaluated
 //! chunk-by-chunk over [`run`] (a small work queue of scoped threads, no
 //! external dependencies, which also fans catalog-wide work out over
-//! timesteps):
+//! timesteps; at one thread it runs inline). Each predicate slot is bound
+//! once per evaluation:
 //!
-//! * a chunk whose zone proves the predicate can match **nothing** is pruned
-//!   to an empty mask without touching a single row;
-//! * a chunk whose zone proves **every** row matches (no NaNs, value interval
-//!   fully inside the query range) is pruned to a full mask;
-//! * only the remaining chunks are scanned row-by-row.
+//! * a **scan** slot is answered per chunk: a chunk whose zone proves the
+//!   predicate can match **nothing** is pruned to an empty mask without
+//!   touching a single row, a chunk whose zone proves **every** row matches
+//!   (no NaNs, value interval fully inside the query range) is pruned to a
+//!   full mask, and only the remaining chunks are scanned row-by-row;
+//! * an **index** slot is answered once over the whole column through its
+//!   bitmap index, and the answer is sliced into each chunk's mask.
 //!
-//! Bitmap indexes are the sequential engine's business
-//! ([`crate::compile::execute`]); this engine never consults them.
+//! Which slots take the index is decided by one rule,
+//! [`ParExec::plan_mode`]: at one thread the planner follows the
+//! [`ExecStrategy`] (under `Auto` it binds the index wherever one answers the
+//! predicate); at more than one thread every slot is a pruned scan.
 //!
 //! Per-chunk masks are merged *in chunk order* into one WAH-compressed
 //! [`Selection`], so the selected row set is a pure function of the data and
-//! the query — independent of thread count, chunk size and pruning. The
-//! differential suites in `tests/par_differential.rs` and
-//! `tests/zone_map_adversarial.rs` pin exactly that: parallel evaluation can
-//! never silently mean "different answers".
+//! the query — independent of thread count, chunk size, pruning and plan.
+//! The differential suites in `tests/par_differential.rs`,
+//! `tests/compile_differential.rs` and `tests/zone_map_adversarial.rs` pin
+//! exactly that: parallel evaluation can never silently mean "different
+//! answers".
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,9 +37,10 @@ use std::sync::Arc;
 
 use crate::compile::{OpCode, PlanMode, PredSource, Program, Root};
 use crate::error::{FastBitError, Result};
-use crate::query::{ColumnProvider, Predicate, QueryExpr, ValueRange};
+use crate::index::IndexEncoding;
+use crate::query::{ColumnProvider, ExecStrategy, Predicate, QueryExpr, ValueRange};
 use crate::selection::Selection;
-use crate::wah::WahBuilder;
+use crate::wah::{Wah, WahBuilder};
 
 /// Default number of rows per evaluation chunk. Small enough that zone-map
 /// pruning has real resolution on clustered data, large enough that the
@@ -183,8 +191,9 @@ impl ZoneMaps {
 // Execution configuration and statistics
 // ---------------------------------------------------------------------------
 
-/// Lifetime counters of a [`ParExec`]: how many evaluations ran and how much
-/// work the zone maps saved. Exposed by the server's `STATS` verb.
+/// Lifetime counters of a [`ParExec`]: how many evaluations ran (at every
+/// thread count) and how much work the zone maps saved. Exposed by the
+/// server's `STATS` verb.
 #[derive(Debug, Default)]
 pub struct ParStats {
     queries: AtomicU64,
@@ -196,7 +205,7 @@ pub struct ParStats {
 /// A point-in-time snapshot of [`ParStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParStatsSnapshot {
-    /// Chunked query evaluations performed.
+    /// Query evaluations performed.
     pub queries: u64,
     /// Predicate-chunks proven empty by a zone map (no rows touched).
     pub chunks_pruned_empty: u64,
@@ -227,8 +236,8 @@ struct ChunkTally {
     scanned: AtomicU64,
 }
 
-/// Configuration of the chunked parallel evaluator: thread count, chunk size
-/// and whether zone-map pruning is enabled (disabling it exists for the
+/// Configuration of the query evaluator: thread count, chunk size and
+/// whether zone-map pruning is enabled (disabling it exists for the
 /// prune-vs-scan differential tests — results must be identical either way).
 #[derive(Debug, Clone)]
 pub struct ParExec {
@@ -256,13 +265,14 @@ impl ParExec {
         }
     }
 
-    /// A single-threaded executor (chunked algorithm, run inline).
+    /// A single-threaded executor (chunks run inline on the caller).
     pub fn sequential() -> Self {
         Self::new(1, DEFAULT_CHUNK_ROWS)
     }
 
-    /// Disable zone-map pruning: every chunk is scanned. The answer must be
-    /// byte-identical; only the work changes.
+    /// Disable zone-map pruning in chunk-scan plans ([`PlanMode::Chunked`]):
+    /// every chunk is scanned. The answer must be byte-identical; only the
+    /// work changes.
     pub fn without_pruning(mut self) -> Self {
         self.pruning = false;
         self
@@ -288,6 +298,26 @@ impl ParExec {
         self.stats.snapshot()
     }
 
+    /// The index-or-scan rule: how this executor binds predicate slots under
+    /// `strategy`. At one thread the slots follow `strategy`
+    /// ([`PlanMode::Sequential`]: `Auto` takes the index wherever one
+    /// answers the predicate); at more than one thread every slot is a chunk
+    /// scan, zone-pruned unless pruning is off. Letting two threads take the
+    /// index measured 8.6× slower on the benchmark's `drill_uncached`
+    /// workload (p50 41.05 ms against 4.79 ms, seed 42): its unselective
+    /// compound predicates cost more through the bitmaps than through a
+    /// pruned scan, so the index stays at one thread until the planner
+    /// estimates each predicate's cost.
+    pub fn plan_mode(&self, strategy: ExecStrategy) -> PlanMode {
+        if self.threads == 1 {
+            PlanMode::Sequential(strategy)
+        } else {
+            PlanMode::Chunked {
+                pruning: self.pruning,
+            }
+        }
+    }
+
     /// Register this executor's lifetime counters into a metrics registry:
     /// `vdx_par_queries_total` and `vdx_par_chunks_total` by outcome. The
     /// collectors hold a reference to the shared stats, so clones of this
@@ -296,7 +326,7 @@ impl ParExec {
         let stats = Arc::clone(&self.stats);
         registry.counter_fn(
             "vdx_par_queries_total",
-            "Chunked parallel query evaluations performed.",
+            "Query evaluations performed by the chunked evaluator.",
             &[],
             move || stats.queries.load(Ordering::Relaxed),
         );
@@ -413,20 +443,38 @@ pub enum Mask {
 
 /// Words of a bitmap over `len` rows.
 #[inline]
-pub(crate) fn words_for(len: usize) -> usize {
+fn words_for(len: usize) -> usize {
     len.div_ceil(64)
 }
 
-#[cfg(test)]
-fn full_words(len: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; words_for(len)];
-    mask_padding(&mut words, len);
+/// A selection expanded to a dense little-endian word bitmap over its rows.
+fn dense_words(selection: &Selection) -> Vec<u64> {
+    let mut words = vec![0u64; words_for(selection.num_rows())];
+    selection.as_wah().write_dense_words(&mut words);
     words
+}
+
+/// The mask of rows `[start, start + len)` of a dense word bitmap. `start`
+/// need not be a multiple of 64: each output word joins the tail of one
+/// input word with the head of the next.
+fn slice_mask(words: &[u64], start: usize, len: usize) -> Mask {
+    let (first, shift) = (start / 64, start % 64);
+    let mut out: Vec<u64> = (0..words_for(len))
+        .map(|i| {
+            let low = words[first + i] >> shift;
+            match words.get(first + i + 1) {
+                Some(next) if shift != 0 => low | next << (64 - shift),
+                _ => low,
+            }
+        })
+        .collect();
+    mask_padding(&mut out, len);
+    Mask::Bits(out).normalized(len)
 }
 
 /// Zero the bits at positions `>= len` of the final word.
 #[inline]
-pub(crate) fn mask_padding(words: &mut [u64], len: usize) {
+fn mask_padding(words: &mut [u64], len: usize) {
     let tail = len % 64;
     if tail != 0 {
         if let Some(last) = words.last_mut() {
@@ -537,6 +585,25 @@ pub struct ChunkMasks {
 }
 
 impl ChunkMasks {
+    /// Split a whole-dataset selection into the masks of `chunk_rows`-row
+    /// chunks (clamped to at least 1).
+    pub fn from_selection(selection: &Selection, chunk_rows: usize) -> ChunkMasks {
+        let chunk_rows = chunk_rows.max(1);
+        let num_rows = selection.num_rows();
+        let words = dense_words(selection);
+        let masks = (0..num_rows.div_ceil(chunk_rows))
+            .map(|chunk| {
+                let start = chunk * chunk_rows;
+                slice_mask(&words, start, chunk_rows.min(num_rows - start))
+            })
+            .collect();
+        ChunkMasks {
+            chunk_rows,
+            num_rows,
+            masks,
+        }
+    }
+
     /// Rows per chunk.
     pub fn chunk_rows(&self) -> usize {
         self.chunk_rows
@@ -595,64 +662,161 @@ impl ChunkMasks {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked evaluation
+// The evaluator
 // ---------------------------------------------------------------------------
 
-/// Evaluate `expr` chunk-by-chunk over `exec`'s pool and return the per-chunk
-/// masks. The expression is compiled to a bytecode [`Program`] first
-/// ([`Program::compile`]); callers that hold a cached program should use
-/// [`evaluate_chunk_masks_program`] directly.
-pub fn evaluate_chunk_masks(
-    expr: &QueryExpr,
-    provider: &(impl ColumnProvider + Sync),
-    exec: &ParExec,
-) -> Result<ChunkMasks> {
-    evaluate_chunk_masks_program(&Program::compile(expr), provider, exec)
+/// What one evaluation produced.
+pub(crate) enum Answer {
+    /// A single-predicate program answered by an index: the index's
+    /// selection as is.
+    Index(Selection),
+    /// One mask per chunk.
+    Chunks(ChunkMasks),
 }
 
-/// Evaluate a compiled [`Program`] chunk-by-chunk over `exec`'s pool. Zone
-/// maps are taken from the provider when it has them at this chunk size (see
-/// [`ColumnProvider::zone_maps`]) and computed on the fly from each chunk's
-/// slice otherwise. Chunk workers interpret the program's linear op list over
-/// per-chunk mask registers instead of re-walking the expression tree.
-pub fn evaluate_chunk_masks_program(
+impl Answer {
+    /// The answer as one selection.
+    pub(crate) fn into_selection(self, program: &Program) -> Result<Selection> {
+        match self {
+            Answer::Index(selection) => Ok(selection),
+            Answer::Chunks(masks) => merge(&masks, program),
+        }
+    }
+
+    /// The answer as per-chunk masks of `chunk_rows` rows.
+    pub(crate) fn into_masks(self, chunk_rows: usize) -> ChunkMasks {
+        match self {
+            Answer::Index(selection) => ChunkMasks::from_selection(&selection, chunk_rows),
+            Answer::Chunks(masks) => masks,
+        }
+    }
+
+    /// The answer both ways: per-chunk masks of `chunk_rows` rows and one
+    /// selection.
+    pub(crate) fn into_parts(
+        self,
+        program: &Program,
+        chunk_rows: usize,
+    ) -> Result<(ChunkMasks, Selection)> {
+        match self {
+            Answer::Index(selection) => Ok((
+                ChunkMasks::from_selection(&selection, chunk_rows),
+                selection,
+            )),
+            Answer::Chunks(masks) => {
+                let selection = merge(&masks, program)?;
+                Ok((masks, selection))
+            }
+        }
+    }
+}
+
+/// Merge a program's chunk masks into one selection. A combiner root's
+/// selection is canonicalized to operator form (OR-ed with zeros), the form
+/// the [`crate::testing`] oracle's WAH operations produce, so the words are
+/// bit-identical to it; every other root already has the oracle's form.
+fn merge(masks: &ChunkMasks, program: &Program) -> Result<Selection> {
+    let _combine = obs::span("combine");
+    let merged = masks.to_selection();
+    if !matches!(program.root(), Root::Ops { .. }) {
+        return Ok(merged);
+    }
+    let zeros = Wah::zeros(masks.num_rows() as u64);
+    Ok(Selection::from_wah(zeros.or(merged.as_wah())?))
+}
+
+/// Trace label of a planned predicate source.
+fn source_name(source: PredSource) -> &'static str {
+    match source {
+        PredSource::Scan { pruned: true } => "scan+prune",
+        PredSource::Scan { pruned: false } => "scan",
+        PredSource::Index { .. } => "index",
+    }
+}
+
+/// Answer an index slot over the whole column, candidate-checking boundary
+/// rows against the raw column when it is resident.
+fn index_answer(
+    pred: &Predicate,
+    encoding: IndexEncoding,
+    provider: &impl ColumnProvider,
+) -> Result<Selection> {
+    let index = provider
+        .index(&pred.column)
+        .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
+    let selection = match provider.column(&pred.column) {
+        Some(data) => index.evaluate_with(&pred.range, data, encoding)?,
+        None => index.evaluate_index_only_with(&pred.range, encoding)?.0,
+    };
+    crate::index::note_encoding_query(encoding);
+    Ok(selection)
+}
+
+/// The one query evaluator: bind every slot of `program` under `mode`, then
+/// run the chunks over `exec`'s threads. An index slot is answered once over
+/// the whole column and sliced into each chunk; a scan slot is zone-pruned
+/// and scanned per chunk ([`eval_slot_chunk`]); the slot masks of a chunk
+/// combine through the program's op list ([`run_ops_masks`]).
+pub(crate) fn run_program(
     program: &Program,
-    provider: &(impl ColumnProvider + Sync),
+    provider: &impl ColumnProvider,
     exec: &ParExec,
-) -> Result<ChunkMasks> {
+    mode: PlanMode,
+) -> Result<Answer> {
     let _eval = obs::span("evaluate");
     let num_rows = provider.num_rows();
     let chunk_rows = exec.chunk_rows();
-    // Resolve every referenced column once, up front: the error surface
-    // matches sequential evaluation (which reports the first unknown column)
-    // and chunk workers then operate on plain slices.
+    // Each plan keeps its own error order: a chunk-scan plan names the
+    // first unknown column by name, a sequential one the first by slot.
+    if let PlanMode::Chunked { .. } = mode {
+        for name in program.expr().columns() {
+            if provider.column(&name).is_none() {
+                return Err(FastBitError::UnknownColumn(name));
+            }
+        }
+    }
+    let sources = program.plan(provider, mode)?;
+    // Bind each slot once, on this thread: scan slots resolve their column
+    // and zone maps so chunk workers operate on plain slices, index slots
+    // are answered whole.
     let mut columns: BTreeMap<String, &[f64]> = BTreeMap::new();
     let mut zones: BTreeMap<String, Option<Arc<ZoneMaps>>> = BTreeMap::new();
-    for name in program.expr().columns() {
-        let data = provider
-            .column(&name)
-            .ok_or_else(|| FastBitError::UnknownColumn(name.clone()))?;
-        if data.len() != num_rows {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: num_rows,
-                data_rows: data.len(),
-            });
+    let mut index_words: Vec<Option<Vec<u64>>> = Vec::with_capacity(sources.len());
+    for (pred, &source) in program.slots().iter().zip(&sources) {
+        let _slot = obs::span("slot");
+        obs::note("pred", || pred.to_string());
+        obs::note("source", || source_name(source).to_string());
+        match source {
+            PredSource::Index { encoding, .. } => {
+                let selection = index_answer(pred, encoding, provider)?;
+                if let Root::Pred(_) = program.root() {
+                    exec.stats.queries.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Answer::Index(selection));
+                }
+                index_words.push(Some(dense_words(&selection)));
+            }
+            PredSource::Scan { pruned } => {
+                if !columns.contains_key(&pred.column) {
+                    let data = provider
+                        .column(&pred.column)
+                        .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
+                    if data.len() != num_rows {
+                        return Err(FastBitError::RowCountMismatch {
+                            index_rows: num_rows,
+                            data_rows: data.len(),
+                        });
+                    }
+                    let maps = pruned
+                        .then(|| provider.zone_maps(&pred.column, chunk_rows))
+                        .flatten()
+                        .filter(|z| z.chunk_rows() == chunk_rows && z.num_rows() == num_rows);
+                    zones.insert(pred.column.clone(), maps);
+                    columns.insert(pred.column.clone(), data);
+                }
+                index_words.push(None);
+            }
         }
-        zones.insert(
-            name.clone(),
-            provider
-                .zone_maps(&name, chunk_rows)
-                .filter(|z| z.chunk_rows() == chunk_rows && z.num_rows() == num_rows),
-        );
-        columns.insert(name, data);
     }
-    // Bind planner decisions: every slot is a (possibly zone-pruned) scan.
-    let sources = program.plan(
-        provider,
-        PlanMode::Chunked {
-            pruning: exec.pruning(),
-        },
-    )?;
     let num_chunks = num_rows.div_ceil(chunk_rows);
     exec.stats.queries.fetch_add(1, Ordering::Relaxed);
     let tally = ChunkTally::default();
@@ -661,16 +825,19 @@ pub fn evaluate_chunk_masks_program(
         let len = chunk_rows.min(num_rows - start);
         let mut slot_masks = Vec::with_capacity(program.slots().len());
         for (i, pred) in program.slots().iter().enumerate() {
-            slot_masks.push(eval_slot_chunk(
-                pred,
-                &sources[i],
-                &columns,
-                &zones,
-                &tally,
-                chunk,
-                start,
-                len,
-            )?);
+            slot_masks.push(match &index_words[i] {
+                Some(words) => slice_mask(words, start, len),
+                None => eval_slot_chunk(
+                    pred,
+                    &sources[i],
+                    &columns,
+                    &zones,
+                    &tally,
+                    chunk,
+                    start,
+                    len,
+                )?,
+            });
         }
         Ok(run_ops_masks(program, slot_masks, len))
     })?;
@@ -693,20 +860,59 @@ pub fn evaluate_chunk_masks_program(
     obs::count("pruned_empty", pe);
     obs::count("pruned_full", pf);
     obs::count("scanned", sc);
-    Ok(ChunkMasks {
+    Ok(Answer::Chunks(ChunkMasks {
         chunk_rows,
         num_rows,
         masks,
-    })
+    }))
 }
 
-/// Evaluate `expr` chunk-by-chunk and merge the result into one
-/// [`Selection`]. The selected row set is identical to sequential evaluation
-/// ([`crate::compile::evaluate`]) for every thread count, chunk
-/// size, and pruning setting.
+/// Evaluate `program` into one selection over `exec`'s threads, binding its
+/// slots by [`ParExec::plan_mode`] under `strategy`.
+pub fn evaluate_program(
+    program: &Program,
+    provider: &impl ColumnProvider,
+    exec: &ParExec,
+    strategy: ExecStrategy,
+) -> Result<Selection> {
+    run_program(program, provider, exec, exec.plan_mode(strategy))?.into_selection(program)
+}
+
+/// Evaluate `expr` as a pruned chunk scan over `exec`'s threads and return
+/// the per-chunk masks. The expression is compiled to a bytecode
+/// [`Program`] first ([`Program::compile`]); callers that hold a cached
+/// program should use [`evaluate_chunk_masks_program`] directly.
+pub fn evaluate_chunk_masks(
+    expr: &QueryExpr,
+    provider: &impl ColumnProvider,
+    exec: &ParExec,
+) -> Result<ChunkMasks> {
+    evaluate_chunk_masks_program(&Program::compile(expr), provider, exec)
+}
+
+/// Evaluate a compiled [`Program`] as a pruned chunk scan over `exec`'s
+/// threads — every slot bound to [`PlanMode::Chunked`], whatever the thread
+/// count. Zone maps are taken from the provider when it has them at this
+/// chunk size (see [`ColumnProvider::zone_maps`]) and computed on the fly
+/// from each chunk's slice otherwise.
+pub fn evaluate_chunk_masks_program(
+    program: &Program,
+    provider: &impl ColumnProvider,
+    exec: &ParExec,
+) -> Result<ChunkMasks> {
+    let mode = PlanMode::Chunked {
+        pruning: exec.pruning(),
+    };
+    Ok(run_program(program, provider, exec, mode)?.into_masks(exec.chunk_rows()))
+}
+
+/// Evaluate `expr` as a pruned chunk scan and merge the result into one
+/// [`Selection`]. The selected row set is identical to
+/// [`crate::compile::evaluate`]'s for every thread count, chunk size, and
+/// pruning setting.
 pub fn evaluate_chunked(
     expr: &QueryExpr,
-    provider: &(impl ColumnProvider + Sync),
+    provider: &impl ColumnProvider,
     exec: &ParExec,
 ) -> Result<Selection> {
     Ok(evaluate_chunk_masks(expr, provider, exec)?.to_selection())
@@ -811,13 +1017,16 @@ fn run_ops_masks(program: &Program, slot_masks: Vec<Mask>, len: usize) -> Mask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ExecStrategy, Predicate};
+    use crate::index::BitmapIndex;
+    use crate::query::{parse_query, Predicate};
     use crate::scan;
     use crate::testing::evaluate_with_strategy;
+    use histogram::Binning;
     use std::collections::HashMap;
 
     struct MemProvider {
         columns: HashMap<String, Vec<f64>>,
+        indexes: HashMap<String, BitmapIndex>,
         rows: usize,
     }
 
@@ -829,8 +1038,18 @@ mod tests {
                     .into_iter()
                     .map(|(n, d)| (n.to_string(), d))
                     .collect(),
+                indexes: HashMap::new(),
                 rows,
             }
+        }
+
+        /// Give every column a 16-bin equal-width bitmap index.
+        fn indexed(mut self) -> Self {
+            for (name, data) in &self.columns {
+                let index = BitmapIndex::build(data, &Binning::EqualWidth { bins: 16 }).unwrap();
+                self.indexes.insert(name.clone(), index);
+            }
+            self
         }
     }
 
@@ -841,13 +1060,41 @@ mod tests {
         fn column(&self, name: &str) -> Option<&[f64]> {
             self.columns.get(name).map(|v| v.as_slice())
         }
-        fn index(&self, _name: &str) -> Option<&crate::index::BitmapIndex> {
-            None
+        fn index(&self, name: &str) -> Option<&BitmapIndex> {
+            self.indexes.get(name)
         }
+    }
+
+    /// Four columns shaped like the benchmark's drill-down predicates: a
+    /// ramp, two periodic columns and one with NaN islands.
+    fn drill_columns(n: usize) -> MemProvider {
+        let col = |f: &dyn Fn(usize) -> f64| (0..n).map(f).collect::<Vec<f64>>();
+        MemProvider::new(vec![
+            ("px", col(&|i| i as f64)),
+            ("x", col(&|i| (i * 7 % 101) as f64)),
+            ("y", col(&|i| (i % 97) as f64 - 48.0)),
+            (
+                "py",
+                col(&|i| {
+                    if i % 89 < 5 {
+                        f64::NAN
+                    } else {
+                        (i % 53) as f64
+                    }
+                }),
+            ),
+        ])
+        .indexed()
     }
 
     fn ramp(n: usize) -> MemProvider {
         MemProvider::new(vec![("x", (0..n).map(|i| i as f64).collect::<Vec<f64>>())])
+    }
+
+    fn full_words(len: usize) -> Vec<u64> {
+        let mut words = vec![u64::MAX; words_for(len)];
+        mask_padding(&mut words, len);
+        words
     }
 
     #[test]
@@ -893,6 +1140,129 @@ mod tests {
         assert_eq!(rows, vec![3, 69]);
         let inv = m.not(len);
         assert_eq!(inv.count(len), 68);
+    }
+
+    #[test]
+    fn slice_mask_reads_unaligned_spans() {
+        let mut words = vec![0u64; 4];
+        for bit in (0..256).filter(|b| b % 3 == 0 || b % 64 == 63) {
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+        for (start, len) in [
+            (0usize, 64usize),
+            (3, 7),
+            (60, 10),
+            (64, 128),
+            (1, 191),
+            (31, 225),
+        ] {
+            let got = slice_mask(&words, start, len);
+            let mut rows = Vec::new();
+            got.for_each_row(len, |r| rows.push(r));
+            let expected: Vec<usize> = (0..len)
+                .filter(|r| words[(start + r) / 64] >> ((start + r) % 64) & 1 == 1)
+                .collect();
+            assert_eq!(rows, expected, "start {start} len {len}");
+            assert_eq!(got.count(len), expected.len(), "padding stays zero");
+        }
+        // All-zero and all-one spans collapse to the pruned forms.
+        let ones = vec![u64::MAX; 3];
+        assert_eq!(slice_mask(&ones, 5, 130), Mask::Full);
+        assert_eq!(slice_mask(&[0u64; 3], 5, 130), Mask::Empty);
+    }
+
+    #[test]
+    fn one_thread_auto_slices_index_answers_at_any_chunk_size() {
+        let p = drill_columns(5000);
+        for q in [
+            "px > 100 && px < 4000",
+            "(px > 40 && y < 5) || (x > 20 && py < 30 && px <= 4500)",
+            "!(y >= 10) && x < 50",
+            "px > 2500",
+        ] {
+            let expr = parse_query(q).unwrap();
+            let program = Program::compile(&expr);
+            let oracle = scan::scan_query(&expr, &p).unwrap();
+            let tree = evaluate_with_strategy(&expr.normalized(), &p, ExecStrategy::Auto).unwrap();
+            for chunk_rows in [1usize, 31, 64, 4097] {
+                let exec = ParExec::new(1, chunk_rows);
+                let mode = exec.plan_mode(ExecStrategy::Auto);
+                let sources = program.plan(&p, mode).unwrap();
+                assert!(
+                    sources
+                        .iter()
+                        .any(|s| matches!(s, PredSource::Index { .. })),
+                    "{q}: some slot takes the index"
+                );
+                let got = evaluate_program(&program, &p, &exec, ExecStrategy::Auto).unwrap();
+                assert_eq!(got.to_rows(), oracle.to_rows(), "{q} at {chunk_rows}");
+                assert_eq!(got.as_wah(), tree.as_wah(), "{q} words at {chunk_rows}");
+                let masks = run_program(&program, &p, &exec, mode)
+                    .unwrap()
+                    .into_masks(chunk_rows);
+                assert_eq!(masks.num_chunks(), 5000usize.div_ceil(chunk_rows));
+                assert_eq!(masks.to_selection().to_rows(), oracle.to_rows());
+            }
+        }
+    }
+
+    #[test]
+    fn auto_takes_the_index_at_one_thread_only() {
+        let p = drill_columns(1000);
+        let expr = parse_query("(px > 40 && y < 5) || (x > 20 && py < 30 && px <= 900)").unwrap();
+        let program = Program::compile(&expr);
+        let sources = |threads: usize| {
+            let exec = ParExec::new(threads, DEFAULT_CHUNK_ROWS);
+            program
+                .plan(&p, exec.plan_mode(ExecStrategy::Auto))
+                .unwrap()
+        };
+        assert_eq!(sources(1).len(), 5);
+        assert!(sources(1)
+            .iter()
+            .all(|s| matches!(s, PredSource::Index { .. })));
+        for threads in [2, 4] {
+            assert!(
+                sources(threads)
+                    .iter()
+                    .all(|s| *s == PredSource::Scan { pruned: true }),
+                "{threads} threads: {:?}",
+                sources(threads)
+            );
+        }
+        let exec = ParExec::new(1, DEFAULT_CHUNK_ROWS);
+        let scan_only = program
+            .plan(&p, exec.plan_mode(ExecStrategy::ScanOnly))
+            .unwrap();
+        assert!(scan_only
+            .iter()
+            .all(|s| matches!(s, PredSource::Scan { .. })));
+    }
+
+    #[test]
+    fn unknown_columns_are_named_as_each_plan_names_them() {
+        // A one-thread plan names the first unknown column in slot order,
+        // a chunk-scan plan the first by name.
+        let p = ramp(100);
+        let expr = parse_query("!(zz > 1) && aa > 2").unwrap();
+        let program = Program::compile(&expr);
+        for (threads, strategy, column) in [
+            (1, ExecStrategy::Auto, "zz"),
+            (1, ExecStrategy::ScanOnly, "zz"),
+            (2, ExecStrategy::Auto, "aa"),
+            (2, ExecStrategy::ScanOnly, "aa"),
+        ] {
+            let exec = ParExec::new(threads, 16);
+            assert_eq!(
+                evaluate_program(&program, &p, &exec, strategy),
+                Err(FastBitError::UnknownColumn(column.into())),
+                "{threads} threads, {strategy:?}"
+            );
+        }
+        assert_eq!(
+            evaluate_chunked(&expr, &p, &ParExec::new(1, 16)),
+            Err(FastBitError::UnknownColumn("aa".into()))
+        );
     }
 
     #[test]

@@ -427,8 +427,8 @@ pub enum ExecStrategy {
     ScanOnly,
 }
 
-/// Evaluate one predicate under `strategy`: the leaf of the compiled
-/// engine's single-predicate programs and of the [`crate::testing`] oracle.
+/// Evaluate one predicate under `strategy`: the leaf of the
+/// [`crate::testing`] oracle.
 pub(crate) fn evaluate_predicate(
     pred: &Predicate,
     provider: &impl ColumnProvider,

@@ -213,35 +213,3 @@ fn conditional_hist2d_engines_agree_and_conserve_totals() {
         );
     }
 }
-
-#[test]
-fn hist2d_pairs_match_individual_hist2d() {
-    let p = provider(6_000, 64, 36);
-    let engine = HistogramEngine::new(&p);
-    let cond = QueryExpr::pred("px", ValueRange::gt(4e10));
-    let pairs = vec![
-        ("x".to_string(), "px".to_string()),
-        ("px".to_string(), "y".to_string()),
-    ];
-    let spec = BinSpec::Uniform(32);
-    let batch = engine
-        .hist2d_pairs(&pairs, &spec, Some(&cond), ExecStrategy::Auto)
-        .unwrap();
-    assert_eq!(batch.len(), 2);
-    for (i, (cx, cy)) in pairs.iter().enumerate() {
-        let single = engine
-            .hist2d(cx, cy, &spec, &spec, Some(&cond), ExecStrategy::Auto)
-            .unwrap();
-        assert_eq!(
-            batch[i].counts(),
-            single.counts(),
-            "pair {cx}/{cy}: batched vs single evaluation"
-        );
-    }
-    // Both pairs share one selection, so their totals (plus out-of-range)
-    // must agree with each other and with the selection size.
-    let selected = p.columns["px"].iter().filter(|&&v| v > 4e10).count() as u64;
-    for (i, h) in batch.iter().enumerate() {
-        assert_eq!(h.total() + h.out_of_range(), selected, "pair {i}");
-    }
-}

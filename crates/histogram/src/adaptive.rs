@@ -70,14 +70,6 @@ impl AdaptiveHist2D {
         })
     }
 
-    /// Build from already-chosen adaptive edges.
-    pub fn from_edges(x_edges: BinEdges, y_edges: BinEdges, xs: &[f64], ys: &[f64]) -> Self {
-        Self {
-            hist: Hist2D::from_data(x_edges, y_edges, xs, ys),
-            min_density: None,
-        }
-    }
-
     /// Restrict the minimum density: bins sparser than `min_density` are
     /// reported by [`AdaptiveHist2D::outlier_bins`] so a hybrid renderer can
     /// draw their records as individual lines (Novotný & Hauser's

@@ -81,11 +81,6 @@ impl Simulation {
         &self.config
     }
 
-    /// Current timestep number.
-    pub fn current_step(&self) -> usize {
-        self.step
-    }
-
     /// Summary statistics accumulated so far.
     pub fn summary(&self) -> &SimulationSummary {
         &self.summary

@@ -55,17 +55,6 @@ pub fn focusing_factor(steps_since: usize) -> f64 {
     1.0 / (1.0 + 0.6 * steps_since as f64)
 }
 
-/// Peak momentum a bucket-1 particle reaches before dephasing.
-pub fn beam1_peak_px(config: &SimConfig, injected_at: u32, px_at_injection: f64) -> f64 {
-    trapped_px(
-        config,
-        1,
-        injected_at,
-        config.beam1_dephasing_step,
-        px_at_injection,
-    )
-}
-
 /// The `px` threshold that separates trapped particles from the thermal
 /// background at `step` — a helper used by examples to pick paper-style
 /// selection thresholds automatically.

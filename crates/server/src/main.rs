@@ -29,11 +29,11 @@
 //! `--idle-timeout-ms`, `--write-timeout-ms`, `--max-pipeline`,
 //! `--queue-depth`) are documented in docs/PROTOCOL.md.
 //!
-//! `--threads N` picks the engine one SELECT/REFINE/HIST evaluation runs
-//! on: `1` (the default) is the sequential compiled engine, which uses the
-//! bitmap indexes; `N > 1` is the chunked zone-pruned scan over 4096-row
-//! chunks, which never reads an index. A catalog-wide `TRACK` fans its
-//! timesteps out over one thread per available core.
+//! `--threads N` sets how many 4096-row chunks of one SELECT/REFINE/HIST
+//! evaluation run at once: at `1` (the default) the evaluation answers
+//! through the bitmap indexes, at `N > 1` it scans zone-pruned chunks. A
+//! catalog-wide `TRACK` fans its timesteps out over one thread per
+//! available core.
 //!
 //! `--store-dir` attaches the persistent `vdx` segment store: loads check
 //! the store before ingesting raw data, cold loads write their segment back,

@@ -72,8 +72,7 @@ pub struct ServerConfig {
     /// that reads slower than it queries is disconnected at this point.
     pub write_buf_limit: usize,
     /// Worker threads used *within* one SELECT/REFINE/HIST evaluation: `1`
-    /// runs the sequential compiled engine, which uses the bitmap indexes;
-    /// `> 1` runs the chunked zone-pruned scan, which never reads an index
+    /// answers through the bitmap indexes, `> 1` scans zone-pruned chunks
     /// (see [`ExplorerConfig::threads`]).
     pub threads: usize,
     /// Budget and sharding of the resident dataset cache.

@@ -79,6 +79,52 @@ fn cold_select_trace_times_every_stage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `evaluate` span names every slot it binds, with its predicate and
+/// its source, at every thread count: one thread answers both slots from
+/// the bitmap indexes, two threads scan zone-pruned chunks.
+#[test]
+fn evaluate_names_each_slots_predicate_and_source_at_one_thread_and_at_two() {
+    let (catalog, dir) = fixture("slots");
+    let query = "px > 0 && y > -1e30";
+    let program = fastbit::Program::compile(&fastbit::parse_query(query).unwrap());
+    let preds: Vec<String> = program.slots().iter().map(|p| p.to_string()).collect();
+    assert_eq!(preds.len(), 2);
+    for (threads, source) in [(1, "index"), (2, "scan+prune")] {
+        let config = ServerConfig {
+            threads,
+            ..Default::default()
+        };
+        let server = Server::bind(Arc::clone(&catalog), "127.0.0.1:0", config).unwrap();
+        let handle = server.handle();
+        let state = handle.state();
+        let (reply, _) = state.handle_line(&format!("SELECT\t0\t{query}"));
+        assert!(reply.starts_with("OK\tSELECT\t"), "{reply}");
+
+        let trace = state.tracer().last().unwrap();
+        let line = trace.render_line();
+        let at = trace
+            .spans
+            .iter()
+            .position(|s| s.name == "evaluate")
+            .unwrap_or_else(|| panic!("threads {threads}: no evaluate span: {line}"));
+        let depth = trace.spans[at].depth;
+        let slots: Vec<_> = trace.spans[at + 1..]
+            .iter()
+            .take_while(|s| s.depth > depth)
+            .filter(|s| s.name == "slot" && s.depth == depth + 1)
+            .collect();
+        assert_eq!(slots.len(), preds.len(), "threads {threads}: {line}");
+        for (slot, pred) in slots.iter().zip(&preds) {
+            assert!(
+                slot.notes.contains(&("pred", pred.clone()))
+                    && slot.notes.contains(&("source", source.to_string())),
+                "threads {threads}, {pred}: {line}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn warm_replays_share_one_deterministic_structure() {
     let (catalog, dir) = fixture("replay");

@@ -16,6 +16,10 @@ fn main() -> vdx_core::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let particles: usize = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(50_000);
     let timesteps: usize = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(24);
+    if particles == 0 || timesteps == 0 {
+        eprintln!("scaling_study: {particles} particles x {timesteps} timesteps is empty");
+        std::process::exit(2);
+    }
 
     let out_dir = std::env::temp_dir().join("vdx-scaling-study");
     println!("== generating scaling catalog: {timesteps} timesteps x {particles} particles ==");
@@ -41,7 +45,30 @@ fn main() -> vdx_core::Result<()> {
     let bins = 1024;
     let cond_threshold = lwfa::physics::suggested_beam_threshold(&sim, timesteps - 1);
     let condition = QueryExpr::pred("px", ValueRange::gt(cond_threshold));
-    let track_sel = explorer.select(timesteps - 1, &format!("px > {:e}", cond_threshold * 1.2))?;
+    let last = timesteps - 1;
+    let mut track_sel = explorer.select(last, &format!("px > {:e}", cond_threshold * 1.2))?;
+    if track_sel.ids.is_empty() {
+        // A short run ends before a beam is injected: track the fastest
+        // particles of the last timestep instead, the top px bins holding
+        // at least 500 of them.
+        let hist = explorer.histogram1d(last, "px", 1024, None)?;
+        let mut held = 0;
+        let top = (0..hist.num_bins())
+            .rev()
+            .find(|&i| {
+                held += hist.count(i);
+                held >= 500
+            })
+            .unwrap_or(0);
+        let floor = hist.edges().bin_range(top).0;
+        track_sel = explorer.select(last, &format!("px >= {floor:e}"))?;
+    }
+    if track_sel.ids.is_empty() {
+        eprintln!(
+            "scaling_study: no particle to track at {particles} particles x {timesteps} timesteps"
+        );
+        std::process::exit(1);
+    }
     println!("   tracking set: {} particles", track_sel.ids.len());
 
     let node_counts = [1usize, 2, 4, 8];
@@ -50,7 +77,7 @@ fn main() -> vdx_core::Result<()> {
         "{:>6} {:>12} {:>12} {:>12} {:>12}",
         "nodes", "fb_uncond", "cu_uncond", "fb_cond", "cu_cond"
     );
-    let mut baseline: Option<[f64; 4]> = None;
+    let mut rows = Vec::with_capacity(node_counts.len());
     for &nodes in &node_counts {
         let mut row = [0.0f64; 4];
         for (i, (engine, cond)) in [
@@ -73,17 +100,19 @@ fn main() -> vdx_core::Result<()> {
             "{:>6} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
             nodes, row[0], row[1], row[2], row[3]
         );
-        if baseline.is_none() {
-            baseline = Some(row);
-        }
+        rows.push(row);
     }
-    if let Some(base) = baseline {
+    println!("   Figure 15 speedup over 1 node (ideal = number of nodes):");
+    let base = rows[0];
+    for (&nodes, row) in node_counts.iter().zip(&rows) {
         println!(
-            "   speedup at {} nodes vs 1 node:",
-            node_counts.last().unwrap()
+            "{:>6} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
+            nodes,
+            base[0] / row[0],
+            base[1] / row[1],
+            base[2] / row[2],
+            base[3] / row[3]
         );
-        println!("   (rerun the loop above to read them; ideal = number of nodes)");
-        let _ = base;
     }
 
     println!(
