@@ -603,7 +603,7 @@ fn fig_par_engine(args: &Args, dataset: &Dataset) {
 }
 
 /// Cold vs warm process start through the `vdx` store: the cold pass opens
-/// a catalog that has *no* index sidecars, so every dataset-ready load pays
+/// a catalog written without indexes, so every dataset-ready load pays
 /// raw ingestion plus full index/id-index/zone-map construction (then
 /// writes its segment back); the warm pass re-opens the same directories
 /// and must serve every timestep from the store — zero indexes rebuilt,
@@ -626,7 +626,7 @@ fn fig_store_warmstart(args: &Args) {
     let mut catalog = Catalog::create(dir.path()).expect("create catalog dir");
     Simulation::new(SimConfig::scaling(per_step, timesteps))
         .run_to_catalog(&mut catalog, None)
-        .expect("catalog generation (no index sidecars)");
+        .expect("catalog generation (no indexes)");
     drop(catalog);
     let store_dir = dir.path().join("store");
     let binning = Binning::EqualWidth {
@@ -1029,9 +1029,10 @@ fn print_speedups(fig: &str, nodes: usize, base: &[f64], row: &[f64]) {
 }
 
 /// Figures 14 and 15: parallel histogram computation times over the
-/// catalog, and the same runs as speedups over the first node count. At
-/// each node count FastBit and Custom must produce the same histograms for
-/// every timestep.
+/// catalog, and the same runs as speedups of the medians over the first
+/// node count. Each point is one checked, untimed run and `--samples` timed
+/// ones; at each node count FastBit and Custom must produce the same
+/// histograms for every timestep.
 fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
     let mut s = Series::new(
         "fig14_parallel_hist",
@@ -1073,23 +1074,25 @@ fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
                 }
                 stage.run(catalog, nodes).unwrap()
             };
-            let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));
-            assert!(
-                stage_answer(&fastbit) == stage_answer(&custom),
-                "fig14: FastBit and Custom {kind} histograms differ at {nodes} nodes"
-            );
-            row[2 * i] = fastbit.elapsed.as_secs_f64();
-            row[2 * i + 1] = custom.elapsed.as_secs_f64();
-            s.record(
+            let (fastbit, fastbit_t) = s.measure(
                 format!("fig14_fastbit_{kind}"),
                 nodes,
-                TimeStats::once(row[2 * i]),
+                || run(ExecStrategy::Auto),
+                |out| assert_eq!(out.per_timestep.len(), catalog.num_timesteps()),
             );
-            s.record(
+            let (_, custom_t) = s.measure(
                 format!("fig14_custom_{kind}"),
                 nodes,
-                TimeStats::once(row[2 * i + 1]),
+                || run(ExecStrategy::ScanOnly),
+                |custom| {
+                    assert!(
+                        stage_answer(custom) == stage_answer(&fastbit),
+                        "fig14: FastBit and Custom {kind} histograms differ at {nodes} nodes"
+                    )
+                },
             );
+            row[2 * i] = fastbit_t.median_s;
+            row[2 * i + 1] = custom_t.median_s;
         }
         print_speedups("fig15", nodes, base.get_or_insert(row), &row);
     }
@@ -1097,8 +1100,9 @@ fn fig14_15_parallel_histograms(args: &Args, catalog: &Catalog) {
 }
 
 /// Figures 16 and 17: parallel particle tracking times over the catalog,
-/// and the same runs as speedups over the first node count. FastBit and
-/// Custom must find the same hits at every timestep.
+/// and the same runs as speedups of the medians over the first node count.
+/// Each point is one checked, untimed run and `--samples` timed ones;
+/// FastBit and Custom must find the same hits at every timestep.
 fn fig16_17_parallel_tracking(args: &Args, catalog: &Catalog) {
     let mut s = Series::new(
         "fig16_parallel_tracking",
@@ -1126,14 +1130,24 @@ fn fig16_17_parallel_tracking(args: &Args, catalog: &Catalog) {
                 .track(catalog, &tracked, nodes)
                 .unwrap()
         };
-        let (fastbit, custom) = (run(ExecStrategy::Auto), run(ExecStrategy::ScanOnly));
-        assert_eq!(
-            fastbit.hits_per_step, custom.hits_per_step,
-            "fig16: FastBit and Custom hits differ at {nodes} nodes"
+        let (fastbit, fastbit_t) = s.measure(
+            "fig16_fastbit",
+            nodes,
+            || run(ExecStrategy::Auto),
+            |out| assert_eq!(out.hits_per_step.len(), catalog.num_timesteps()),
         );
-        let row = [fastbit.elapsed.as_secs_f64(), custom.elapsed.as_secs_f64()];
-        s.record("fig16_fastbit", nodes, TimeStats::once(row[0]));
-        s.record("fig16_custom", nodes, TimeStats::once(row[1]));
+        let (_, custom_t) = s.measure(
+            "fig16_custom",
+            nodes,
+            || run(ExecStrategy::ScanOnly),
+            |custom| {
+                assert_eq!(
+                    custom.hits_per_step, fastbit.hits_per_step,
+                    "fig16: FastBit and Custom hits differ at {nodes} nodes"
+                )
+            },
+        );
+        let row = [fastbit_t.median_s, custom_t.median_s];
         print_speedups("fig17", nodes, base.get_or_insert(row), &row);
     }
     s.finish(&args.out).unwrap();

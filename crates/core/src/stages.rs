@@ -72,7 +72,7 @@ impl HistogramStage {
             c.require_column(b.clone());
         }
         if let Some(cond) = &self.condition {
-            c.restrict(cond.clone());
+            c.restrict(cond);
         }
         if self.engine == ExecStrategy::Auto {
             c.with_indexes();

@@ -3,8 +3,8 @@
 //! The paper's premise is that the one-time WAH preprocessing makes repeated
 //! interactive queries cheap — but only if the process answering them keeps
 //! hot timesteps (columns *and* attached indexes) resident instead of
-//! re-reading `.vdc`/`.vdi`/`.vdj` files on every request. `DatasetCache` is
-//! that serving-side layer: datasets are shared out as `Arc<Dataset>` so many
+//! re-reading timestep files on every request. `DatasetCache` is that
+//! serving-side layer: datasets are shared out as `Arc<Dataset>` so many
 //! worker threads can evaluate queries against one resident copy, and the
 //! total footprint is bounded by a configurable byte budget with per-shard
 //! LRU eviction.
@@ -181,7 +181,7 @@ impl DatasetCache {
     }
 
     /// Fetch timestep `step` of `catalog`, loading it (with every column and
-    /// all sidecar indexes) on a miss. The returned `Arc` stays valid even if
+    /// all its indexes) on a miss. The returned `Arc` stays valid even if
     /// the entry is evicted while in use.
     ///
     /// Concurrency: one thread per step performs the disk read (without the

@@ -3,19 +3,21 @@
 //! A catalog is the unit the parallel experiments distribute over "nodes":
 //! each worker is statically assigned a strided subset of the timestep files
 //! and processes them independently, exactly as the paper assigns one HDF5
-//! file per Cray XT4 node.
+//! file per Cray XT4 node. As the paper's HDF5-FastQuery file holds a
+//! timestep's data and its FastBit indexes together, one
+//! `timestep_NNNNN.vdx` file holds a timestep's columns, bitmap indexes and
+//! identifier index: a [`crate::store`] segment, written and validated by
+//! the store's codec, so every byte a catalog reads passes the segment
+//! validator.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use fastbit::IdIndex;
 use histogram::Binning;
 
 use crate::dataset::Dataset;
 use crate::error::{DataStoreError, Result};
-use crate::format;
-use crate::lock;
-use crate::store::Store;
+use crate::store::{self, Store};
 use crate::table::ParticleTable;
 
 /// What a store read gave: its value, or `None` when the caller must fall
@@ -41,12 +43,8 @@ fn from_store<T>(store: &Store, read: crate::store::StoreResult<Option<T>>) -> O
 pub struct TimestepEntry {
     /// Timestep number.
     pub step: usize,
-    /// Path of the `.vdc` data file.
-    pub data_path: PathBuf,
-    /// Path of the `.vdi` index file, when the preprocessing step produced one.
-    pub index_path: Option<PathBuf>,
-    /// Path of the `.vdj` identifier-index file, when one was produced.
-    pub id_index_path: Option<PathBuf>,
+    /// Path of the timestep's segment file.
+    pub path: PathBuf,
 }
 
 /// A directory of timestep files, ordered by timestep number.
@@ -54,43 +52,13 @@ pub struct TimestepEntry {
 pub struct Catalog {
     dir: PathBuf,
     entries: Vec<TimestepEntry>,
-    /// Serialize writers so concurrent `write_timestep` calls from the data
-    /// generator cannot interleave entry bookkeeping.
-    write_lock: Mutex<()>,
     /// Optional persistent segment store consulted before raw ingestion.
     store: Option<Store>,
 }
 
-/// Remove `path`; a file that is not there is not an error.
-fn remove_if_present(path: &Path) -> Result<()> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
-        _ => Ok(()),
-    }
-}
-
-/// Reject a sidecar index that covers `found` rows of a `rows`-row table.
-fn check_index_rows(path: &Path, rows: usize, found: usize) -> Result<()> {
-    if found == rows {
-        return Ok(());
-    }
-    Err(DataStoreError::IndexRows {
-        path: path.to_path_buf(),
-        expected: rows,
-        found,
-    })
-}
-
-fn data_file_name(step: usize) -> String {
-    format!("timestep_{step:05}.vdc")
-}
-
-fn index_file_name(step: usize) -> String {
-    format!("timestep_{step:05}.vdi")
-}
-
-fn id_index_file_name(step: usize) -> String {
-    format!("timestep_{step:05}.vdj")
+/// The name of timestep `step`'s file in a catalog directory.
+fn file_name(step: usize) -> String {
+    format!("timestep_{step:05}.vdx")
 }
 
 impl Catalog {
@@ -101,7 +69,6 @@ impl Catalog {
         Ok(Self {
             dir,
             entries: Vec::new(),
-            write_lock: Mutex::new(()),
             store: None,
         })
     }
@@ -112,30 +79,20 @@ impl Catalog {
         let mut entries = Vec::new();
         for item in std::fs::read_dir(&dir)? {
             let path = item?.path();
-            let name = match path.file_name().and_then(|n| n.to_str()) {
-                Some(n) => n,
-                None => continue,
-            };
-            if let Some(step) = name
-                .strip_prefix("timestep_")
-                .and_then(|s| s.strip_suffix(".vdc"))
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                let index_path = dir.join(index_file_name(step));
-                let id_index_path = dir.join(id_index_file_name(step));
-                entries.push(TimestepEntry {
-                    step,
-                    data_path: path.clone(),
-                    index_path: index_path.exists().then_some(index_path),
-                    id_index_path: id_index_path.exists().then_some(id_index_path),
-                });
+            let step = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_prefix("timestep_"))
+                .and_then(|s| s.strip_suffix(".vdx"))
+                .and_then(|s| s.parse::<usize>().ok());
+            if let Some(step) = step {
+                entries.push(TimestepEntry { step, path });
             }
         }
         entries.sort_by_key(|e| e.step);
         Ok(Self {
             dir,
             entries,
-            write_lock: Mutex::new(()),
             store: None,
         })
     }
@@ -225,59 +182,32 @@ impl Catalog {
     }
 
     /// Write a timestep's particle table (and, when `index_binning` is given,
-    /// its bitmap indexes) into the catalog. This is the "one-time
-    /// preprocessing" stage of the paper's Figure 1.
+    /// its bitmap indexes and identifier index) into the catalog as one
+    /// segment file, written to a temp file and renamed into place. This is
+    /// the "one-time preprocessing" stage of the paper's Figure 1.
     pub fn write_timestep(
         &mut self,
         step: usize,
         table: &ParticleTable,
         index_binning: Option<&Binning>,
     ) -> Result<()> {
-        let _guard = lock(&self.write_lock);
-        let data_path = self.dir.join(data_file_name(step));
-        format::write_table(&data_path, table)?;
-        let (index_path, id_index_path) = match index_binning {
-            Some(binning) => {
-                let mut ds = Dataset::from_table(table.clone(), step);
-                ds.build_indexes(binning)?;
-                let indexes = ds.take_indexes();
-                let path = self.dir.join(index_file_name(step));
-                format::write_indexes(&path, &indexes)?;
-                // The identifier index enables ID IN (...) tracking queries.
-                let id_path = match table.id_column("id") {
-                    Ok(ids) => {
-                        let id_index = fastbit::IdIndex::build(ids);
-                        let id_path = self.dir.join(id_index_file_name(step));
-                        format::write_id_index(&id_path, &id_index)?;
-                        Some(id_path)
-                    }
-                    Err(_) => None,
-                };
-                (Some(path), id_path)
-            }
-            None => (None, None),
-        };
-        // A sidecar this write did not produce indexes the step's old data.
-        for (written, name) in [
-            (&index_path, index_file_name(step)),
-            (&id_index_path, id_index_file_name(step)),
-        ] {
-            if written.is_none() {
-                remove_if_present(&self.dir.join(name))?;
+        let mut dataset = Dataset::from_table(table.clone(), step);
+        if let Some(binning) = index_binning {
+            dataset.build_indexes(binning)?;
+            // The identifier index enables ID IN (...) tracking queries.
+            if table.id_column("id").is_ok() {
+                dataset.build_id_index()?;
             }
         }
-        // The raw files changed: any persisted segment for this step is now
+        let path = self.dir.join(file_name(step));
+        store::write_atomically(&path, &store::encode_segment(&dataset))?;
+        // The timestep changed: any persisted segment for this step is now
         // stale and must never be served again.
         if let Some(store) = &self.store {
             store.invalidate(step);
         }
         self.entries.retain(|e| e.step != step);
-        self.entries.push(TimestepEntry {
-            step,
-            data_path,
-            index_path,
-            id_index_path,
-        });
+        self.entries.push(TimestepEntry { step, path });
         self.entries.sort_by_key(|e| e.step);
         Ok(())
     }
@@ -285,17 +215,18 @@ impl Catalog {
     /// Load one timestep as a [`Dataset`].
     ///
     /// * `projection` restricts the columns read from disk (pass `None` for
-    ///   all columns).
-    /// * `with_indexes` additionally loads the matching bitmap indexes from
-    ///   the `.vdi` sidecar when present.
+    ///   all columns); a named column the timestep lacks is
+    ///   [`DataStoreError::UnknownColumn`].
+    /// * `with_indexes` additionally loads those columns' bitmap indexes,
+    ///   and the identifier index when `id` is read, when the file has them.
     ///
     /// With a [`Store`] attached, full-column indexed loads consult it
     /// first: a valid segment is returned directly (columns, indexes,
     /// identifier index and zone maps, zero rebuilt); on a miss — or a
-    /// corrupt segment, which the atomic re-save below self-heals — the raw
-    /// files are ingested, any missing indexes are built with the store's
-    /// binning, and the result is written back (temp-then-rename) so the
-    /// next process start skips all of that work.
+    /// corrupt segment, which the atomic re-save below self-heals — the
+    /// catalog file is ingested, any missing indexes are built with the
+    /// store's binning, and the result is written back (temp-then-rename) so
+    /// the next process start skips all of that work.
     pub fn load(
         &self,
         step: usize,
@@ -319,15 +250,14 @@ impl Catalog {
     }
 
     /// Load only timestep `step`'s identifier index — what an `ID IN (…)`
-    /// count needs — reading no column when a valid segment or sidecar
-    /// holds the index.
+    /// count needs — reading no column when a valid segment holds the index.
     ///
-    /// With a [`Store`] attached, the segment's header, table, meta and
+    /// With a [`Store`] attached, the store segment's header, table, meta and
     /// id-index sections are read and validated ([`Store::load_id_index`]);
     /// when there is no segment, or it is invalid, this falls back to the
     /// full raw ingestion of [`Catalog::load`], which rewrites the segment.
-    /// Without a store, the `.vdj` sidecar is read (or, lacking one, the
-    /// identifier column, indexed on the fly).
+    /// Without a store, the catalog file's id-index section is read the same
+    /// way (or, lacking one, the identifier column, indexed on the fly).
     pub fn load_id_index(&self, step: usize) -> Result<IdIndex> {
         let _load = obs::span("load");
         obs::note("step", || step.to_string());
@@ -340,11 +270,8 @@ impl Catalog {
             },
             None => {
                 obs::note("source", || "raw".to_string());
-                if let Some(path) = &entry.id_index_path {
-                    let id_index = format::read_id_index(path)?;
-                    let rows = format::read_header(&entry.data_path)?.num_rows as usize;
-                    check_index_rows(path, rows, id_index.num_rows())?;
-                    return Ok(id_index);
+                if let Some(idx) = store::read_segment_id_index(&entry.path, step)? {
+                    return Ok(idx);
                 }
                 self.load_raw(entry, Some(&["id"]), false)?
             }
@@ -355,7 +282,7 @@ impl Catalog {
         }
     }
 
-    /// The cold half of a store-backed load: ingest the raw files, build
+    /// The cold half of a store-backed load: ingest the catalog file, build
     /// whatever the segment should carry, and write it back.
     fn ingest_and_persist(&self, entry: &TimestepEntry, store: &Store) -> Result<Dataset> {
         obs::note("source", || "raw".to_string());
@@ -364,7 +291,7 @@ impl Catalog {
             let built = dataset.build_indexes_lenient(store.binning());
             store.note_indexes_built(built as u64);
         }
-        // Freshly built and sidecar-loaded indexes are equality-only at this
+        // Freshly built and catalog-loaded indexes are equality-only at this
         // point; derive the cumulative (range) encoding from their bitmaps —
         // where the materialization budget allows — before write-back, so
         // the persisted segment (format v2 when any column qualifies)
@@ -378,49 +305,28 @@ impl Catalog {
         Ok(dataset)
     }
 
-    /// The raw (store-less) load path over `.vdc`/`.vdi`/`.vdj` files.
+    /// The raw (store-less) load path: the catalog file, read through the
+    /// segment decoder.
     fn load_raw(
         &self,
         entry: &TimestepEntry,
         projection: Option<&[&str]>,
         with_indexes: bool,
     ) -> Result<Dataset> {
-        let table = format::read_table(&entry.data_path, projection)?;
-        let rows = table.num_rows();
-        let mut ds = Dataset::from_table(table, entry.step);
-        if with_indexes {
-            if let Some(index_path) = &entry.index_path {
-                let indexes = format::read_indexes(index_path, projection)?;
-                for (_, index) in &indexes {
-                    check_index_rows(index_path, rows, index.num_rows())?;
-                }
-                ds.attach_indexes(indexes);
-            }
-            let want_ids = projection
-                .map(|names| names.contains(&"id"))
-                .unwrap_or(true);
-            if want_ids {
-                if let Some(id_index_path) = &entry.id_index_path {
-                    let id_index = format::read_id_index(id_index_path)?;
-                    check_index_rows(id_index_path, rows, id_index.num_rows())?;
-                    ds.attach_id_index(id_index);
-                }
+        let dataset = store::read_segment(&entry.path, entry.step, projection, with_indexes)?;
+        for &name in projection.unwrap_or_default() {
+            if dataset.table().column(name).is_none() {
+                return Err(DataStoreError::UnknownColumn(name.to_string()));
             }
         }
-        Ok(ds)
+        Ok(dataset)
     }
 
     /// Total on-disk size of the catalog in bytes (data plus indexes).
     pub fn total_size_bytes(&self) -> Result<u64> {
         let mut total = 0;
         for e in &self.entries {
-            total += std::fs::metadata(&e.data_path)?.len();
-            if let Some(p) = &e.index_path {
-                total += std::fs::metadata(p)?.len();
-            }
-            if let Some(p) = &e.id_index_path {
-                total += std::fs::metadata(p)?.len();
-            }
+            total += std::fs::metadata(&e.path)?.len();
         }
         Ok(total)
     }
@@ -466,7 +372,10 @@ mod tests {
         // Re-open from disk and verify discovery.
         let reopened = Catalog::open(&dir).unwrap();
         assert_eq!(reopened.steps(), vec![1, 2, 3]);
-        assert!(reopened.entry(2).unwrap().index_path.is_some());
+        assert_eq!(
+            reopened.entry(2).unwrap().path,
+            dir.join("timestep_00002.vdx")
+        );
         assert!(reopened.entry(9).is_err());
         assert!(reopened.total_size_bytes().unwrap() > 0);
 
@@ -511,7 +420,7 @@ mod tests {
     fn store_backed_loads_warm_up_across_reopens() {
         let dir = temp_catalog_dir("store_cold_warm");
         let store_dir = dir.join("store");
-        // No .vdi sidecars: the cold store load must build the indexes.
+        // No indexes in the catalog file: the cold store load must build them.
         let mut cat = Catalog::create(&dir).unwrap();
         cat.write_timestep(0, &table(400, 3), None).unwrap();
         drop(cat);
@@ -608,6 +517,8 @@ mod tests {
 
     #[test]
     fn rewriting_without_indexes_removes_the_old_sidecars() {
+        // One file per timestep: a rewrite without indexes leaves none of
+        // the old ones to answer for the new rows.
         let dir = temp_catalog_dir("stale_sidecars");
         let mut cat = Catalog::create(&dir).unwrap();
         let ramp: Vec<f64> = (0..1000).map(f64::from).collect();
@@ -620,13 +531,15 @@ mod tests {
         // The same values in reverse row order, written without indexes.
         cat.write_timestep(0, &x_table(ramp.into_iter().rev().collect()), None)
             .unwrap();
-        assert!(!dir.join(index_file_name(0)).exists());
-        assert!(!dir.join(id_index_file_name(0)).exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec!["timestep_00000.vdx"]);
 
         let reopened = Catalog::open(&dir).unwrap();
-        let entry = reopened.entry(0).unwrap();
-        assert_eq!((&entry.index_path, &entry.id_index_path), (&None, &None));
         let ds = reopened.load(0, None, true).unwrap();
+        assert!(ds.indexed_columns().is_empty() && ds.id_index().is_none());
         let rows = ds.query_str("x < 100").unwrap().to_rows();
         assert_eq!(rows, (900..1000).collect::<Vec<usize>>());
         std::fs::remove_dir_all(&dir).ok();
@@ -641,25 +554,23 @@ mod tests {
             .unwrap();
         cat.write_timestep(1, &table(500, 2), Some(&binning))
             .unwrap();
-        // Step 1's indexes dropped in beside step 0's data from outside.
-        for name in [index_file_name, id_index_file_name] {
-            std::fs::copy(dir.join(name(1)), dir.join(name(0))).unwrap();
-            let reopened = Catalog::open(&dir).unwrap();
-            let expected = dir.join(name(0));
-            let is_stale = |e: &DataStoreError| {
-                matches!(e, DataStoreError::IndexRows { path, expected: 1000, found: 500 }
-                    if *path == expected)
-            };
-            let err = reopened.load(0, None, true).unwrap_err();
-            assert!(is_stale(&err), "{err}");
-            if name(0).ends_with(".vdj") {
-                let err = reopened.load_id_index(0).unwrap_err();
-                assert!(is_stale(&err), "{err}");
+        // Step 1's file dropped in over step 0's from outside: its meta
+        // records step 1, so no load of step 0 serves its 500 rows.
+        std::fs::copy(&cat.entry(1).unwrap().path, &cat.entry(0).unwrap().path).unwrap();
+        let reopened = Catalog::open(&dir).unwrap();
+        let is_misplaced = |e: &DataStoreError| {
+            matches!(e, DataStoreError::Store(crate::StoreError::Corrupt(m))
+                if m == "segment for step 0 holds step 1")
+        };
+        for projection in [None, Some(&["px"][..])] {
+            for with_indexes in [true, false] {
+                let err = reopened.load(0, projection, with_indexes).unwrap_err();
+                assert!(is_misplaced(&err), "{err}");
             }
-            assert_eq!(reopened.load(0, None, false).unwrap().num_particles(), 1000);
-            cat.write_timestep(0, &table(1000, 1), Some(&binning))
-                .unwrap();
         }
+        let err = reopened.load_id_index(0).unwrap_err();
+        assert!(is_misplaced(&err), "{err}");
+        assert_eq!(reopened.load(1, None, true).unwrap().num_particles(), 500);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,10 +10,6 @@ use fastbit::QueryExpr;
 pub struct Contract {
     /// Columns that must be read from disk.
     columns: BTreeSet<String>,
-    /// Selection restricting the rows of interest, when any.
-    pub selection: Option<QueryExpr>,
-    /// Whether the identifier column / index is needed (particle tracking).
-    pub needs_ids: bool,
     /// Whether bitmap indexes should be loaded alongside the data.
     pub wants_indexes: bool,
 }
@@ -30,32 +26,9 @@ impl Contract {
         self
     }
 
-    /// Require several columns.
-    pub fn require_columns<I, S>(&mut self, names: I) -> &mut Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        for n in names {
-            self.columns.insert(n.into());
-        }
-        self
-    }
-
-    /// Restrict the rows of interest; the columns referenced by the query are
-    /// added to the required set automatically.
-    pub fn restrict(&mut self, selection: QueryExpr) -> &mut Self {
-        for c in selection.columns() {
-            self.columns.insert(c);
-        }
-        self.selection = Some(selection);
-        self
-    }
-
-    /// Request the identifier column and index.
-    pub fn with_ids(&mut self) -> &mut Self {
-        self.needs_ids = true;
-        self.columns.insert("id".to_string());
+    /// Require the columns a selection reads.
+    pub fn restrict(&mut self, selection: &QueryExpr) -> &mut Self {
+        self.columns.extend(selection.columns());
         self
     }
 
@@ -69,63 +42,27 @@ impl Contract {
     pub fn required_columns(&self) -> Vec<&str> {
         self.columns.iter().map(String::as_str).collect()
     }
-
-    /// Merge another contract into this one (the pipeline combines the
-    /// contracts of all downstream consumers before issuing reads).
-    pub fn merge(&mut self, other: &Contract) -> &mut Self {
-        for c in &other.columns {
-            self.columns.insert(c.clone());
-        }
-        self.needs_ids |= other.needs_ids;
-        self.wants_indexes |= other.wants_indexes;
-        if self.selection.is_none() {
-            self.selection = other.selection.clone();
-        } else if let Some(sel) = &other.selection {
-            let mine = self.selection.take().expect("checked above");
-            self.selection = Some(mine.and(sel.clone()));
-        }
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbit::{parse_query, ValueRange};
+    use fastbit::parse_query;
 
     #[test]
     fn query_columns_are_pulled_into_the_contract() {
         let mut c = Contract::new();
         c.require_column("x")
-            .restrict(parse_query("px > 1e9 && py < 1e8").unwrap())
-            .with_ids();
-        assert_eq!(c.required_columns(), vec!["id", "px", "py", "x"]);
-        assert!(c.needs_ids);
-        assert!(c.selection.is_some());
-    }
-
-    #[test]
-    fn merge_unions_columns_and_ands_selections() {
-        let mut a = Contract::new();
-        a.require_column("x")
-            .restrict(QueryExpr::pred("px", ValueRange::gt(1.0)));
-        let mut b = Contract::new();
-        b.require_column("y")
-            .restrict(QueryExpr::pred("py", ValueRange::lt(2.0)))
+            .restrict(&parse_query("px > 1e9 && py < 1e8").unwrap())
             .with_indexes();
-        a.merge(&b);
-        assert_eq!(a.required_columns(), vec!["px", "py", "x", "y"]);
-        assert!(a.wants_indexes);
-        match a.selection.as_ref().unwrap() {
-            QueryExpr::And(v) => assert_eq!(v.len(), 2),
-            other => panic!("expected And, got {other:?}"),
-        }
+        assert_eq!(c.required_columns(), vec!["px", "py", "x"]);
+        assert!(c.wants_indexes);
     }
 
     #[test]
     fn empty_contract_reads_nothing() {
         let c = Contract::new();
         assert!(c.required_columns().is_empty());
-        assert!(!c.needs_ids && !c.wants_indexes);
+        assert!(!c.wants_indexes);
     }
 }

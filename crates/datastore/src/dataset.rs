@@ -1,4 +1,6 @@
-//! The FastQuery-style dataset facade for one timestep.
+//! The FastQuery-style dataset facade for one timestep: what a catalog
+//! timestep file or a store segment decodes to, and what
+//! [`crate::store::encode_segment`] writes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -81,7 +83,7 @@ impl Dataset {
     /// serving the timestep; [`Catalog::load`](crate::Catalog::load) then
     /// adds the cumulative range encoding under the store's materialization
     /// budget ([`Dataset::build_range_encodings_budgeted`]) before saving —
-    /// one policy, one place, covering freshly built and sidecar-loaded
+    /// one policy, one place, covering freshly built and catalog-loaded
     /// indexes alike.
     pub fn build_indexes_lenient(&mut self, binning: &Binning) -> usize {
         let mut built = 0;
@@ -145,7 +147,7 @@ impl Dataset {
         (equality, range)
     }
 
-    /// Attach indexes loaded from a `.vdi` sidecar file.
+    /// Attach bitmap indexes loaded from a segment file.
     pub fn attach_indexes(&mut self, indexes: Vec<(String, BitmapIndex)>) {
         for (name, idx) in indexes {
             self.indexes.insert(name, idx);
@@ -160,7 +162,7 @@ impl Dataset {
         Ok(())
     }
 
-    /// Attach an identifier index loaded from a `.vdj` sidecar file.
+    /// Attach an identifier index loaded from a segment file.
     pub fn attach_id_index(&mut self, index: IdIndex) {
         self.id_index = Some(index);
     }
@@ -195,13 +197,6 @@ impl Dataset {
     pub fn attach_zone_maps(&self, name: impl Into<String>, maps: Arc<ZoneMaps>) {
         let key = (name.into(), maps.chunk_rows().max(1));
         lock(&self.zone_maps).insert(key, maps);
-    }
-
-    /// Drain the bitmap indexes for persistence.
-    pub fn take_indexes(&mut self) -> Vec<(String, BitmapIndex)> {
-        let mut out: Vec<(String, BitmapIndex)> = self.indexes.drain().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Total size of the attached bitmap indexes in bytes.
@@ -398,17 +393,5 @@ mod tests {
         let chunked = fastbit::par::evaluate_chunked(&expr, &d, &exec).unwrap();
         assert_eq!(chunked.to_rows(), sequential.to_rows());
         assert!(exec.stats().queries >= 1);
-    }
-
-    #[test]
-    fn take_indexes_is_sorted_and_empties_the_map() {
-        let mut d = dataset(500);
-        d.build_indexes(&Binning::EqualWidth { bins: 16 }).unwrap();
-        let taken = d.take_indexes();
-        assert_eq!(
-            taken.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
-            vec!["px", "x"]
-        );
-        assert!(d.indexed_columns().is_empty());
     }
 }

@@ -2,14 +2,13 @@
 
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
 
 /// Errors produced by the storage and dataset layer.
 #[derive(Debug)]
 pub enum DataStoreError {
     /// Underlying file I/O failure.
     Io(io::Error),
-    /// The file is not a valid `.vdc`/`.vdi` file or is corrupted.
+    /// A table was assembled from columns that cannot form one.
     Format(String),
     /// A requested column does not exist in the table or file.
     UnknownColumn(String),
@@ -26,18 +25,9 @@ pub enum DataStoreError {
     Query(fastbit::FastBitError),
     /// The requested timestep is not present in the catalog.
     UnknownTimestep(usize),
-    /// The persistent `vdx` store rejected a segment file.
+    /// A segment file — a catalog timestep or a store segment — failed
+    /// validation.
     Store(crate::store::StoreError),
-    /// A `.vdi`/`.vdj` sidecar indexes a different number of rows than the
-    /// timestep's table: it belongs to other data.
-    IndexRows {
-        /// The sidecar file.
-        path: PathBuf,
-        /// Rows in the table.
-        expected: usize,
-        /// Rows the index covers.
-        found: usize,
-    },
 }
 
 impl fmt::Display for DataStoreError {
@@ -54,15 +44,6 @@ impl fmt::Display for DataStoreError {
             DataStoreError::Query(e) => write!(f, "query error: {e}"),
             DataStoreError::UnknownTimestep(t) => write!(f, "unknown timestep {t}"),
             DataStoreError::Store(e) => write!(f, "store error: {e}"),
-            DataStoreError::IndexRows {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{} indexes {found} rows, its table has {expected}",
-                path.display()
-            ),
         }
     }
 }

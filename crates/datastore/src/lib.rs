@@ -7,17 +7,14 @@
 //!
 //! * [`table::ParticleTable`] — an in-memory columnar table of particles
 //!   (positions, momenta, identifiers, derived quantities).
-//! * [`mod@format`] — a small binary timestep file format (`.vdc`) with
-//!   column-projection reads, so a reader only touches the columns named in
-//!   the pipeline contract, plus a sidecar index file (`.vdi`) holding the
-//!   per-column WAH bitmap indexes produced by the one-time preprocessing
-//!   step.
-//! * [`catalog::Catalog`] — a directory of timestep files; the unit of
-//!   parallel work distribution in the scalability experiments.
+//! * [`catalog::Catalog`] — a directory of timestep files, one segment per
+//!   timestep holding its columns and the WAH bitmap indexes of the
+//!   one-time preprocessing step; the unit of parallel work distribution in
+//!   the scalability experiments. Projected loads read only the named
+//!   columns (and their indexes).
 //! * [`contract::Contract`] — what a downstream computation needs from the
-//!   reader (columns, selection, identifiers, indexes): the out-of-band
-//!   information that keeps [`Catalog::load`] from touching data it does
-//!   not need.
+//!   reader (columns, indexes): the out-of-band information that keeps
+//!   [`Catalog::load`] from touching data it does not need.
 //! * [`dataset::Dataset`] — the FastQuery-style facade: it implements
 //!   [`fastbit::ColumnProvider`] and offers query evaluation, conditional
 //!   histograms and ID selection over one timestep.
@@ -29,7 +26,8 @@
 //!   checksummed, versioned file per timestep, written atomically
 //!   (temp-then-rename) and validated section-by-section before a `Dataset`
 //!   is constructed, so a warm restart rebuilds zero indexes and hostile
-//!   bytes produce typed errors instead of panics.
+//!   bytes produce typed errors instead of panics. Its codec is the only
+//!   on-disk format: catalog timesteps are segments too.
 
 #![deny(missing_docs)]
 
@@ -39,7 +37,6 @@ pub mod column;
 pub mod contract;
 pub mod dataset;
 pub mod error;
-pub mod format;
 pub mod store;
 pub mod table;
 

@@ -38,7 +38,7 @@
 //! both compute the bytewise definition's values, so segment bytes do not
 //! depend on which one ran.
 //!
-//! Writes go to a uniquely named `<segment>.<n>.tmp` file first and are
+//! Writes go to a uniquely named `<segment>.<pid>.<n>.tmp` file first and are
 //! renamed into place, so a crash mid-write can never leave a truncated
 //! segment under the real name; leftover temp files are swept on
 //! [`Store::open`]. Reads validate before constructing: hostile bytes
@@ -51,6 +51,14 @@
 //! load's transient memory is its largest section rather than the file.
 //! [`decode_segment`] runs the same routine over bytes already in memory.
 //!
+//! The same codec stores a catalog's timesteps (see [`crate::catalog`]),
+//! whose loads may be projected: the decoder then reads, besides the
+//! header, the section table and meta, only the named columns, their
+//! indexes when indexes are asked for, and the identifier index when `id`
+//! is named. It tells a section's column from the name its payload opens
+//! with, and a damaged name fails the load rather than drop a projected
+//! column or index (see `projected_sections`).
+//!
 //! An identifier lookup needs far less than a dataset: [`Store::load_id_index`]
 //! (and [`decode_segment_id_index`] over bytes in memory) runs the decoder's
 //! own validator over the header, the section table — whose per-kind section
@@ -60,7 +68,7 @@
 //! while anything the reader does read is checked as the full load checks it.
 
 use std::fmt;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -635,6 +643,19 @@ struct SegmentFile {
     buf: Vec<u8>,
 }
 
+impl SegmentFile {
+    fn open(path: &Path) -> io::Result<Self> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok(Self {
+            file,
+            len,
+            pos: 0,
+            buf: Vec::new(),
+        })
+    }
+}
+
 impl SegmentSource for SegmentFile {
     fn len(&self) -> u64 {
         self.len
@@ -664,16 +685,18 @@ enum Stage {
 
 /// Time per [`Stage`] summed over one load's sections, reported on drop as
 /// three closed children of the open trace span. Takes no timestamps when
-/// the request is not traced.
+/// the request is not traced, or when `timed` is false: a catalog read is
+/// one part of a raw load, whose span also holds the index builds and the
+/// write-back that the three stages would not account for.
 struct StageTimes {
     last: Option<Instant>,
     spent: [Duration; 3],
 }
 
 impl StageTimes {
-    fn start() -> Self {
+    fn start(timed: bool) -> Self {
         Self {
-            last: obs::is_active().then(Instant::now),
+            last: (timed && obs::is_active()).then(Instant::now),
             spent: [Duration::ZERO; 3],
         }
     }
@@ -773,7 +796,7 @@ fn decode_column(payload: &[u8], expected_rows: u64) -> StoreResult<Column> {
 /// magic, version, section-table CRC, per-section bounds and CRCs, payload
 /// structure, cross-section consistency — happens before construction.
 pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
-    decode_from(&mut bytes)
+    decode_from(&mut bytes, None, true, true)
 }
 
 /// Parse and validate only what an identifier lookup needs from segment
@@ -781,7 +804,9 @@ pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
 /// identifier-index section, each checked exactly as [`decode_segment`]
 /// checks it. The other sections' payloads are never read.
 pub fn decode_segment_id_index(mut bytes: &[u8]) -> StoreResult<fastbit::IdIndex> {
-    Ok(read_id_index_from(&mut bytes)?.1)
+    read_id_index_from(&mut bytes, true)?
+        .1
+        .ok_or_else(missing_id_index)
 }
 
 /// A segment's header, section table and meta section, validated — the one
@@ -958,41 +983,148 @@ fn decode_id_index(payload: &[u8], num_rows: u64) -> StoreResult<fastbit::IdInde
     Ok(idx)
 }
 
+/// The error of an identifier lookup in a segment that has no id index.
+fn missing_id_index() -> StoreError {
+    StoreError::SectionCount {
+        section: "id index",
+        found: 0,
+        expected: 1,
+    }
+}
+
 /// The identifier-index reader: the validated head, then the one id-index
 /// payload, read and checked — every other section is skipped unread.
-/// Returns the step meta records with the index.
-fn read_id_index_from(src: &mut impl SegmentSource) -> StoreResult<(u64, fastbit::IdIndex)> {
-    let stages = &mut StageTimes::start();
+/// Returns the step meta records with the index, `None` when the segment
+/// holds no identifier index.
+fn read_id_index_from(
+    src: &mut impl SegmentSource,
+    timed: bool,
+) -> StoreResult<(u64, Option<fastbit::IdIndex>)> {
+    let stages = &mut StageTimes::start(timed);
     let head = read_head(src, stages)?;
     let Some(entry) = head.entries.iter().find(|e| e.kind == KIND_ID_INDEX) else {
-        return Err(StoreError::SectionCount {
-            section: "id index",
-            found: 0,
-            expected: 1,
-        });
+        return Ok((head.step, None));
     };
     let idx = decode_id_index(fetch(src, entry, stages)?, head.num_rows)?;
     stages.lap(Stage::Decode);
-    Ok((head.step, idx))
+    Ok((head.step, Some(idx)))
+}
+
+/// The name a column, index or range-index payload opens with, read alone
+/// (unchecked: see [`projected_sections`]).
+fn peek_name(src: &mut impl SegmentSource, entry: &SectionEntry) -> StoreResult<Vec<u8>> {
+    let truncated = |needed: u64| StoreError::Truncated {
+        what: "section name",
+        needed,
+        available: entry.len as u64,
+    };
+    if entry.len < 4 {
+        return Err(truncated(4));
+    }
+    let len = le_u32(src.region(entry.offset, 4)?) as usize;
+    if len > entry.len - 4 {
+        return Err(truncated(4 + len as u64));
+    }
+    Ok(src.region(entry.offset + 4, len)?.to_vec())
+}
+
+/// Which sections a load projected on `projection` reads by name: for each
+/// entry, whether it is a column section — or, with indexes, an index or
+/// range-index section — whose payload opens with a projected name. The
+/// names are read before any payload is checksummed, so a damaged one can
+/// select an unwanted section, whose checksum then fails, or hide a wanted
+/// one: a hidden column is missing from the table, and an index whose name
+/// is no column's fails here, so a damaged name never drops a projected
+/// column's index unnoticed.
+fn projected_sections(
+    src: &mut impl SegmentSource,
+    entries: &[SectionEntry],
+    projection: &[&str],
+    with_indexes: bool,
+) -> StoreResult<Vec<bool>> {
+    let mut names = Vec::with_capacity(entries.len());
+    for entry in entries {
+        let named = match entry.kind {
+            KIND_COLUMN => true,
+            KIND_INDEX | KIND_RANGE_INDEX => with_indexes,
+            _ => false,
+        };
+        names.push(if named {
+            Some(peek_name(src, entry)?)
+        } else {
+            None
+        });
+    }
+    let columns: Vec<&[u8]> = entries
+        .iter()
+        .zip(&names)
+        .filter(|(e, _)| e.kind == KIND_COLUMN)
+        .filter_map(|(_, n)| n.as_deref())
+        .collect();
+    let orphan = entries.iter().zip(&names).find(|(e, n)| {
+        e.kind != KIND_COLUMN && n.as_deref().is_some_and(|n| !columns.contains(&n))
+    });
+    if let Some((entry, _)) = orphan {
+        return Err(StoreError::Corrupt(format!(
+            "{} section names no column",
+            kind_name(entry.kind)
+        )));
+    }
+    Ok(names
+        .iter()
+        .map(|n| {
+            n.as_deref()
+                .is_some_and(|n| projection.iter().any(|p| p.as_bytes() == n))
+        })
+        .collect())
 }
 
 /// The one segment decoder, fed region by region: the validated head
-/// first, then one pass per remaining section (read, CRC, validate,
-/// construct).
-fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
-    let stages = &mut StageTimes::start();
+/// first, then one pass per remaining section it reads (read, CRC,
+/// validate, construct).
+///
+/// `projection` names the columns to read, in the order the table gets
+/// them (all, in file order, when `None`); a named column the segment does
+/// not hold is left for the caller to report. `with_indexes` adds the read
+/// columns' bitmap indexes and, when `id` is read, the identifier index.
+/// Zone maps come with a full load only. `timed` reports the stage times
+/// (see [`StageTimes`]).
+fn decode_from(
+    src: &mut impl SegmentSource,
+    projection: Option<&[&str]>,
+    with_indexes: bool,
+    timed: bool,
+) -> StoreResult<Dataset> {
+    let stages = &mut StageTimes::start(timed);
     let SegmentHead {
         entries,
         step,
         num_rows,
     } = read_head(src, stages)?;
 
+    let projected = match projection {
+        Some(names) => Some(projected_sections(src, &entries, names, with_indexes)?),
+        None => None,
+    };
     let mut columns = Vec::new();
     let mut indexes: Vec<(String, fastbit::BitmapIndex)> = Vec::new();
     let mut id_index = None;
     let mut zone_maps: Vec<(String, fastbit::ZoneMaps)> = Vec::new();
     let mut range_sections: Vec<(String, Vec<fastbit::Wah>)> = Vec::new();
-    for entry in entries.iter().filter(|e| e.kind != KIND_META) {
+    for (i, entry) in entries.iter().enumerate() {
+        let wanted = match entry.kind {
+            KIND_META => false,
+            KIND_ID_INDEX => with_indexes && projection.is_none_or(|p| p.contains(&"id")),
+            KIND_ZONE_MAPS => projection.is_none(),
+            // Columns, and with indexes their bitmap and range sections.
+            kind => {
+                (kind == KIND_COLUMN || with_indexes)
+                    && projected.as_ref().is_none_or(|projected| projected[i])
+            }
+        };
+        if !wanted {
+            continue;
+        }
         let payload = fetch(src, entry, stages)?;
         match entry.kind {
             KIND_COLUMN => columns.push(decode_column(payload, num_rows)?),
@@ -1058,9 +1190,14 @@ fn decode_from(src: &mut impl SegmentSource) -> StoreResult<Dataset> {
         })?;
     }
 
+    if let Some(names) = projection {
+        columns.sort_by_key(|c: &Column| names.iter().position(|n| *n == c.name));
+    }
     let table = ParticleTable::from_columns(columns)
         .map_err(|e| StoreError::Corrupt(format!("column set does not form a table: {e}")))?;
-    if table.num_rows() as u64 != num_rows {
+    // A projection may name no column the segment holds; every column read
+    // was held to the meta row count already.
+    if projection.is_none() && table.num_rows() as u64 != num_rows {
         return Err(StoreError::Corrupt(format!(
             "table holds {} row(s), segment meta says {num_rows}",
             table.num_rows()
@@ -1116,12 +1253,56 @@ pub struct StoreStats {
     pub indexes_built: u64,
 }
 
+/// Write `bytes` to `path` through a uniquely named `<path>.<pid>.<n>.tmp`
+/// file renamed into place, so no reader ever sees a torn file and a crash
+/// mid-write leaves only a temp file behind.
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
+}
+
+/// Read the segment file at `path`, which must hold step `step`, decoding
+/// only what `projection` and `with_indexes` select (see [`decode_from`]).
+pub(crate) fn read_segment(
+    path: &Path,
+    step: usize,
+    projection: Option<&[&str]>,
+    with_indexes: bool,
+) -> StoreResult<Dataset> {
+    let dataset = decode_from(
+        &mut SegmentFile::open(path)?,
+        projection,
+        with_indexes,
+        false,
+    )?;
+    check_step(step, dataset.step() as u64)?;
+    Ok(dataset)
+}
+
+/// Read only the identifier index of the segment file at `path`, which must
+/// hold step `step`: `None` when the segment has none.
+pub(crate) fn read_segment_id_index(
+    path: &Path,
+    step: usize,
+) -> StoreResult<Option<fastbit::IdIndex>> {
+    let (recorded, idx) = read_id_index_from(&mut SegmentFile::open(path)?, false)?;
+    check_step(step, recorded)?;
+    Ok(idx)
+}
+
 /// A directory of per-timestep segment files (`segment_*.vdx`).
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     binning: Binning,
-    tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes_written: AtomicU64,
@@ -1148,7 +1329,6 @@ impl Store {
         Ok(Self {
             dir,
             binning: Binning::EqualWidth { bins: 256 },
-            tmp_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -1182,26 +1362,13 @@ impl Store {
         self.segment_path(step).exists()
     }
 
-    /// Persist a dataset as the segment for its step. The bytes are written
-    /// to a uniquely named temp file and renamed into place, so concurrent
-    /// saves and crashes can never tear the visible segment. Returns the
-    /// number of bytes written.
+    /// Persist a dataset as the segment for its step, through a uniquely
+    /// named temp file renamed into place, so concurrent saves and crashes
+    /// can never tear the visible segment. Returns the number of bytes
+    /// written.
     pub fn save(&self, dataset: &Dataset) -> StoreResult<u64> {
         let bytes = encode_segment(dataset);
-        let final_path = self.segment_path(dataset.step());
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp_path = self.dir.join(format!(
-            "segment_{:05}.{}.{seq}.tmp",
-            dataset.step(),
-            std::process::id()
-        ));
-        let mut file = std::fs::File::create(&tmp_path)?;
-        let write = file.write_all(&bytes).and_then(|()| file.flush());
-        drop(file);
-        if let Err(e) = write.and_then(|()| std::fs::rename(&tmp_path, &final_path)) {
-            std::fs::remove_file(&tmp_path).ok();
-            return Err(e.into());
-        }
+        write_atomically(&self.segment_path(dataset.step()), &bytes)?;
         self.bytes_written
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(bytes.len() as u64)
@@ -1214,7 +1381,7 @@ impl Store {
         let Some(mut source) = self.open_segment(step)? else {
             return Ok(None);
         };
-        let dataset = decode_from(&mut source)?;
+        let dataset = decode_from(&mut source, None, true, true)?;
         check_step(step, dataset.step() as u64)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Ok(Some(dataset))
@@ -1230,8 +1397,9 @@ impl Store {
         let Some(mut source) = self.open_segment(step)? else {
             return Ok(None);
         };
-        let (recorded, idx) = read_id_index_from(&mut source)?;
+        let (recorded, idx) = read_id_index_from(&mut source, true)?;
         check_step(step, recorded)?;
+        let idx = idx.ok_or_else(missing_id_index)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Ok(Some(idx))
     }
@@ -1239,22 +1407,17 @@ impl Store {
     /// Open the segment file for `step` for reading, counting a miss when
     /// there is none.
     fn open_segment(&self, step: usize) -> StoreResult<Option<SegmentFile>> {
-        let file = match std::fs::File::open(self.segment_path(step)) {
-            Ok(file) => file,
+        match SegmentFile::open(&self.segment_path(step)) {
+            Ok(source) => {
+                obs::note("bytes", || source.len.to_string());
+                Ok(Some(source))
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
+                Ok(None)
             }
-            Err(e) => return Err(e.into()),
-        };
-        let len = file.metadata()?.len();
-        obs::note("bytes", || len.to_string());
-        Ok(Some(SegmentFile {
-            file,
-            len,
-            pos: 0,
-            buf: Vec::new(),
-        }))
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Drop the segment for `step`, if any — called when the underlying raw

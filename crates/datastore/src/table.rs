@@ -97,19 +97,6 @@ impl ParticleTable {
         self.columns.iter().map(|c| c.data.byte_len()).sum()
     }
 
-    /// Keep only the named columns (a projection), preserving their order of
-    /// appearance in `names`. Unknown names are reported as errors.
-    pub fn project(&self, names: &[&str]) -> Result<ParticleTable> {
-        let mut cols = Vec::with_capacity(names.len());
-        for &n in names {
-            let c = self
-                .column(n)
-                .ok_or_else(|| DataStoreError::UnknownColumn(n.to_string()))?;
-            cols.push(c.clone());
-        }
-        ParticleTable::from_columns(cols)
-    }
-
     /// Extract the rows listed in `rows` into a new table (the data-subsetting
     /// operation performed after a query identifies interesting particles).
     pub fn gather_rows(&self, rows: &[usize]) -> ParticleTable {
@@ -186,15 +173,6 @@ mod tests {
         assert!(t
             .add_column(Column::float("x", vec![0.0, 0.0, 0.0]))
             .is_err());
-    }
-
-    #[test]
-    fn projection_selects_columns() {
-        let t = table();
-        let p = t.project(&["px", "id"]).unwrap();
-        assert_eq!(p.num_columns(), 2);
-        assert_eq!(p.column_names(), vec!["px", "id"]);
-        assert!(t.project(&["missing"]).is_err());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! silently wrong data. The identifier-index reader, which skips every
 //! section but meta and the id index, gets the same truncation and
 //! byte-flip battery. Plus the crash-atomicity contract: leftover `.tmp`
-//! files are ignored as data and swept on open. The store-less sidecar
-//! decoders (`.vdc`, `.vdi`, `.vdj`) get one maximum-value case per count
-//! they allocate for.
+//! files are ignored as data and swept on open. A store-less catalog's
+//! timestep files are segments too, and a corrupt one is a typed error from
+//! every catalog read.
 
 use datastore::store::{
     crc32, decode_segment, decode_segment_id_index, encode_segment, Store, StoreError, HEADER_LEN,
@@ -602,67 +602,88 @@ fn store_id_index_reads_count_hits_and_check_the_step() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Where the `.vdi` sidecar of `sample_dataset` keeps the counts of its
-/// first index: `(boundaries, bins, first bin's words, unbinned rows)`.
-fn vdi_count_offsets(bytes: &[u8]) -> [usize; 4] {
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    // magic, version, index count, then the first index's name.
-    let boundaries = 12 + 4 + u32_at(12) + 8;
-    let bins = boundaries + 4 + 8 * u32_at(boundaries);
-    let words = bins + 4 + 8;
-    let mut at = bins + 4;
-    for _ in 0..u32_at(bins) {
-        at += 8;
-        at += 4 + 4 * u32_at(at);
-    }
-    [boundaries, bins, words, at]
-}
-
-/// Sidecar headers declare counts the decoders allocate for. Each count set
-/// to its maximum must come back as a typed `Format` error from a store-less
-/// catalog, never a huge allocation.
+/// A catalog timestep is a segment, read through the store's validators.
+/// Two corruptions of `sample_dataset`'s timestep file:
+///
+/// * the first index bitmap (`px`'s first bin) made to cover 31,000 bits of
+///   the 48-row column, with its section and table checksums re-stamped;
+/// * one flipped byte, at every offset of the file.
+///
+/// Every read must be a typed error or exactly the pristine answer, never
+/// other rows. The full load and the `px` load with indexes read the
+/// overrun bitmap and must fail; every read fails on a flip in the header,
+/// the section table or meta, which all of them read; the full load fails
+/// on a flip anywhere. The identifier-index read skips the index sections,
+/// so the overrun leaves its answer untouched.
 #[test]
-fn sidecar_counts_at_their_maximum_are_format_errors() {
+fn corrupt_catalog_timesteps_are_typed_errors_never_rows() {
+    let dir = std::env::temp_dir().join(format!("vdx_catalog_corrupt_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut catalog = Catalog::create(&dir).unwrap();
     let table = sample_dataset().table().clone();
-    let fresh = |tag: String| {
-        let dir = std::env::temp_dir().join(format!("vdx_sidecar_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut catalog = Catalog::create(&dir).unwrap();
+    catalog
+        .write_timestep(7, &table, Some(&Binning::EqualWidth { bins: 4 }))
+        .unwrap();
+    let path = catalog.entry(7).unwrap().path.clone();
+    let pristine = std::fs::read(&path).unwrap();
+    let full = || catalog.load(7, None, true).map(|ds| encode_segment(&ds));
+    let projected = || {
         catalog
-            .write_timestep(7, &table, Some(&Binning::EqualWidth { bins: 4 }))
-            .unwrap();
-        dir
+            .load(7, Some(&["px"]), true)
+            .map(|ds| encode_segment(&ds))
     };
-    let probe = fresh("probe".into());
-    let vdi = vdi_count_offsets(&std::fs::read(probe.join("timestep_00007.vdi")).unwrap());
-    std::fs::remove_dir_all(&probe).ok();
-    let u32_max = u32::MAX.to_le_bytes().to_vec();
-    let u64_max = u64::MAX.to_le_bytes().to_vec();
-    let cases = [
-        ("vdc column count", "vdc", 16, &u32_max),
-        ("vdc row count", "vdc", 8, &u64_max),
-        ("vdi boundary count", "vdi", vdi[0], &u32_max),
-        ("vdi bin count", "vdi", vdi[1], &u32_max),
-        ("vdi word count", "vdi", vdi[2], &u32_max),
-        ("vdi unbinned count", "vdi", vdi[3], &u32_max),
-        ("vdj pair count", "vdj", 16, &u64_max),
-    ];
-    for (i, (what, ext, at, value)) in cases.into_iter().enumerate() {
-        let dir = fresh(i.to_string());
-        let path = dir.join(format!("timestep_00007.{ext}"));
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[at..at + value.len()].copy_from_slice(value);
-        std::fs::write(&path, &bytes).unwrap();
+    let ids = || catalog.load_id_index(7).map(|idx| idx.pairs().to_vec());
+    let (full_ok, projected_ok, ids_ok) = (full().unwrap(), projected().unwrap(), ids().unwrap());
+    assert_eq!(full_ok, pristine, "the file is the dataset's segment");
 
-        let catalog = Catalog::open(&dir).unwrap();
-        let loaded = match ext {
-            "vdj" => catalog.load_id_index(7).map(|_| ()),
-            _ => catalog.load(7, None, true).map(|_| ()),
-        };
+    // The overrun: `px` sorts first, so the first kind-3 section is its
+    // index; its first bitmap's word count sits after the name, the row
+    // count, the flag, the boundaries, the bin count and the bit length.
+    let sections = section_table(&pristine);
+    let (at, &(_, offset, len)) = sections
+        .iter()
+        .enumerate()
+        .find(|(_, (kind, _, _))| *kind == 3)
+        .unwrap();
+    let (offset, len) = (offset as usize, len as usize);
+    let u32_at = |i: usize| u32::from_le_bytes(pristine[i..i + 4].try_into().unwrap()) as usize;
+    assert_eq!(&pristine[offset + 4..offset + 4 + u32_at(offset)], b"px");
+    let boundaries = offset + 4 + 2 + 8 + 1;
+    let first_word = boundaries + 4 + 8 * u32_at(boundaries) + 4 + 8 + 4;
+    let mut overrun = pristine.clone();
+    overrun[first_word..first_word + 4].copy_from_slice(&(0x8000_0000u32 | 1000).to_le_bytes());
+    let crc = crc32(&overrun[offset..offset + len]).to_le_bytes();
+    let entry = HEADER_LEN + at * TABLE_ENTRY_LEN;
+    overrun[entry + 20..entry + 24].copy_from_slice(&crc);
+    fix_table_crc(&mut overrun);
+    std::fs::write(&path, &overrun).unwrap();
+    for (what, loaded) in [("full", full()), ("projected", projected())] {
         assert!(
-            matches!(&loaded, Err(DataStoreError::Format(m)) if m.contains("does not fit")),
-            "{what}: {loaded:?}"
+            matches!(&loaded, Err(DataStoreError::Store(StoreError::Corrupt(m))) if m.contains("wah words")),
+            "overrun, {what}: {loaded:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
+    assert_eq!(ids().unwrap(), ids_ok, "the id read skips the index");
+    let unindexed = catalog.load(7, Some(&["px"]), false).unwrap();
+    let px = |t: &ParticleTable| t.float_column("px").unwrap().to_vec();
+    assert_eq!(px(unindexed.table()), px(&table));
+
+    // One flipped byte, everywhere.
+    let (_, meta_offset, meta_len) = sections[0];
+    let head_end = (meta_offset + meta_len) as usize;
+    assert_eq!(sections[0].0, 1, "meta comes first");
+    for i in 0..pristine.len() {
+        let mut flipped = pristine.clone();
+        flipped[i] ^= 0x20;
+        std::fs::write(&path, &flipped).unwrap();
+        let always = i < head_end;
+        assert!(full().is_err(), "flip at {i}: full load");
+        if let Ok(got) = projected() {
+            assert!(!always && got == projected_ok, "flip at {i}: px load");
+        }
+        if let Ok(got) = ids() {
+            assert!(!always && got == ids_ok, "flip at {i}: id read");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

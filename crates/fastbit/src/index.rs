@@ -183,25 +183,10 @@ impl BitmapIndex {
     }
 
     /// Reassemble an index from persisted parts (bin edges, one bitmap per
-    /// bin, the indexed row count and the rows left unbinned). Used by the
-    /// datastore layer when loading a sidecar index file. Whether any
-    /// unbinned row could match a range predicate is unknown without the raw
-    /// values, so the reassembled index is conservatively marked matchable
-    /// whenever the unbinned set is non-empty.
-    pub fn from_parts(
-        edges: BinEdges,
-        bitmaps: Vec<Wah>,
-        num_rows: usize,
-        unbinned: Vec<u32>,
-    ) -> Result<Self> {
-        let matchable = !unbinned.is_empty();
-        Self::from_parts_with_matchable(edges, bitmaps, num_rows, unbinned, matchable)
-    }
-
-    /// [`BitmapIndex::from_parts`] with an explicit unbinned-matchable flag,
-    /// for persistence formats that recorded the flag the original index was
-    /// built with (keeping `answers_exactly` and the pure-index fast paths
-    /// byte-identical across a save/load cycle).
+    /// bin, the indexed row count, the rows left unbinned, and the
+    /// unbinned-matchable flag the original index was built with, keeping
+    /// `answers_exactly` and the pure-index fast paths byte-identical across
+    /// a save/load cycle).
     ///
     /// All structural invariants are validated — bitmap count versus bins,
     /// bitmap lengths versus `num_rows`, and the unbinned rows strictly

@@ -573,14 +573,8 @@ impl Wah {
         &self.words
     }
 
-    /// Reconstruct a vector from serialized parts. The caller must supply
-    /// words produced by [`Wah::as_words`] together with the original logical
-    /// length.
-    pub fn from_raw_parts(words: Vec<u32>, nbits: u64) -> Self {
-        Self { words, nbits }
-    }
-
-    /// Validating variant of [`Wah::from_raw_parts`] for words read from
+    /// Reconstruct a vector from serialized parts — words produced by
+    /// [`Wah::as_words`] and the original logical length — read from
     /// untrusted bytes: the words must cover exactly `nbits` bits (fill
     /// words with a zero group count are rejected) and the padding bits of a
     /// final partial group must be clear — the invariants every vector
@@ -1000,7 +994,10 @@ mod tests {
                 words.push((word & !FILL_COUNT_MASK) | (count - head));
             }
         }
-        Wah::from_raw_parts(words, w.len())
+        Wah {
+            words,
+            nbits: w.len(),
+        }
     }
 
     #[test]

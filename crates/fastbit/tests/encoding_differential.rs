@@ -184,7 +184,7 @@ fn forced_encodings_agree_bit_for_bit() {
 /// Whole-query level: an equality-only provider and a dual-encoding provider
 /// (where the cost model freely picks the range encoding) must produce
 /// bit-identical selections under the sequential engine, matching the scan
-/// oracle. (The chunked engine never consults indexes.)
+/// oracle. (Above one thread the evaluator's plan never consults indexes.)
 #[test]
 fn compound_queries_agree_across_encodings_engines_chunks_and_threads() {
     let n = 3_000;

@@ -1,4 +1,4 @@
-//! Differential property suite for the chunked parallel engine.
+//! Differential property suite for the evaluator's chunk runner.
 //!
 //! Seeded randomized compound queries are evaluated over columns containing
 //! NaN and ±∞, across chunk sizes {1, 31, 1000, n} × thread counts

@@ -623,10 +623,10 @@ mod tests {
 
     #[test]
     fn track_and_select_fail_a_missing_step_with_the_same_error() {
-        // A store-less catalog: TRACK counts from the `.vdj` sidecar and
-        // then reads the `.vdc` header; SELECT loads the `.vdc`.
+        // A store-less catalog: TRACK reads the timestep file's id-index
+        // section, SELECT loads the whole file.
         let (catalog, dir) = tiny_catalog("missing_step");
-        let data_path = catalog.entry(3).unwrap().data_path.clone();
+        let data_path = catalog.entry(3).unwrap().path.clone();
         let handle = Server::bind(catalog, "127.0.0.1:0", ServerConfig::default())
             .unwrap()
             .handle();

@@ -303,9 +303,7 @@ pub fn spawn_cluster(
     router_config: RouterConfig,
 ) -> TestCluster {
     let (catalog, dir) = tiny_catalog(tag, particles, timesteps, index_bins);
-    let steps = catalog.steps();
-    drop(catalog);
-    let partitions = partition_steps(&steps, n_groups);
+    let partitions = partition_steps(&catalog.steps(), n_groups);
 
     let mut backends: Vec<Vec<Option<TestBackend>>> = Vec::new();
     let mut groups: Vec<GroupSpec> = Vec::new();
@@ -315,15 +313,10 @@ pub fn spawn_cluster(
         let shard_dir = dir.join(format!("shard{g}"));
         std::fs::create_dir_all(&shard_dir).expect("create shard dir");
         for &step in owned {
-            for ext in ["vdc", "vdi", "vdj"] {
-                let name = format!("timestep_{step:05}.{ext}");
-                let src = dir.join(&name);
-                if src.exists() {
-                    let dst = shard_dir.join(&name);
-                    if std::fs::hard_link(&src, &dst).is_err() {
-                        std::fs::copy(&src, &dst).expect("copy timestep file");
-                    }
-                }
+            let src = &catalog.entry(step).expect("owned step").path;
+            let dst = shard_dir.join(src.file_name().expect("timestep file name"));
+            if std::fs::hard_link(src, &dst).is_err() {
+                std::fs::copy(src, &dst).expect("copy timestep file");
             }
         }
         let mut replicas = Vec::new();

@@ -2,16 +2,16 @@
 //!
 //! What a caller still chooses about evaluation is the explorer's engine
 //! (`Auto`, the indexed FastBit path, or `ScanOnly`, the Custom baseline)
-//! and its threads (`1`, the sequential compiled engine; `2`, the chunked
-//! zone-pruned scan), and the server's threads (a server always runs
-//! `Auto`). Each of those six configurations runs over a catalog with a
-//! segment store attached and over the same catalog without one: twelve in
-//! all. Every one answers the same script — the data lines of
-//! `TIER_CROSSING_CONVERSATION` plus seeded `SELECT`/`REFINE`/`HIST`/`TRACK`
-//! lines — with the same reply bytes; the explorers' replies are formatted
-//! through the protocol's own reply helpers. Each server also takes the
-//! whole conversation pipelined over a socket, and the four transcripts are
-//! identical.
+//! and its threads (`1` or `2`: one evaluator, whose plan is the engine's
+//! at one thread and the zone-pruned chunk scan at two), and the server's
+//! threads (a server always runs `Auto`). Each of those six configurations
+//! runs over a catalog with a segment store attached and over the same
+//! catalog without one: twelve in all. Every one answers the same script —
+//! the data lines of `TIER_CROSSING_CONVERSATION` plus seeded
+//! `SELECT`/`REFINE`/`HIST`/`TRACK` lines — with the same reply bytes; the
+//! explorers' replies are formatted through the protocol's own reply
+//! helpers. Each server also takes the whole conversation pipelined over a
+//! socket, and the four transcripts are identical.
 //!
 //! Every step holds two chunks of `DEFAULT_CHUNK_ROWS` rows (the second one
 //! short), so the chunked configurations prune and combine across chunks.

@@ -2,7 +2,7 @@
 //! produce an `ERR` (or `OK`) reply — never a panic, never a hang — both
 //! through the in-process `handle_line` path and over a real TCP connection.
 //! Also round-trips `STATS` and asserts the per-query thread metrics of the
-//! chunked parallel engine are reported and move. Every step holds three
+//! evaluator's chunk runner are reported and move. Every step holds three
 //! chunks of `DEFAULT_CHUNK_ROWS` rows, so the `threads: 2` servers prune
 //! and combine across chunks.
 

@@ -9,11 +9,11 @@
 //! Id sets (seeded): the ids of a SELECT, a subset with duplicates in
 //! shuffled order, present ids mixed with ids absent from every step, and a
 //! set that matches nothing. Cache states: every step resident after
-//! `WARM`, a cold one-step budget over a store, no store at all (the `.vdj`
-//! sidecars), and one segment whose id-index section is corrupt; an
-//! explorer running `ExecStrategy::ScanOnly` over a dataset cache tracks
-//! to the same bytes. A hand-built catalog whose tables repeat an id pins
-//! that every matching row is counted.
+//! `WARM`, a cold one-step budget over a store, no store at all (the
+//! catalog files' id-index sections), and one segment whose id-index
+//! section is corrupt; an explorer running `ExecStrategy::ScanOnly` over a
+//! dataset cache tracks to the same bytes. A hand-built catalog whose
+//! tables repeat an id pins that every matching row is counted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -160,7 +160,10 @@ fn cold_one_step_budget_over_a_store() {
 #[test]
 fn no_store_reads_the_sidecars() {
     let (catalog, dir) = catalog("track_counts_sidecar", false);
-    assert!(catalog.entries().iter().all(|e| e.id_index_path.is_some()));
+    assert!(catalog.entries().iter().all(|e| {
+        let bytes = std::fs::read(&e.path).unwrap();
+        datastore::store::decode_segment_id_index(&bytes).is_ok()
+    }));
     let handle = server(&catalog, one_step_budget());
     assert_tracks_match(&catalog, &handle, 3);
     assert_eq!(handle.state().dataset_cache().len(), 1, "the SELECT's step");

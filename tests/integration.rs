@@ -182,11 +182,9 @@ fn rendering_cost_is_driven_by_bins_not_records() {
 #[test]
 fn index_files_are_smaller_than_data_and_answer_queries_alone() {
     let (explorer, dir) = build_explorer("indexsize", 2000, 4);
-    for entry in explorer.catalog().entries() {
-        let data = std::fs::metadata(&entry.data_path).unwrap().len();
-        let index = std::fs::metadata(entry.index_path.as_ref().unwrap())
-            .unwrap()
-            .len();
+    for step in explorer.catalog().steps() {
+        let ds = explorer.catalog().load(step, None, true).unwrap();
+        let (data, index) = (ds.table().byte_len(), ds.index_size_bytes());
         // WAH-compressed bitmap indexes stay well below the raw column data
         // (the paper reports roughly 2 GB of index for 5 GB of data).
         assert!(
@@ -215,10 +213,11 @@ fn selection_extraction_round_trips_through_tables() {
     let y = extracted.float_column("y").unwrap();
     assert!(px.iter().all(|&v| v > 5e9));
     assert!(y.iter().all(|&v| v > 0.0));
-    // The extracted subset can be written and read back as its own table.
-    let sub_path = dir.join("subset.vdc");
-    datastore::format::write_table(&sub_path, &extracted).unwrap();
-    let back = datastore::format::read_table(&sub_path, None).unwrap();
+    // The extracted subset can be encoded and decoded as its own table.
+    let subset = datastore::Dataset::from_table(extracted.clone(), 4);
+    let bytes = datastore::store::encode_segment(&subset);
+    let back = datastore::store::decode_segment(&bytes).unwrap();
+    let back = back.table();
     assert_eq!(back.num_rows(), extracted.num_rows());
     assert_eq!(back.float_column("px").unwrap(), px);
     std::fs::remove_dir_all(&dir).ok();
