@@ -602,11 +602,11 @@ fn fig_par_engine(args: &Args, dataset: &Dataset) {
     s.finish(&args.out).unwrap();
 }
 
-/// Cold vs warm process start through the `vdx` store: the cold pass opens
-/// a catalog written without indexes, so every dataset-ready load pays
-/// raw ingestion plus full index/id-index/zone-map construction (then
-/// writes its segment back); the warm pass re-opens the same directories
-/// and must serve every timestep from the store — zero indexes rebuilt,
+/// Cold vs warm process start through the store's write-back: the cold
+/// pass opens a catalog written without indexes, so every dataset-ready
+/// load pays raw ingestion plus full index/id-index/zone-map construction
+/// (then rewrites its timestep file); the warm pass re-opens the same
+/// directory and must serve every timestep file as it is — zero indexes rebuilt,
 /// zero bytes written — at least 2x faster. Correctness is asserted before
 /// timing is recorded: warm datasets carry the same indexed columns and
 /// answer a probe query row-identically to the cold ones.

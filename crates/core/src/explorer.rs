@@ -114,24 +114,6 @@ impl DataExplorer {
         Ok(Self::from_catalog(Arc::new(catalog), config))
     }
 
-    /// Open an existing catalog directory with a persistent `vdx` segment
-    /// store attached at `store_dir` (created if absent): indexed loads
-    /// check the store before ingesting raw data, cold loads build any
-    /// missing indexes with `config.index_binning` and write their segment
-    /// back, and a warm process start rebuilds zero indexes.
-    pub fn open_with_store(
-        dir: impl Into<PathBuf>,
-        store_dir: impl Into<PathBuf>,
-        config: ExplorerConfig,
-    ) -> Result<Self> {
-        let mut catalog = Catalog::open(dir)?;
-        let store = datastore::Store::open(store_dir)
-            .map_err(datastore::DataStoreError::from)?
-            .with_binning(config.index_binning.clone());
-        catalog.attach_store(store);
-        Ok(Self::from_catalog(Arc::new(catalog), config))
-    }
-
     /// Generate a synthetic LWFA dataset into `dir` (running the one-time
     /// index-building preprocessing) and open it.
     pub fn generate(
@@ -210,7 +192,7 @@ impl DataExplorer {
 
     /// Register this explorer's engine-level collectors — plan cache,
     /// query evaluator, index encoding counters and the attached
-    /// segment store (when present) — into a metrics registry. The dataset
+    /// write-back store (when present) — into a metrics registry. The dataset
     /// cache registers itself separately (it is shared across explorers).
     pub fn register_metrics(&self, registry: &obs::Registry) {
         self.plans.register_metrics(registry);

@@ -5,10 +5,16 @@
 //! and processes them independently, exactly as the paper assigns one HDF5
 //! file per Cray XT4 node. As the paper's HDF5-FastQuery file holds a
 //! timestep's data and its FastBit indexes together, one
-//! `timestep_NNNNN.vdx` file holds a timestep's columns, bitmap indexes and
-//! identifier index: a [`crate::store`] segment, written and validated by
+//! `timestep_NNNNN.vdx` file holds a timestep's columns, bitmap indexes
+//! (both encodings, the range one under the store's budget), identifier
+//! index and zone maps: a [`crate::store`] segment, written and validated by
 //! the store's codec, so every byte a catalog reads passes the segment
-//! validator.
+//! validator. The file is the only copy of its timestep: a corrupt one is a
+//! typed error, never healed and never answered with rows.
+//!
+//! An attached [`Store`] is the write-back policy: a full indexed load of a
+//! file written without indexes builds them, and the file is rewritten in
+//! place, so the next process start serves it as is.
 
 use std::path::{Path, PathBuf};
 
@@ -17,26 +23,8 @@ use histogram::Binning;
 
 use crate::dataset::Dataset;
 use crate::error::{DataStoreError, Result};
-use crate::store::{self, Store};
+use crate::store::{self, Store, STORE_RANGE_ENCODING_MAX_RATIO};
 use crate::table::ParticleTable;
-
-/// What a store read gave: its value, or `None` when the caller must fall
-/// back to raw ingestion. A segment that exists but failed validation is
-/// counted as a store miss (the fallback's save atomically replaces it).
-fn from_store<T>(store: &Store, read: crate::store::StoreResult<Option<T>>) -> Option<T> {
-    match read {
-        Ok(Some(value)) => {
-            obs::note("source", || "store".to_string());
-            Some(value)
-        }
-        Ok(None) => None,
-        Err(e) => {
-            obs::note("segment_error", || e.kind().to_string());
-            store.note_miss();
-            None
-        }
-    }
-}
 
 /// One timestep known to a catalog.
 #[derive(Debug, Clone)]
@@ -52,13 +40,30 @@ pub struct TimestepEntry {
 pub struct Catalog {
     dir: PathBuf,
     entries: Vec<TimestepEntry>,
-    /// Optional persistent segment store consulted before raw ingestion.
+    /// Optional write-back policy for full indexed loads.
     store: Option<Store>,
 }
 
 /// The name of timestep `step`'s file in a catalog directory.
 fn file_name(step: usize) -> String {
     format!("timestep_{step:05}.vdx")
+}
+
+/// The step whose file is named `name`: only [`file_name`]'s own spelling
+/// counts, so `timestep_1.vdx` or `timestep_+1.vdx` is no second step 1.
+fn step_of(name: &str) -> Option<usize> {
+    let step = name
+        .strip_prefix("timestep_")?
+        .strip_suffix(".vdx")?
+        .parse()
+        .ok()?;
+    (file_name(step) == name).then_some(step)
+}
+
+/// Whether `name` is a temp file a crashed timestep write left behind
+/// (`timestep_NNNNN.vdx.<pid>.<n>.tmp`, see [`store::write_atomically`]).
+fn is_torn_write(name: &str) -> bool {
+    name.starts_with("timestep_") && name.contains(".vdx.") && name.ends_with(".tmp")
 }
 
 impl Catalog {
@@ -73,19 +78,20 @@ impl Catalog {
         })
     }
 
-    /// Open an existing catalog directory, discovering every timestep file.
+    /// Open an existing catalog directory, discovering every timestep file
+    /// and sweeping the temp files a crashed write left behind: temp files
+    /// are never read, so a torn write costs at most a rewrite.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         let mut entries = Vec::new();
         for item in std::fs::read_dir(&dir)? {
             let path = item?.path();
-            let step = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix("timestep_"))
-                .and_then(|s| s.strip_suffix(".vdx"))
-                .and_then(|s| s.parse::<usize>().ok());
-            if let Some(step) = step {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if is_torn_write(name) {
+                std::fs::remove_file(&path).ok();
+            } else if let Some(step) = step_of(name) {
                 entries.push(TimestepEntry { step, path });
             }
         }
@@ -97,28 +103,28 @@ impl Catalog {
         })
     }
 
-    /// Open an existing catalog directory and attach a persistent segment
-    /// store at `store_dir` (created if absent): full-column indexed loads
-    /// check the store before ingesting raw data, and cold loads write their
-    /// segment back so the next process start is warm.
+    /// Open an existing catalog directory with a [`Store`] attached: a full
+    /// indexed load of a timestep written without indexes builds them and
+    /// rewrites its file, so the next process start serves it as is.
+    /// `store_dir` is neither created nor read (see [`Store::open`]).
     pub fn open_with_store(dir: impl Into<PathBuf>, store_dir: impl Into<PathBuf>) -> Result<Self> {
         let mut catalog = Self::open(dir)?;
         catalog.store = Some(Store::open(store_dir)?);
         Ok(catalog)
     }
 
-    /// Attach a persistent segment store (replacing any previous one).
+    /// Attach a write-back policy (replacing any previous one).
     pub fn attach_store(&mut self, store: Store) {
         self.store = Some(store);
     }
 
-    /// The attached segment store, when one is configured.
+    /// The attached write-back policy, when one is configured.
     pub fn store(&self) -> Option<&Store> {
         self.store.as_ref()
     }
 
-    /// Register the attached segment store's counters into a metrics
-    /// registry as `vdx_store_*` collectors. No-op without a store.
+    /// Register the attached store's counters into a metrics registry as
+    /// `vdx_store_*` collectors. No-op without a store.
     pub fn register_metrics(self: &std::sync::Arc<Self>, registry: &obs::Registry) {
         if self.store.is_none() {
             return;
@@ -126,22 +132,22 @@ impl Catalog {
         for (name, help, pick) in [
             (
                 "vdx_store_hits_total",
-                "Store loads answered from a valid segment file.",
+                "Full loads served from the timestep file as it was.",
                 0usize,
             ),
             (
                 "vdx_store_misses_total",
-                "Store loads that fell back to raw ingestion.",
+                "Full loads that built indexes and rewrote the timestep file.",
                 1,
             ),
             (
                 "vdx_store_bytes_written_total",
-                "Segment bytes written over the store lifetime.",
+                "Timestep file bytes rewritten over the store lifetime.",
                 2,
             ),
             (
                 "vdx_store_indexes_built_total",
-                "Bitmap indexes built because a cold load found none to reuse.",
+                "Bitmap indexes built because a full load found none in the file.",
                 3,
             ),
         ] {
@@ -181,10 +187,13 @@ impl Catalog {
             .ok_or(DataStoreError::UnknownTimestep(step))
     }
 
-    /// Write a timestep's particle table (and, when `index_binning` is given,
-    /// its bitmap indexes and identifier index) into the catalog as one
-    /// segment file, written to a temp file and renamed into place. This is
-    /// the "one-time preprocessing" stage of the paper's Figure 1.
+    /// Write a timestep's particle table into the catalog as one segment
+    /// file, written to a temp file and renamed into place. With
+    /// `index_binning`, the file also holds the columns' bitmap indexes —
+    /// with the range encoding where [`STORE_RANGE_ENCODING_MAX_RATIO`]
+    /// allows — and the identifier index: the whole segment a full load
+    /// serves. This is the "one-time preprocessing" stage of the paper's
+    /// Figure 1.
     pub fn write_timestep(
         &mut self,
         step: usize,
@@ -194,18 +203,14 @@ impl Catalog {
         let mut dataset = Dataset::from_table(table.clone(), step);
         if let Some(binning) = index_binning {
             dataset.build_indexes(binning)?;
+            dataset.build_range_encodings_budgeted(STORE_RANGE_ENCODING_MAX_RATIO);
             // The identifier index enables ID IN (...) tracking queries.
             if table.id_column("id").is_ok() {
                 dataset.build_id_index()?;
             }
         }
         let path = self.dir.join(file_name(step));
-        store::write_atomically(&path, &store::encode_segment(&dataset))?;
-        // The timestep changed: any persisted segment for this step is now
-        // stale and must never be served again.
-        if let Some(store) = &self.store {
-            store.invalidate(step);
-        }
+        store::write_atomically(&path, &store::encode_segment(&dataset), false)?;
         self.entries.retain(|e| e.step != step);
         self.entries.push(TimestepEntry { step, path });
         self.entries.sort_by_key(|e| e.step);
@@ -220,13 +225,12 @@ impl Catalog {
     /// * `with_indexes` additionally loads those columns' bitmap indexes,
     ///   and the identifier index when `id` is read, when the file has them.
     ///
-    /// With a [`Store`] attached, full-column indexed loads consult it
-    /// first: a valid segment is returned directly (columns, indexes,
-    /// identifier index and zone maps, zero rebuilt); on a miss — or a
-    /// corrupt segment, which the atomic re-save below self-heals — the
-    /// catalog file is ingested, any missing indexes are built with the
-    /// store's binning, and the result is written back (temp-then-rename) so
-    /// the next process start skips all of that work.
+    /// With a [`Store`] attached, a full indexed load of a file that holds
+    /// no bitmap index builds what it lacks — indexes with the store's
+    /// binning, their budgeted range encodings and the identifier index —
+    /// and rewrites the file (synced temp, then rename), a store miss; any other
+    /// full indexed load is a hit and writes nothing. A file that fails
+    /// validation is [`DataStoreError::Store`], store or not.
     pub fn load(
         &self,
         step: usize,
@@ -236,90 +240,39 @@ impl Catalog {
         let _load = obs::span("load");
         obs::note("step", || step.to_string());
         let entry = self.entry(step)?;
-        let store = match &self.store {
-            Some(store) if projection.is_none() && with_indexes => store,
-            _ => {
-                obs::note("source", || "raw".to_string());
-                return self.load_raw(entry, projection, with_indexes);
-            }
-        };
-        if let Some(dataset) = from_store(store, store.load(step)) {
-            return Ok(dataset);
+        match &self.store {
+            Some(store) if projection.is_none() && with_indexes => load_full(entry, store),
+            _ => read(entry, projection, with_indexes),
         }
-        self.ingest_and_persist(entry, store)
     }
 
     /// Load only timestep `step`'s identifier index — what an `ID IN (…)`
-    /// count needs — reading no column when a valid segment holds the index.
-    ///
-    /// With a [`Store`] attached, the store segment's header, table, meta and
-    /// id-index sections are read and validated ([`Store::load_id_index`]);
-    /// when there is no segment, or it is invalid, this falls back to the
-    /// full raw ingestion of [`Catalog::load`], which rewrites the segment.
-    /// Without a store, the catalog file's id-index section is read the same
-    /// way (or, lacking one, the identifier column, indexed on the fly).
+    /// count needs — reading the header, the section table, meta and the
+    /// id-index section of its file and no column. A file without one falls
+    /// back to [`Catalog::load`]'s full load with a store attached (which
+    /// builds and writes the index back) and to the identifier column,
+    /// indexed on the fly, without one. With a store attached, an index
+    /// read from the file counts as a hit.
     pub fn load_id_index(&self, step: usize) -> Result<IdIndex> {
         let _load = obs::span("load");
         obs::note("step", || step.to_string());
         obs::note("part", || "id_index".to_string());
         let entry = self.entry(step)?;
-        let dataset = match &self.store {
-            Some(store) => match from_store(store, store.load_id_index(step)) {
-                Some(idx) => return Ok(idx),
-                None => self.ingest_and_persist(entry, store)?,
-            },
-            None => {
-                obs::note("source", || "raw".to_string());
-                if let Some(idx) = store::read_segment_id_index(&entry.path, step)? {
-                    return Ok(idx);
-                }
-                self.load_raw(entry, Some(&["id"]), false)?
+        let found = store::read_segment_id_index(&entry.path, step);
+        if let Some(idx) = noting_segment_error(found)? {
+            if let Some(store) = &self.store {
+                store.note_hit();
             }
+            return Ok(idx);
+        }
+        let dataset = match &self.store {
+            Some(store) => load_full(entry, store)?,
+            None => read(entry, Some(&["id"]), false)?,
         };
         match dataset.id_index() {
             Some(idx) => Ok(idx.clone()),
             None => Ok(IdIndex::build(dataset.table().id_column("id")?)),
         }
-    }
-
-    /// The cold half of a store-backed load: ingest the catalog file, build
-    /// whatever the segment should carry, and write it back.
-    fn ingest_and_persist(&self, entry: &TimestepEntry, store: &Store) -> Result<Dataset> {
-        obs::note("source", || "raw".to_string());
-        let mut dataset = self.load_raw(entry, None, true)?;
-        if dataset.indexed_columns().is_empty() {
-            let built = dataset.build_indexes_lenient(store.binning());
-            store.note_indexes_built(built as u64);
-        }
-        // Freshly built and catalog-loaded indexes are equality-only at this
-        // point; derive the cumulative (range) encoding from their bitmaps —
-        // where the materialization budget allows — before write-back, so
-        // the persisted segment (format v2 when any column qualifies)
-        // serves per-query encoding selection on every later session.
-        dataset.build_range_encodings_budgeted(crate::store::STORE_RANGE_ENCODING_MAX_RATIO);
-        if dataset.id_index().is_none() && dataset.table().id_column("id").is_ok() {
-            dataset.build_id_index()?;
-        }
-        // Best-effort write-back: a full disk must not fail the query.
-        store.save(&dataset).ok();
-        Ok(dataset)
-    }
-
-    /// The raw (store-less) load path: the catalog file, read through the
-    /// segment decoder.
-    fn load_raw(
-        &self,
-        entry: &TimestepEntry,
-        projection: Option<&[&str]>,
-        with_indexes: bool,
-    ) -> Result<Dataset> {
-        let dataset = store::read_segment(&entry.path, entry.step, projection, with_indexes)?;
-        for &name in projection.unwrap_or_default() {
-            if dataset.table().column(name).is_none() {
-                return Err(DataStoreError::UnknownColumn(name.to_string()));
-            }
-        }
-        Ok(dataset)
     }
 
     /// Total on-disk size of the catalog in bytes (data plus indexes).
@@ -330,6 +283,58 @@ impl Catalog {
         }
         Ok(total)
     }
+}
+
+/// A full indexed load with a store attached: the file as it is when it
+/// holds a bitmap index, else the file completed and written back.
+fn load_full(entry: &TimestepEntry, store: &Store) -> Result<Dataset> {
+    let mut dataset = read(entry, None, true)?;
+    if !dataset.indexed_columns().is_empty() {
+        store.note_hit();
+        return Ok(dataset);
+    }
+    let built = dataset.build_indexes_lenient(store.binning());
+    dataset.build_range_encodings_budgeted(STORE_RANGE_ENCODING_MAX_RATIO);
+    let builds_id_index = dataset.id_index().is_none() && dataset.table().id_column("id").is_ok();
+    if builds_id_index {
+        dataset.build_id_index()?;
+    }
+    if built == 0 && !builds_id_index {
+        store.note_hit();
+        return Ok(dataset);
+    }
+    // Best-effort write-back: a full disk must not fail the query. Durable,
+    // because it replaces the only copy of the timestep.
+    let bytes = store::encode_segment(&dataset);
+    let written = store::write_atomically(&entry.path, &bytes, true).is_ok();
+    store.note_write_back(built as u64, if written { bytes.len() as u64 } else { 0 });
+    Ok(dataset)
+}
+
+/// A segment read's result, noting a failed validation's kind on the open
+/// `load` span as `segment_error=<kind>`.
+fn noting_segment_error<T>(read: store::StoreResult<T>) -> Result<T> {
+    read.map_err(|e| {
+        obs::note("segment_error", || e.kind().to_string());
+        e.into()
+    })
+}
+
+/// Read `entry`'s file through the segment decoder, decoding only what
+/// `projection` and `with_indexes` select.
+fn read(entry: &TimestepEntry, projection: Option<&[&str]>, with_indexes: bool) -> Result<Dataset> {
+    let dataset = noting_segment_error(store::read_segment(
+        &entry.path,
+        entry.step,
+        projection,
+        with_indexes,
+    ))?;
+    for &name in projection.unwrap_or_default() {
+        if dataset.table().column(name).is_none() {
+            return Err(DataStoreError::UnknownColumn(name.to_string()));
+        }
+    }
+    Ok(dataset)
 }
 
 #[cfg(test)]
@@ -438,7 +443,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (0, 1));
         assert!(stats.indexes_built >= 2 && stats.bytes_written > 0);
 
-        // A second process start: the segment is there, nothing is rebuilt.
+        // A second process start: the file holds it all, nothing is rebuilt.
         let warm = Catalog::open_with_store(&dir, &store_dir).unwrap();
         let ds = warm.load(0, None, true).unwrap();
         assert_eq!(ds.indexed_columns(), vec!["px", "x"], "indexes reloaded");
@@ -453,48 +458,66 @@ mod tests {
         assert_eq!(proj.table().column_names(), vec!["px"]);
         assert_eq!(warm.store().unwrap().stats().hits, 1);
 
-        // A corrupt segment falls back to raw ingestion and self-heals.
-        let segment = warm.store().unwrap().segment_path(0);
-        let mut bytes = std::fs::read(&segment).unwrap();
+        // One copy per timestep: the store made no directory of its own.
+        assert!(!store_dir.exists());
+
+        // The file is the only copy, so a corrupt one is a typed error:
+        // never healed, never answered with rows, never counted.
+        let path = warm.entry(0).unwrap().path.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        std::fs::write(&segment, &bytes).unwrap();
-        let healed = Catalog::open_with_store(&dir, &store_dir).unwrap();
-        let ds = healed.load(0, None, true).unwrap();
-        assert_eq!(ds.query_str("px > 5e10").unwrap().to_rows(), cold_rows);
-        let stats = healed.store().unwrap().stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
-        let reloaded = healed.load(0, None, true).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let broken = Catalog::open_with_store(&dir, &store_dir).unwrap();
+        for _ in 0..2 {
+            let err = broken.load(0, None, true).unwrap_err();
+            assert!(matches!(err, DataStoreError::Store(_)), "{err}");
+        }
         assert_eq!(
-            reloaded.query_str("px > 5e10").unwrap().to_rows(),
-            cold_rows
+            broken.store().unwrap().stats(),
+            crate::StoreStats::default()
         );
-        assert_eq!(healed.store().unwrap().stats().hits, 1, "rewritten segment");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "not rewritten");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn rewriting_a_timestep_invalidates_its_store_segment() {
-        let dir = temp_catalog_dir("store_invalidate");
+    fn rewriting_a_timestep_replaces_its_written_back_file() {
+        let dir = temp_catalog_dir("store_rewrite");
         let mut cat = Catalog::create(&dir).unwrap();
         cat.write_timestep(0, &table(100, 1), None).unwrap();
         cat.attach_store(Store::open(dir.join("store")).unwrap());
         let first = cat.load(0, None, true).unwrap();
-        assert!(cat.store().unwrap().contains(0), "segment written back");
+        assert_eq!(cat.store().unwrap().stats().misses, 1, "written back");
 
-        // Rewriting the raw timestep must drop the now-stale segment, so the
-        // next load serves (and re-persists) the new data.
+        // Rewriting the timestep replaces the one file, so nothing stale is
+        // left to serve: the next load builds (and writes back) the new data.
         cat.write_timestep(0, &table(250, 2), None).unwrap();
-        assert!(!cat.store().unwrap().contains(0), "stale segment dropped");
         let second = cat.load(0, None, true).unwrap();
         assert_eq!(second.num_particles(), 250);
         assert_ne!(first.num_particles(), second.num_particles());
-        assert!(cat.store().unwrap().contains(0), "fresh segment re-saved");
+        assert_eq!(cat.store().unwrap().stats().misses, 2, "written back");
         assert_eq!(
             cat.load(0, None, true).unwrap().num_particles(),
             250,
-            "the re-saved segment holds the rewritten data"
+            "the written-back file holds the rewritten data"
         );
+        assert_eq!(cat.store().unwrap().stats().hits, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_the_canonical_file_name_is_a_timestep() {
+        let dir = temp_catalog_dir("stray_names");
+        let mut cat = Catalog::create(&dir).unwrap();
+        cat.write_timestep(1, &table(50, 1), None).unwrap();
+        let path = cat.entry(1).unwrap().path.clone();
+        for stray in ["timestep_1.vdx", "timestep_+1.vdx"] {
+            std::fs::copy(&path, dir.join(stray)).unwrap();
+        }
+        let reopened = Catalog::open(&dir).unwrap();
+        assert_eq!(reopened.steps(), vec![1]);
+        assert_eq!(reopened.entry(1).unwrap().path, path);
         std::fs::remove_dir_all(&dir).ok();
     }
 

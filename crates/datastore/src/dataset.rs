@@ -1,6 +1,6 @@
 //! The FastQuery-style dataset facade for one timestep: what a catalog
-//! timestep file or a store segment decodes to, and what
-//! [`crate::store::encode_segment`] writes.
+//! timestep file decodes to, and what [`crate::store::encode_segment`]
+//! writes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -79,12 +79,12 @@ impl Dataset {
     /// Build (equality-encoded) bitmap indexes over every float column,
     /// skipping columns whose construction fails (empty or degenerate value
     /// ranges). Returns the number of indexes built. Used by the store's
-    /// cold-load write-back, where one unindexable column must not abort
-    /// serving the timestep; [`Catalog::load`](crate::Catalog::load) then
-    /// adds the cumulative range encoding under the store's materialization
-    /// budget ([`Dataset::build_range_encodings_budgeted`]) before saving —
-    /// one policy, one place, covering freshly built and catalog-loaded
-    /// indexes alike.
+    /// write-back of a timestep written without indexes, where one
+    /// unindexable column must not abort serving the timestep;
+    /// [`Catalog::load`](crate::Catalog::load) then adds the cumulative
+    /// range encoding under the same materialization budget as ingest
+    /// ([`Dataset::build_range_encodings_budgeted`]) before rewriting the
+    /// file.
     pub fn build_indexes_lenient(&mut self, binning: &Binning) -> usize {
         let mut built = 0;
         for column in self.table.columns() {
@@ -116,8 +116,8 @@ impl Dataset {
     /// [`Dataset::build_range_encodings`] under the per-index size budget of
     /// [`fastbit::BitmapIndex::build_range_encoding_budgeted`]: only indexes
     /// whose cumulative bitmaps stay within `max_ratio` times their equality
-    /// bytes gain the encoding. Returns how many did. This is what the
-    /// store's write-back path uses, so segment size — and therefore warm
+    /// bytes gain the encoding. Returns how many did. This is what ingest
+    /// and the store's write-back use, so segment size — and therefore warm
     /// restart time — cannot blow up on scattered columns whose cumulative
     /// bitmaps barely compress.
     pub fn build_range_encodings_budgeted(&mut self, max_ratio: f64) -> usize {

@@ -25,8 +25,8 @@ pub enum DataStoreError {
     Query(fastbit::FastBitError),
     /// The requested timestep is not present in the catalog.
     UnknownTimestep(usize),
-    /// A segment file — a catalog timestep or a store segment — failed
-    /// validation.
+    /// A catalog timestep's segment file failed validation. The file is
+    /// the only copy of its timestep, so this is never healed.
     Store(crate::store::StoreError),
 }
 

@@ -21,13 +21,15 @@
 //! * [`cache::DatasetCache`] — a sharded, byte-budgeted LRU cache of loaded
 //!   datasets (columns plus indexes) shared as `Arc<Dataset>` across server
 //!   workers, so repeated queries against hot timesteps never touch disk.
-//! * [`store::Store`] — the persistent `vdx` segment store: whole datasets
-//!   (columns, bitmap indexes, identifier index, zone maps) in one
-//!   checksummed, versioned file per timestep, written atomically
-//!   (temp-then-rename) and validated section-by-section before a `Dataset`
-//!   is constructed, so a warm restart rebuilds zero indexes and hostile
-//!   bytes produce typed errors instead of panics. Its codec is the only
-//!   on-disk format: catalog timesteps are segments too.
+//! * [`store`] — the `vdx` segment codec: whole datasets (columns, bitmap
+//!   indexes, identifier index, zone maps) in one checksummed, versioned
+//!   file per timestep, written atomically (temp-then-rename) and validated
+//!   section-by-section before a `Dataset` is constructed, so a warm
+//!   restart rebuilds zero indexes and hostile bytes produce typed errors
+//!   instead of panics. It is the only on-disk format, and a catalog's
+//!   timestep file is the only copy of its timestep. [`store::Store`] is
+//!   the write-back policy a catalog may carry: a full load of a timestep
+//!   written without indexes builds them and rewrites that file.
 
 #![deny(missing_docs)]
 

@@ -1,10 +1,15 @@
-//! The `vdx` store: checksummed, versioned persistence for whole datasets.
+//! The `vdx` segment codec: checksummed, versioned persistence for whole
+//! datasets, and the write-back policy of store-attached catalogs.
 //!
 //! The paper's FastBit indexes are *built once and reused* across
-//! exploration sessions; the store is the layer that makes our in-memory
-//! [`Dataset`]s (columns, bitmap indexes, identifier index, zone maps)
-//! survive a process restart, so a warm `vdx-server` start never re-ingests
-//! raw data or rebuilds a single index.
+//! exploration sessions; a segment is how our in-memory [`Dataset`]s
+//! (columns, bitmap indexes, identifier index, zone maps) survive a process
+//! restart. Every catalog timestep is one segment file (see
+//! [`crate::catalog`]), the only copy of its timestep, so a warm
+//! `vdx-server` start never re-ingests raw data or rebuilds a single index.
+//! A [`Store`] holds no files of its own: attached to a catalog, it decides
+//! that a full load of a timestep written without indexes builds them and
+//! rewrites the timestep's file, and it counts what that did.
 //!
 //! # Segment layout (formats v1 and v2, all integers little-endian)
 //!
@@ -40,8 +45,8 @@
 //!
 //! Writes go to a uniquely named `<segment>.<pid>.<n>.tmp` file first and are
 //! renamed into place, so a crash mid-write can never leave a truncated
-//! segment under the real name; leftover temp files are swept on
-//! [`Store::open`]. Reads validate before constructing: hostile bytes
+//! segment under the real name; leftover temp files are swept when the
+//! catalog is opened. Reads validate before constructing: hostile bytes
 //! produce a typed [`StoreError`], never a panic or an unbounded
 //! allocation.
 //!
@@ -51,16 +56,16 @@
 //! load's transient memory is its largest section rather than the file.
 //! [`decode_segment`] runs the same routine over bytes already in memory.
 //!
-//! The same codec stores a catalog's timesteps (see [`crate::catalog`]),
-//! whose loads may be projected: the decoder then reads, besides the
+//! A catalog's loads may be projected: the decoder then reads, besides the
 //! header, the section table and meta, only the named columns, their
 //! indexes when indexes are asked for, and the identifier index when `id`
 //! is named. It tells a section's column from the name its payload opens
 //! with, and a damaged name fails the load rather than drop a projected
 //! column or index (see `projected_sections`).
 //!
-//! An identifier lookup needs far less than a dataset: [`Store::load_id_index`]
-//! (and [`decode_segment_id_index`] over bytes in memory) runs the decoder's
+//! An identifier lookup needs far less than a dataset:
+//! [`crate::Catalog::load_id_index`] (and [`decode_segment_id_index`] over
+//! bytes in memory) runs the decoder's
 //! own validator over the header, the section table — whose per-kind section
 //! counts are held to meta's tallies — and the meta section, then reads,
 //! checksums and validates the identifier-index section alone. Every other
@@ -68,7 +73,7 @@
 //! while anything the reader does read is checked as the full load checks it.
 
 use std::fmt;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -445,8 +450,9 @@ pub type StoreResult<T> = std::result::Result<T, StoreError>;
 /// emits for format v1 (the golden-file test pins them).
 pub const STORE_ZONE_CHUNK_ROWS: usize = 4096;
 
-/// Materialization budget for the range (cumulative) encoding on the store
-/// write-back path: an index keeps its cumulative bitmaps only when their
+/// Materialization budget for the range (cumulative) encoding a catalog
+/// timestep carries (written by `Catalog::write_timestep` and by a store's
+/// write-back alike): an index keeps its cumulative bitmaps only when their
 /// total compressed size is at most this many times the equality bitmaps'.
 /// Clustered / low-cardinality columns compress near 1:1 and qualify;
 /// scattered high-entropy columns (whose mid-range cumulative bitmaps are
@@ -685,18 +691,16 @@ enum Stage {
 
 /// Time per [`Stage`] summed over one load's sections, reported on drop as
 /// three closed children of the open trace span. Takes no timestamps when
-/// the request is not traced, or when `timed` is false: a catalog read is
-/// one part of a raw load, whose span also holds the index builds and the
-/// write-back that the three stages would not account for.
+/// the request is not traced.
 struct StageTimes {
     last: Option<Instant>,
     spent: [Duration; 3],
 }
 
 impl StageTimes {
-    fn start(timed: bool) -> Self {
+    fn start() -> Self {
         Self {
-            last: (timed && obs::is_active()).then(Instant::now),
+            last: obs::is_active().then(Instant::now),
             spent: [Duration::ZERO; 3],
         }
     }
@@ -796,7 +800,7 @@ fn decode_column(payload: &[u8], expected_rows: u64) -> StoreResult<Column> {
 /// magic, version, section-table CRC, per-section bounds and CRCs, payload
 /// structure, cross-section consistency — happens before construction.
 pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
-    decode_from(&mut bytes, None, true, true)
+    decode_from(&mut bytes, None, true)
 }
 
 /// Parse and validate only what an identifier lookup needs from segment
@@ -804,9 +808,13 @@ pub fn decode_segment(mut bytes: &[u8]) -> StoreResult<Dataset> {
 /// identifier-index section, each checked exactly as [`decode_segment`]
 /// checks it. The other sections' payloads are never read.
 pub fn decode_segment_id_index(mut bytes: &[u8]) -> StoreResult<fastbit::IdIndex> {
-    read_id_index_from(&mut bytes, true)?
+    read_id_index_from(&mut bytes)?
         .1
-        .ok_or_else(missing_id_index)
+        .ok_or(StoreError::SectionCount {
+            section: "id index",
+            found: 0,
+            expected: 1,
+        })
 }
 
 /// A segment's header, section table and meta section, validated — the one
@@ -983,24 +991,14 @@ fn decode_id_index(payload: &[u8], num_rows: u64) -> StoreResult<fastbit::IdInde
     Ok(idx)
 }
 
-/// The error of an identifier lookup in a segment that has no id index.
-fn missing_id_index() -> StoreError {
-    StoreError::SectionCount {
-        section: "id index",
-        found: 0,
-        expected: 1,
-    }
-}
-
 /// The identifier-index reader: the validated head, then the one id-index
 /// payload, read and checked — every other section is skipped unread.
 /// Returns the step meta records with the index, `None` when the segment
 /// holds no identifier index.
 fn read_id_index_from(
     src: &mut impl SegmentSource,
-    timed: bool,
 ) -> StoreResult<(u64, Option<fastbit::IdIndex>)> {
-    let stages = &mut StageTimes::start(timed);
+    let stages = &mut StageTimes::start();
     let head = read_head(src, stages)?;
     let Some(entry) = head.entries.iter().find(|e| e.kind == KIND_ID_INDEX) else {
         return Ok((head.step, None));
@@ -1029,8 +1027,8 @@ fn peek_name(src: &mut impl SegmentSource, entry: &SectionEntry) -> StoreResult<
 }
 
 /// Which sections a load projected on `projection` reads by name: for each
-/// entry, whether it is a column section — or, with indexes, an index or
-/// range-index section — whose payload opens with a projected name. The
+/// entry, whether it is a column section — or, with indexes, an index
+/// section — whose payload opens with a projected name. The
 /// names are read before any payload is checksummed, so a damaged one can
 /// select an unwanted section, whose checksum then fails, or hide a wanted
 /// one: a hidden column is missing from the table, and an index whose name
@@ -1046,7 +1044,7 @@ fn projected_sections(
     for entry in entries {
         let named = match entry.kind {
             KIND_COLUMN => true,
-            KIND_INDEX | KIND_RANGE_INDEX => with_indexes,
+            KIND_INDEX => with_indexes,
             _ => false,
         };
         names.push(if named {
@@ -1087,15 +1085,15 @@ fn projected_sections(
 /// them (all, in file order, when `None`); a named column the segment does
 /// not hold is left for the caller to report. `with_indexes` adds the read
 /// columns' bitmap indexes and, when `id` is read, the identifier index.
-/// Zone maps come with a full load only. `timed` reports the stage times
-/// (see [`StageTimes`]).
+/// Zone maps and the indexes' range encodings come with a full load only:
+/// a projected load decodes and checks no cumulative bitmap. The stage times go to the open
+/// trace span (see [`StageTimes`]).
 fn decode_from(
     src: &mut impl SegmentSource,
     projection: Option<&[&str]>,
     with_indexes: bool,
-    timed: bool,
 ) -> StoreResult<Dataset> {
-    let stages = &mut StageTimes::start(timed);
+    let stages = &mut StageTimes::start();
     let SegmentHead {
         entries,
         step,
@@ -1116,7 +1114,8 @@ fn decode_from(
             KIND_META => false,
             KIND_ID_INDEX => with_indexes && projection.is_none_or(|p| p.contains(&"id")),
             KIND_ZONE_MAPS => projection.is_none(),
-            // Columns, and with indexes their bitmap and range sections.
+            KIND_RANGE_INDEX => with_indexes && projection.is_none(),
+            // Columns, and with indexes their bitmap sections.
             kind => {
                 (kind == KIND_COLUMN || with_indexes)
                     && projected.as_ref().is_none_or(|projected| projected[i])
@@ -1235,20 +1234,21 @@ fn check_step(step: usize, recorded: u64) -> StoreResult<()> {
 }
 
 // ---------------------------------------------------------------------------
-// The store directory
+// Segment files and the write-back policy
 // ---------------------------------------------------------------------------
 
 /// Point-in-time snapshot of store effectiveness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Loads and identifier-index reads answered from a valid segment file.
+    /// Full loads and identifier-index reads served from the timestep file
+    /// as it was.
     pub hits: u64,
-    /// Loads and identifier-index reads that found no (valid) segment and
-    /// fell back to raw ingestion.
+    /// Full loads that found no bitmap index in the timestep file, built
+    /// what it lacked and rewrote it.
     pub misses: u64,
-    /// Total segment bytes written over the store's lifetime.
+    /// Total timestep-file bytes rewritten over the store's lifetime.
     pub bytes_written: u64,
-    /// Bitmap indexes built because a cold load found none to reuse —
+    /// Bitmap indexes built because a full load found none in the file —
     /// exactly zero across a fully warm restart.
     pub indexes_built: u64,
 }
@@ -1256,17 +1256,59 @@ pub struct StoreStats {
 /// Write `bytes` to `path` through a uniquely named `<path>.<pid>.<n>.tmp`
 /// file renamed into place, so no reader ever sees a torn file and a crash
 /// mid-write leaves only a temp file behind.
-pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+///
+/// `durable` also syncs the temp file before the rename and the directory
+/// after it, so a power loss leaves the old file or the whole new one,
+/// never a renamed file whose data never reached the disk. Write-back asks
+/// for it: it replaces the only copy of a timestep. Ingest does not: its
+/// table is still at hand, and a file it leaves torn is a typed error
+/// (every section is checksummed), never rows, until ingest runs again.
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8], durable: bool) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let written = write_file(&tmp, bytes, durable).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    written
+    written?;
+    if durable {
+        sync_parent_dir(path)?;
+    }
+    Ok(())
+}
+
+/// Create `path` holding `bytes`, flushed to the disk when `durable`.
+fn write_file(path: &Path, bytes: &[u8], durable: bool) -> io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    if durable {
+        file.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Flush the directory entry of `path` (the rename) to the disk.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Off Unix a directory cannot be opened to sync it; the rename's
+/// durability is left to the platform.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
+}
+
+/// Open the segment file at `path`, noting its size on the open trace span.
+fn open_segment(path: &Path) -> io::Result<SegmentFile> {
+    let source = SegmentFile::open(path)?;
+    obs::note("bytes", || source.len.to_string());
+    Ok(source)
 }
 
 /// Read the segment file at `path`, which must hold step `step`, decoding
@@ -1277,12 +1319,7 @@ pub(crate) fn read_segment(
     projection: Option<&[&str]>,
     with_indexes: bool,
 ) -> StoreResult<Dataset> {
-    let dataset = decode_from(
-        &mut SegmentFile::open(path)?,
-        projection,
-        with_indexes,
-        false,
-    )?;
+    let dataset = decode_from(&mut open_segment(path)?, projection, with_indexes)?;
     check_step(step, dataset.step() as u64)?;
     Ok(dataset)
 }
@@ -1293,15 +1330,17 @@ pub(crate) fn read_segment_id_index(
     path: &Path,
     step: usize,
 ) -> StoreResult<Option<fastbit::IdIndex>> {
-    let (recorded, idx) = read_id_index_from(&mut SegmentFile::open(path)?, false)?;
+    let (recorded, idx) = read_id_index_from(&mut open_segment(path)?)?;
     check_step(step, recorded)?;
     Ok(idx)
 }
 
-/// A directory of per-timestep segment files (`segment_*.vdx`).
+/// The write-back policy of a store-attached catalog: the binning a full
+/// load builds missing indexes with, and counters of what loads did. It
+/// holds no files: a completed timestep is written back over its own
+/// catalog file.
 #[derive(Debug)]
 pub struct Store {
-    dir: PathBuf,
     binning: Binning,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -1310,24 +1349,12 @@ pub struct Store {
 }
 
 impl Store {
-    /// Open (creating if needed) a store directory, sweeping any `*.tmp`
-    /// files a crashed writer left behind — temp files are never read, so a
-    /// torn write can only ever cost a re-save, never a corrupt load.
-    pub fn open(dir: impl Into<PathBuf>) -> StoreResult<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        for item in std::fs::read_dir(&dir)? {
-            let path = item?.path();
-            if path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".tmp"))
-            {
-                std::fs::remove_file(&path).ok();
-            }
-        }
+    /// A write-back policy with the default binning (256 equal-width bins).
+    /// `dir` is neither created nor read: every segment lives in its
+    /// catalog's directory. Never fails; the `Result` keeps the signature
+    /// callers already handle.
+    pub fn open(_dir: impl Into<PathBuf>) -> StoreResult<Self> {
         Ok(Self {
-            dir,
             binning: Binning::EqualWidth { bins: 256 },
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -1336,7 +1363,7 @@ impl Store {
         })
     }
 
-    /// Binning used when a cold load has to build indexes before write-back.
+    /// Binning used when a full load has to build indexes before write-back.
     pub fn with_binning(mut self, binning: Binning) -> Self {
         self.binning = binning;
         self
@@ -1347,93 +1374,18 @@ impl Store {
         &self.binning
     }
 
-    /// Directory backing this store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the segment file for `step`.
-    pub fn segment_path(&self, step: usize) -> PathBuf {
-        self.dir.join(format!("segment_{step:05}.vdx"))
-    }
-
-    /// Whether a segment file exists for `step` (without validating it).
-    pub fn contains(&self, step: usize) -> bool {
-        self.segment_path(step).exists()
-    }
-
-    /// Persist a dataset as the segment for its step, through a uniquely
-    /// named temp file renamed into place, so concurrent saves and crashes
-    /// can never tear the visible segment. Returns the number of bytes
-    /// written.
-    pub fn save(&self, dataset: &Dataset) -> StoreResult<u64> {
-        let bytes = encode_segment(dataset);
-        write_atomically(&self.segment_path(dataset.step()), &bytes)?;
-        self.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes.len() as u64)
-    }
-
-    /// Load the segment for `step`, if one exists. `Ok(None)` (a miss) when
-    /// no segment file is present; a typed [`StoreError`] when a file exists
-    /// but fails any validation check.
-    pub fn load(&self, step: usize) -> StoreResult<Option<Dataset>> {
-        let Some(mut source) = self.open_segment(step)? else {
-            return Ok(None);
-        };
-        let dataset = decode_from(&mut source, None, true, true)?;
-        check_step(step, dataset.step() as u64)?;
+    /// Record a load served from the file as it was.
+    pub(crate) fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(dataset))
     }
 
-    /// Read only the identifier index of the segment for `step`: the
-    /// header, the section table, the meta section and the id-index section,
-    /// each validated exactly as [`Store::load`] validates it, the recorded
-    /// step included. Counts as a hit when it succeeds and as a miss when
-    /// no segment file is present (`Ok(None)`); a segment without an
-    /// identifier index is a typed [`StoreError::SectionCount`].
-    pub fn load_id_index(&self, step: usize) -> StoreResult<Option<fastbit::IdIndex>> {
-        let Some(mut source) = self.open_segment(step)? else {
-            return Ok(None);
-        };
-        let (recorded, idx) = read_id_index_from(&mut source, true)?;
-        check_step(step, recorded)?;
-        let idx = idx.ok_or_else(missing_id_index)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(idx))
-    }
-
-    /// Open the segment file for `step` for reading, counting a miss when
-    /// there is none.
-    fn open_segment(&self, step: usize) -> StoreResult<Option<SegmentFile>> {
-        match SegmentFile::open(&self.segment_path(step)) {
-            Ok(source) => {
-                obs::note("bytes", || source.len.to_string());
-                Ok(Some(source))
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Drop the segment for `step`, if any — called when the underlying raw
-    /// timestep is rewritten, so the store can never serve stale data.
-    pub fn invalidate(&self, step: usize) {
-        std::fs::remove_file(self.segment_path(step)).ok();
-    }
-
-    /// Record `n` indexes built by a cold load on the way to write-back.
-    pub fn note_indexes_built(&self, n: u64) {
-        self.indexes_built.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a load that had to fall back to raw ingestion.
-    pub fn note_miss(&self) {
+    /// Record a load that built `indexes_built` indexes and rewrote its file
+    /// with `bytes` bytes (0 when the write failed).
+    pub(crate) fn note_write_back(&self, indexes_built: u64, bytes: u64) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+        self.indexes_built
+            .fetch_add(indexes_built, Ordering::Relaxed);
+        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Effectiveness counters.
@@ -1450,6 +1402,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Catalog, DataStoreError};
     use histogram::Binning;
 
     fn sample_dataset(n: usize, step: usize) -> Dataset {
@@ -1473,10 +1426,19 @@ mod tests {
         ds
     }
 
-    fn temp_store(tag: &str) -> PathBuf {
+    /// An empty catalog directory for one test.
+    fn temp_catalog(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vdx_store_unit_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Place `bytes` as timestep `step`'s file of the catalog in `dir`.
+    fn place(dir: &Path, step: usize, bytes: &[u8]) -> PathBuf {
+        let path = dir.join(format!("timestep_{step:05}.vdx"));
+        std::fs::write(&path, bytes).unwrap();
+        path
     }
 
     #[test]
@@ -1566,14 +1528,12 @@ mod tests {
 
     #[test]
     fn streamed_load_and_in_memory_decode_build_the_same_dataset() {
-        let dir = temp_store("streamed");
-        let store = Store::open(&dir).unwrap();
+        let dir = temp_catalog("streamed");
         for (version, ds) in (1u8..).zip(v1_and_v2(700, 3)) {
-            store.save(&ds).unwrap();
-            let bytes = std::fs::read(store.segment_path(3)).unwrap();
+            let bytes = encode_segment(&ds);
             assert_eq!(bytes[4], version);
-            assert_eq!(bytes, encode_segment(&ds), "save writes encode_segment");
-            let streamed = store.load(3).unwrap().expect("segment present");
+            place(&dir, 3, &bytes);
+            let streamed = Catalog::open(&dir).unwrap().load(3, None, true).unwrap();
             let in_memory = decode_segment(&bytes).unwrap();
             assert_eq!(encode_segment(&streamed), bytes, "v{version} streamed");
             assert_eq!(encode_segment(&in_memory), bytes, "v{version} in memory");
@@ -1586,8 +1546,7 @@ mod tests {
         // A foreign writer may lay payloads out in any order. Move the meta
         // payload (first in our layout) to the end of the file: the file
         // source must seek there and back, and agree with the in-memory one.
-        let dir = temp_store("reordered");
-        let store = Store::open(&dir).unwrap();
+        let dir = temp_catalog("reordered");
         for ds in v1_and_v2(300, 6) {
             let bytes = encode_segment(&ds);
             let count = le_u32(&bytes[8..12]) as usize;
@@ -1608,11 +1567,36 @@ mod tests {
             }
             let table_crc = crc32(&moved[HEADER_LEN..payload_start]);
             moved[12..16].copy_from_slice(&table_crc.to_le_bytes());
-            std::fs::write(store.segment_path(6), &moved).unwrap();
-            let streamed = store.load(6).unwrap().expect("segment present");
+            place(&dir, 6, &moved);
+            let streamed = Catalog::open(&dir).unwrap().load(6, None, true).unwrap();
             assert_eq!(encode_segment(&streamed), bytes);
             assert_eq!(encode_segment(&decode_segment(&moved).unwrap()), bytes);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn projected_indexed_loads_decode_no_range_section() {
+        // Range encodings come with a full load only: a projected indexed
+        // load reads the equality index and leaves the cumulative bitmaps.
+        let dir = temp_catalog("projected_ranges");
+        let [_, v2] = v1_and_v2(300, 4);
+        place(&dir, 4, &encode_segment(&v2));
+        let catalog = Catalog::open(&dir).unwrap();
+        let has_ranges = |ds: &Dataset| {
+            ds.index_entries()
+                .iter()
+                .map(|(name, idx)| (name.to_string(), idx.range_bitmaps().is_some()))
+                .collect::<Vec<_>>()
+        };
+        let projected = catalog.load(4, Some(&["x", "id"]), true).unwrap();
+        assert_eq!(has_ranges(&projected), [("x".to_string(), false)]);
+        assert!(projected.id_index().is_some());
+        let full = catalog.load(4, None, true).unwrap();
+        assert_eq!(
+            has_ranges(&full),
+            [("px".to_string(), true), ("x".to_string(), true)]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1656,34 +1640,54 @@ mod tests {
 
     #[test]
     fn save_load_through_directory_counts_stats() {
-        let dir = temp_store("saveload");
-        let store = Store::open(&dir).unwrap();
-        let ds = sample_dataset(32, 4);
-        let bytes = store.save(&ds).unwrap();
-        assert!(bytes > 0);
-        assert!(store.contains(4));
-        assert!(!store.contains(5));
-        let loaded = store.load(4).unwrap().unwrap();
-        assert_eq!(loaded.num_particles(), 32);
-        assert!(store.load(5).unwrap().is_none());
-        let stats = store.stats();
+        // A timestep written without indexes: the first full load with a
+        // store attached builds them and writes the file back, the next
+        // serves it as is.
+        let dir = temp_catalog("saveload");
+        let bare = Dataset::from_table(sample_dataset(32, 4).table().clone(), 4);
+        let path = place(&dir, 4, &encode_segment(&bare));
+        let mut catalog = Catalog::open(&dir).unwrap();
+        catalog.attach_store(Store::open(dir.join("unused")).unwrap());
+        let cold = catalog.load(4, None, true).unwrap();
+        assert_eq!(cold.num_particles(), 32);
+        assert_eq!(cold.indexed_columns(), vec!["px", "x"]);
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(written, encode_segment(&cold), "the file is the load");
+        let stats = catalog.store().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses, stats.indexes_built), (0, 1, 2));
+        assert_eq!(stats.bytes_written, written.len() as u64);
+
+        let warm = catalog.load(4, None, true).unwrap();
+        assert_eq!(encode_segment(&warm), written);
+        assert!(catalog.load(5, None, true).is_err(), "no step 5");
+        let stats = catalog.store().unwrap().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.bytes_written, bytes);
+        assert_eq!(stats.bytes_written, written.len() as u64);
+        assert!(!dir.join("unused").exists(), "the store makes no directory");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn misplaced_segment_is_rejected_not_served() {
-        let dir = temp_store("misplaced");
-        let store = Store::open(&dir).unwrap();
-        let ds = sample_dataset(24, 1);
-        store.save(&ds).unwrap();
-        // A backup/restore mishap: step 1's segment lands under step 2.
-        std::fs::copy(store.segment_path(1), store.segment_path(2)).unwrap();
-        let err = store.load(2).expect_err("wrong-step segment must not load");
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
-        assert!(
-            store.load(1).unwrap().is_some(),
+        let dir = temp_catalog("misplaced");
+        let one = place(&dir, 1, &encode_segment(&sample_dataset(24, 1)));
+        // A backup/restore mishap: step 1's file lands under step 2.
+        std::fs::copy(&one, dir.join("timestep_00002.vdx")).unwrap();
+        let catalog = Catalog::open(&dir).unwrap();
+        for loaded in [
+            catalog.load(2, None, true).map(|_| ()),
+            catalog.load(2, Some(&["px"]), false).map(|_| ()),
+            catalog.load_id_index(2).map(|_| ()),
+        ] {
+            let err = loaded.expect_err("wrong-step segment must not load");
+            assert!(
+                matches!(err, DataStoreError::Store(StoreError::Corrupt(_))),
+                "{err:?}"
+            );
+        }
+        assert_eq!(
+            catalog.load(1, None, true).unwrap().num_particles(),
+            24,
             "the real slot still works"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1691,13 +1695,17 @@ mod tests {
 
     #[test]
     fn leftover_tmp_files_are_swept_on_open() {
-        let dir = temp_store("sweep");
-        std::fs::create_dir_all(&dir).unwrap();
-        let tmp = dir.join("segment_00002.123.0.tmp");
-        std::fs::write(&tmp, b"torn write").unwrap();
-        let store = Store::open(&dir).unwrap();
+        let dir = temp_catalog("sweep");
+        let tmp = dir.join("timestep_00002.vdx.123.0.tmp");
+        std::fs::write(&tmp, encode_segment(&sample_dataset(16, 2))).unwrap();
+        // Only a timestep write's temp files are the catalog's to sweep.
+        let foreign = dir.join("notes.123.0.tmp");
+        std::fs::write(&foreign, b"someone else's").unwrap();
+        let catalog = Catalog::open(&dir).unwrap();
         assert!(!tmp.exists(), "crashed writer's temp file removed");
-        assert!(store.load(2).unwrap().is_none(), "tmp never read as data");
+        assert!(foreign.exists(), "other temp files are left alone");
+        assert!(catalog.steps().is_empty(), "tmp never read as data");
+        assert!(catalog.load(2, None, true).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,4 +1,4 @@
-//! Corruption/fuzz suite for the `vdx` segment store.
+//! Corruption/fuzz suite for the `vdx` segment codec.
 //!
 //! A valid segment is mutilated every way we can think of — truncated at
 //! every byte (so every section boundary included), every single byte
@@ -9,15 +9,16 @@
 //! silently wrong data. The identifier-index reader, which skips every
 //! section but meta and the id index, gets the same truncation and
 //! byte-flip battery. Plus the crash-atomicity contract: leftover `.tmp`
-//! files are ignored as data and swept on open. A store-less catalog's
-//! timestep files are segments too, and a corrupt one is a typed error from
-//! every catalog read.
+//! files are ignored as data and swept when the catalog opens. A catalog's
+//! timestep files are segments, the only copy of each timestep, and a
+//! corrupt one is a typed error from every catalog read, with a store
+//! attached or not.
 
 use datastore::store::{
     crc32, decode_segment, decode_segment_id_index, encode_segment, Store, StoreError, HEADER_LEN,
     SEGMENT_VERSION, SEGMENT_VERSION_RANGE, TABLE_ENTRY_LEN,
 };
-use datastore::{Catalog, Column, DataStoreError, Dataset, ParticleTable};
+use datastore::{Catalog, Column, DataStoreError, Dataset, ParticleTable, StoreStats};
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -400,31 +401,53 @@ fn v2_segments_roundtrip_with_range_encodings_attached() {
     }
 }
 
+/// A catalog directory holding `sample_dataset`'s timestep 7, with a store
+/// attached (so full loads count hits).
+fn store_catalog(tag: &str) -> (Catalog, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("vdx_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut catalog = Catalog::create(&dir).unwrap();
+    catalog
+        .write_timestep(
+            7,
+            sample_dataset().table(),
+            Some(&Binning::EqualWidth { bins: 4 }),
+        )
+        .unwrap();
+    catalog.attach_store(Store::open(dir.join("store")).unwrap());
+    (catalog, dir)
+}
+
 #[test]
 fn store_level_corruption_is_typed_and_self_contained() {
-    let dir = std::env::temp_dir().join(format!("vdx_corrupt_store_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::open(&dir).unwrap();
-    let ds = sample_dataset();
-    store.save(&ds).unwrap();
-    let path = store.segment_path(7);
+    let (catalog, dir) = store_catalog("corrupt_store");
+    let path = catalog.entry(7).unwrap().path.clone();
 
     // Truncate the on-disk file at a few strides (including 0) and at the
-    // exact header/table boundaries.
+    // exact header/table boundaries: every read is a typed error, and none
+    // is healed or counted.
     let bytes = std::fs::read(&path).unwrap();
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let mut cuts = vec![0usize, 3, HEADER_LEN, HEADER_LEN + count * TABLE_ENTRY_LEN];
     cuts.extend((0..bytes.len()).step_by(293));
     for cut in cuts {
-        std::fs::write(&path, &bytes[..cut.min(bytes.len())]).unwrap();
+        let torn = &bytes[..cut.min(bytes.len())];
+        std::fs::write(&path, torn).unwrap();
         if cut < bytes.len() {
-            let err = store.load(7).expect_err(&format!("cut at {cut}"));
-            assert!(!err.to_string().is_empty());
+            for err in [
+                catalog.load(7, None, true).map(|_| ()).unwrap_err(),
+                catalog.load_id_index(7).map(|_| ()).unwrap_err(),
+            ] {
+                assert!(matches!(err, DataStoreError::Store(_)), "cut {cut}: {err}");
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), torn, "cut {cut}: not healed");
         }
     }
+    assert_eq!(catalog.store().unwrap().stats(), StoreStats::default());
     std::fs::write(&path, &bytes).unwrap();
-    assert!(
-        store.load(7).unwrap().is_some(),
+    assert_eq!(
+        encode_segment(&catalog.load(7, None, true).unwrap()),
+        bytes,
         "restored file loads again"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -432,29 +455,29 @@ fn store_level_corruption_is_typed_and_self_contained() {
 
 #[test]
 fn leftover_tmp_files_are_ignored_and_cleaned() {
-    let dir = std::env::temp_dir().join(format!("vdx_tmp_sweep_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::open(&dir).unwrap();
-    let ds = sample_dataset();
-    store.save(&ds).unwrap();
+    let (catalog, dir) = store_catalog("tmp_sweep");
+    let pristine = std::fs::read(&catalog.entry(7).unwrap().path).unwrap();
 
     // A crashed writer's torn temp files: one garbage, one holding a fully
     // valid segment that simply never got renamed into place.
-    let torn = dir.join("segment_00009.4242.0.tmp");
+    let torn = dir.join("timestep_00009.vdx.4242.0.tmp");
     std::fs::write(&torn, b"half a segm").unwrap();
-    let unrenamed = dir.join("segment_00009.4242.1.tmp");
-    std::fs::write(&unrenamed, encode_segment(&ds)).unwrap();
+    let unrenamed = dir.join("timestep_00009.vdx.4242.1.tmp");
+    let step9 = Dataset::from_table(sample_dataset().table().clone(), 9);
+    std::fs::write(&unrenamed, encode_segment(&step9)).unwrap();
 
-    let reopened = Store::open(&dir).unwrap();
+    let reopened = Catalog::open(&dir).unwrap();
     assert!(!torn.exists(), "garbage tmp swept");
     assert!(!unrenamed.exists(), "valid-but-unrenamed tmp swept too");
-    assert!(
-        reopened.load(9).unwrap().is_none(),
-        "tmp content is never served as a segment"
-    );
-    assert!(
-        reopened.load(7).unwrap().is_some(),
-        "the properly renamed segment is untouched"
+    assert_eq!(reopened.steps(), vec![7], "tmp content is never a timestep");
+    assert!(matches!(
+        reopened.load(9, None, true),
+        Err(DataStoreError::UnknownTimestep(9))
+    ));
+    assert_eq!(
+        encode_segment(&reopened.load(7, None, true).unwrap()),
+        pristine,
+        "the properly renamed file is untouched"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -582,23 +605,30 @@ fn id_index_reader_shares_the_structural_validators() {
 
 #[test]
 fn store_id_index_reads_count_hits_and_check_the_step() {
-    let dir = std::env::temp_dir().join(format!("vdx_id_reader_store_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::open(&dir).unwrap();
-    store.save(&sample_dataset()).unwrap();
-    let idx = store.load_id_index(7).unwrap().expect("segment present");
+    let (catalog, dir) = store_catalog("id_reader_store");
+    let idx = catalog.load_id_index(7).unwrap();
     assert_eq!(idx.pairs(), sample_dataset().id_index().unwrap().pairs());
-    assert!(store.load_id_index(3).unwrap().is_none(), "no segment");
-    let stats = store.stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-
-    // Step 7's segment under step 8's name holds the wrong step.
-    std::fs::copy(store.segment_path(7), store.segment_path(8)).unwrap();
     assert!(matches!(
-        store.load_id_index(8),
-        Err(StoreError::Corrupt(_))
+        catalog.load_id_index(3),
+        Err(DataStoreError::UnknownTimestep(3))
     ));
-    assert_eq!(store.stats().hits, 1, "a rejected read is no hit");
+    let stats = catalog.store().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0));
+
+    // Step 7's file under step 8's name holds the wrong step.
+    let path = catalog.entry(7).unwrap().path.clone();
+    std::fs::copy(&path, dir.join("timestep_00008.vdx")).unwrap();
+    let mut reopened = Catalog::open(&dir).unwrap();
+    reopened.attach_store(Store::open(dir.join("store")).unwrap());
+    assert!(matches!(
+        reopened.load_id_index(8),
+        Err(DataStoreError::Store(StoreError::Corrupt(_)))
+    ));
+    assert_eq!(
+        reopened.store().unwrap().stats(),
+        StoreStats::default(),
+        "a rejected read is no hit"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -35,11 +35,14 @@
 //! catalog-wide `TRACK` fans its timesteps out over one thread per
 //! available core.
 //!
-//! `--store-dir` attaches the persistent `vdx` segment store: loads check
-//! the store before ingesting raw data, cold loads write their segment back,
-//! and the `SAVE`/`WARM` protocol verbs (plus the `store_*` `STATS` fields)
-//! drive and observe it. `smoke --dir --store-dir` reuses the catalog across
-//! invocations, so a second run exercises a warm start.
+//! `--store-dir` turns write-back on: a full load of a timestep file
+//! written without indexes builds them and rewrites that file, the only
+//! copy of the timestep, so the next start serves it as is; the directory
+//! itself is neither created nor read. The `SAVE`/`WARM` protocol verbs
+//! (plus the `store_*` `STATS` fields) drive and observe it. `smoke --dir
+//! --store-dir` generates its catalog without indexes and reuses it across
+//! invocations, so a first run writes every file back and a second one is
+//! a warm start.
 //!
 //! `--trace-sample N` records every Nth request as a per-stage span trace
 //! (`1` — the default — traces everything, `0` disables tracing) and
@@ -202,7 +205,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         let store =
             datastore::Store::open(&store_dir).map_err(|e| format!("store {store_dir}: {e}"))?;
         catalog.attach_store(store);
-        println!("vdx-server store attached at {store_dir}");
+        println!("vdx-server write-back on (timestep files are rewritten in {dir})");
     }
     let server = Server::bind(Arc::new(catalog), &addr, server_config(args))
         .map_err(|e| format!("bind {addr}: {e}"))?;
@@ -286,10 +289,12 @@ fn scratch_catalog(
 /// assert non-empty OK replies, and shut down through the protocol.
 ///
 /// With `--dir` the catalog directory is stable and reused across
-/// invocations (generated only when absent); with `--store-dir` the `vdx`
-/// store is attached and the session additionally runs `WARM` and prints the
-/// `store_*` counters — so running smoke twice with both flags exercises a
-/// cold start (segments written) and then a warm one (segments hit).
+/// invocations (generated only when absent); with `--store-dir` the catalog
+/// is generated without indexes, write-back is on, and the session
+/// additionally runs `WARM` and prints the `store_*` counters — so running
+/// smoke twice with both flags exercises a cold start (every timestep file
+/// completed and written back) and then a warm one (every file served as
+/// it is, no index built).
 fn smoke(args: &[String]) -> Result<(), String> {
     let (particles, timesteps) = (800usize, 16usize);
     let (catalog, sim, dir, scratch) = match flag(args, "--dir") {
@@ -312,13 +317,13 @@ fn smoke(args: &[String]) -> Result<(), String> {
                 }
                 None => {
                     std::fs::remove_dir_all(&dir).ok();
-                    // A fresh catalog makes any old store contents stale.
-                    if let Some(store_dir) = flag(args, "--store-dir") {
-                        std::fs::remove_dir_all(&store_dir).ok();
-                    }
                     let mut catalog = Catalog::create(&dir).map_err(|e| e.to_string())?;
+                    // With write-back on, the first run's loads build the
+                    // indexes and write each timestep file back.
+                    let binning = Binning::EqualWidth { bins: 32 };
+                    let index_binning = flag(args, "--store-dir").is_none().then_some(&binning);
                     Simulation::new(sim.clone())
-                        .run_to_catalog(&mut catalog, Some(&Binning::EqualWidth { bins: 32 }))
+                        .run_to_catalog(&mut catalog, index_binning)
                         .map_err(|e| e.to_string())?;
                     catalog
                 }
@@ -331,8 +336,9 @@ fn smoke(args: &[String]) -> Result<(), String> {
         Some(store_dir) => {
             let mut catalog =
                 Arc::into_inner(catalog).expect("catalog not yet shared before serving");
-            let store =
-                datastore::Store::open(store_dir).map_err(|e| format!("store {store_dir}: {e}"))?;
+            let store = datastore::Store::open(store_dir)
+                .map_err(|e| format!("store {store_dir}: {e}"))?
+                .with_binning(Binning::EqualWidth { bins: 32 });
             catalog.attach_store(store);
             Arc::new(catalog)
         }
@@ -356,9 +362,9 @@ fn smoke(args: &[String]) -> Result<(), String> {
         format!("HIST\t{last}\tpx\t32\tpx > {threshold}"),
     ];
     if store_dir.is_some() {
-        // Warm every timestep through the store before the workload: on a
-        // cold store this writes every segment back, on a warm one it loads
-        // them all without rebuilding an index.
+        // Warm every timestep before the workload: on the first run this
+        // writes every timestep file back, on a later one it loads them all
+        // without rebuilding an index.
         script.insert(2, "WARM".to_string());
     }
     let mut selected_ids = String::new();

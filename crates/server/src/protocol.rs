@@ -80,10 +80,13 @@ pub enum Request {
         /// Particle identifiers to trace.
         ids: Vec<u64>,
     },
-    /// Persist every timestep into the `vdx` store (requires `--store-dir`).
+    /// Bring every timestep's catalog file to what a full load serves: a
+    /// file written without indexes is completed and written back in place
+    /// (requires `--store-dir`).
     Save,
-    /// Preload every timestep through the dataset cache, serving from the
-    /// `vdx` store where segments exist (requires `--store-dir`).
+    /// Preload every timestep through the dataset cache; a file that holds
+    /// its indexes is served as it is, one written without them is written
+    /// back (requires `--store-dir`).
     Warm,
     /// Dump the metrics registry in Prometheus text exposition format (the
     /// protocol's one multi-line reply).

@@ -265,36 +265,33 @@ impl ServerState {
         Ok(reply)
     }
 
-    /// `SAVE`: persist every timestep into the attached `vdx` store (loads
-    /// go through the dataset cache, so hot timesteps serialize from
-    /// memory). Steps whose segment already exists are skipped — in
-    /// particular a cold `get_or_load` just wrote its segment back inside
-    /// `Catalog::load`, and serializing it a second time would only double
-    /// the CPU and disk work. The reply counts every persisted segment but
-    /// only the bytes newly written by this request.
+    /// `SAVE`: bring every timestep's file to what a full load serves. It
+    /// walks the steps through the dataset cache as `WARM` does: a cold
+    /// full load of a file written without indexes builds them and
+    /// rewrites the file (see `Catalog::load`), and any other load writes
+    /// nothing. The reply counts every step and the growth of the store's
+    /// `bytes_written` during the request.
     fn op_save(&self) -> Result<String, String> {
         let catalog = self.explorer.catalog();
         let store = catalog
             .store()
             .ok_or("no store configured (start the server with --store-dir)")?;
+        let before = store.stats().bytes_written;
         let mut segments = 0u64;
-        let mut bytes = 0u64;
         for step in catalog.steps() {
-            let dataset = self
-                .datasets
+            self.datasets
                 .get_or_load(catalog, step)
                 .map_err(|e| e.to_string())?;
-            if !store.contains(step) {
-                bytes += store.save(&dataset).map_err(|e| e.to_string())?;
-            }
             segments += 1;
         }
+        let bytes = store.stats().bytes_written - before;
         Ok(format!("OK\tSAVE\t{segments}\t{bytes}"))
     }
 
-    /// `WARM`: preload every timestep through the dataset cache. With a
-    /// store attached, warm segments load without touching raw data or
-    /// rebuilding an index (observable as `store_hits` in `STATS`).
+    /// `WARM`: preload every timestep through the dataset cache. A timestep
+    /// file that already holds its indexes loads as it is, rebuilding
+    /// nothing (observable as `store_hits` in `STATS`); one written without
+    /// indexes is completed and written back.
     fn op_warm(&self) -> Result<String, String> {
         let catalog = self.explorer.catalog();
         if catalog.store().is_none() {
@@ -545,6 +542,12 @@ mod tests {
     use std::path::PathBuf;
 
     fn tiny_catalog(tag: &str) -> (Arc<Catalog>, PathBuf) {
+        generated_catalog(tag, Some(&Binning::EqualWidth { bins: 16 }))
+    }
+
+    /// Six generated timesteps of 300 particles, indexed with
+    /// `index_binning` when given.
+    fn generated_catalog(tag: &str, index_binning: Option<&Binning>) -> (Arc<Catalog>, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("vdx_server_unit_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -553,7 +556,7 @@ mod tests {
         config.particles_per_step = 300;
         config.num_timesteps = 6;
         Simulation::new(config)
-            .run_to_catalog(&mut catalog, Some(&Binning::EqualWidth { bins: 16 }))
+            .run_to_catalog(&mut catalog, index_binning)
             .unwrap();
         (Arc::new(catalog), dir)
     }
@@ -721,7 +724,8 @@ mod tests {
 
     #[test]
     fn save_and_warm_drive_the_store_across_restarts() {
-        let (catalog, dir) = tiny_catalog("savewarm");
+        // Written without indexes, so SAVE has something to write back.
+        let (catalog, dir) = generated_catalog("savewarm", None);
         let store_dir = dir.join("store");
         let mut catalog = Arc::into_inner(catalog).expect("sole owner");
         catalog.attach_store(datastore::Store::open(&store_dir).unwrap());
@@ -734,6 +738,12 @@ mod tests {
         let (stats, _) = state.handle_line("STATS");
         assert!(stats.contains("store_bytes_written="));
         assert!(!stats.contains("store_bytes_written=0\t"));
+        let written = save.rsplit('\t').next().unwrap();
+        assert!(stats.contains(&format!("store_bytes_written={written}\t")));
+        // Every file now holds its indexes: a second SAVE writes nothing.
+        state.dataset_cache().clear();
+        assert_eq!(state.handle_line("SAVE").0, "OK\tSAVE\t6\t0");
+        assert!(!store_dir.exists(), "the files are the catalog's own");
 
         // A "restarted" server over the same directories: WARM must load
         // every timestep from the store, building nothing.

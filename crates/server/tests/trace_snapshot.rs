@@ -218,65 +218,68 @@ fn store_load_trace_splits_read_verify_decode_and_names_a_corrupt_segment() {
     let select = |query: &str| {
         state.dataset_cache().clear();
         let (reply, _) = state.handle_line(&format!("SELECT\t2\t{query}"));
-        assert!(reply.starts_with("OK\tSELECT\t"), "{reply}");
-        state.tracer().last().expect("sampled")
+        (reply, state.tracer().last().expect("sampled"))
     };
 
-    // Cold: no segment yet, so the raw files are ingested and written back.
-    let cold = select("px > 0");
-    let load = cold.span("load").expect("cold load span");
-    assert!(load.notes.contains(&("source", "raw".to_string())));
-    assert!(cold.span("read").is_none(), "{}", cold.render_line());
+    // Every load reads the timestep's one file, and says where its time
+    // went and how many bytes it moved.
+    let path = catalog.entry(2).unwrap().path.clone();
+    let file_len = std::fs::metadata(&path).unwrap().len();
+    for query in ["px > 0", "px > 1"] {
+        let (reply, trace) = select(query);
+        assert!(reply.starts_with("OK\tSELECT\t"), "{reply}");
+        let load = trace.span("load").expect("load span");
+        assert_eq!(
+            load.notes,
+            vec![("step", "2".to_string()), ("bytes", file_len.to_string())]
+        );
+        let at = trace.spans.iter().position(|s| s.name == "load").unwrap();
+        let children: Vec<_> = trace.spans[at + 1..at + 4]
+            .iter()
+            .map(|s| (s.name, s.depth))
+            .collect();
+        let depth = load.depth + 1;
+        assert_eq!(
+            children,
+            vec![("read", depth), ("verify", depth), ("decode", depth)],
+            "{}",
+            trace.render_line()
+        );
+        let stages: u64 = trace.spans[at + 1..at + 4]
+            .iter()
+            .map(|s| s.elapsed_us)
+            .sum();
+        assert!(
+            stages <= load.elapsed_us,
+            "the stages partition the load: {}",
+            trace.render_line()
+        );
+    }
+    let stats = catalog.store().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses, stats.bytes_written), (2, 0, 0));
 
-    // Warm restart path: the segment answers, and the load says where its
-    // time went and how many bytes it moved.
-    let segment = catalog.store().unwrap().segment_path(2);
-    let segment_len = std::fs::metadata(&segment).unwrap().len();
-    let warm = select("px > 1");
-    let load = warm.span("load").expect("store load span");
-    assert_eq!(
-        load.notes,
-        vec![
-            ("step", "2".to_string()),
-            ("bytes", segment_len.to_string()),
-            ("source", "store".to_string()),
-        ]
-    );
-    let at = warm.spans.iter().position(|s| s.name == "load").unwrap();
-    let children: Vec<_> = warm.spans[at + 1..at + 4]
-        .iter()
-        .map(|s| (s.name, s.depth))
-        .collect();
-    let depth = load.depth + 1;
-    assert_eq!(
-        children,
-        vec![("read", depth), ("verify", depth), ("decode", depth)],
-        "{}",
-        warm.render_line()
-    );
-    let stages: u64 = warm.spans[at + 1..at + 4]
-        .iter()
-        .map(|s| s.elapsed_us)
-        .sum();
-    assert!(
-        stages <= load.elapsed_us,
-        "the stages partition the load: {}",
-        warm.render_line()
-    );
-
-    // A corrupt segment is no longer swallowed: the fallback names it.
-    let mut bytes = std::fs::read(&segment).unwrap();
+    // The file is the only copy: a corrupt one is an error reply whose load
+    // names it, never healed and never answered with rows.
+    let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
-    std::fs::write(&segment, &bytes).unwrap();
-    let healed = select("px > 2");
-    let load = healed.span("load").expect("fallback load span");
-    assert!(
-        load.notes
-            .contains(&("segment_error", "checksum_mismatch".to_string()))
-            && load.notes.contains(&("source", "raw".to_string())),
-        "{}",
-        healed.render_line()
-    );
+    std::fs::write(&path, &bytes).unwrap();
+    for query in ["px > 2", "px > 3"] {
+        let (reply, trace) = select(query);
+        assert!(reply.starts_with("ERR\t"), "{reply}");
+        let load = trace.span("load").expect("failed load span");
+        assert_eq!(
+            load.notes,
+            vec![
+                ("step", "2".to_string()),
+                ("bytes", file_len.to_string()),
+                ("segment_error", "checksum_mismatch".to_string()),
+            ],
+            "{}",
+            trace.render_line()
+        );
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "not rewritten");
+    assert_eq!(catalog.store().unwrap().stats(), stats, "nothing counted");
     std::fs::remove_dir_all(&dir).ok();
 }

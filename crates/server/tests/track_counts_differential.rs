@@ -9,11 +9,13 @@
 //! Id sets (seeded): the ids of a SELECT, a subset with duplicates in
 //! shuffled order, present ids mixed with ids absent from every step, and a
 //! set that matches nothing. Cache states: every step resident after
-//! `WARM`, a cold one-step budget over a store, no store at all (the
-//! catalog files' id-index sections), and one segment whose id-index
-//! section is corrupt; an explorer running `ExecStrategy::ScanOnly` over a
-//! dataset cache tracks to the same bytes. A hand-built catalog whose
-//! tables repeat an id pins that every matching row is counted.
+//! `WARM`, a cold one-step budget over a store whose files were written
+//! without indexes (so the first full loads write them back), no store at
+//! all (the catalog files' id-index sections), and one timestep file whose
+//! id-index section is corrupt, which is an error reply and never healed;
+//! an explorer running `ExecStrategy::ScanOnly` over a dataset cache tracks
+//! to the same bytes. A hand-built catalog whose tables repeat an id pins
+//! that every matching row is counted.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,7 +33,7 @@ use vdx_server::{Server, ServerConfig, ServerHandle};
 
 const TIMESTEPS: usize = 6;
 
-/// The generated catalog, optionally with a segment store attached.
+/// The generated catalog, optionally with a store attached.
 fn catalog(tag: &str, with_store: bool) -> (Arc<Catalog>, PathBuf) {
     let (catalog, dir) = tiny_catalog(tag, 500, TIMESTEPS, 16);
     if !with_store {
@@ -39,6 +41,23 @@ fn catalog(tag: &str, with_store: bool) -> (Arc<Catalog>, PathBuf) {
     }
     let mut catalog = Arc::into_inner(catalog).expect("not yet shared");
     catalog.attach_store(Store::open(dir.join("store")).unwrap());
+    (Arc::new(catalog), dir)
+}
+
+/// The generated catalog rewritten without indexes, with a store attached:
+/// the first full load of each step builds them and writes its file back.
+fn unindexed_catalog_with_store(tag: &str) -> (Arc<Catalog>, PathBuf) {
+    let (catalog, dir) = tiny_catalog(tag, 500, TIMESTEPS, 16);
+    let mut catalog = Arc::into_inner(catalog).expect("not yet shared");
+    for step in catalog.steps() {
+        let table = catalog.load(step, None, false).unwrap().table().clone();
+        catalog.write_timestep(step, &table, None).unwrap();
+    }
+    catalog.attach_store(
+        Store::open(dir.join("store"))
+            .unwrap()
+            .with_binning(Binning::EqualWidth { bins: 16 }),
+    );
     (Arc::new(catalog), dir)
 }
 
@@ -136,7 +155,7 @@ fn every_step_resident_after_warm() {
 
 #[test]
 fn cold_one_step_budget_over_a_store() {
-    let (catalog, dir) = catalog("track_counts_cold", true);
+    let (catalog, dir) = unindexed_catalog_with_store("track_counts_cold");
     let handle = server(&catalog, one_step_budget());
     // The SELECT leaves its step resident; everything else is cold.
     let sets = id_sets(&handle, 2);
@@ -150,8 +169,9 @@ fn cold_one_step_budget_over_a_store() {
     assert_eq!(cache.len(), len, "TRACK admits nothing");
     assert_eq!(cache.stats().resident_bytes, resident);
     let store = catalog.store().unwrap().stats();
-    // The SELECT's cold load wrote one segment; the first TRACK wrote the
-    // other steps' segments back and every later TRACK read them.
+    // The SELECT's cold load wrote its step's file back; the first TRACK
+    // found no id index in the others, so it wrote them back too, and
+    // every later TRACK read their id indexes.
     assert_eq!(store.misses, TIMESTEPS as u64);
     assert!(store.hits >= 3 * (TIMESTEPS as u64 - 1), "{store:?}");
     std::fs::remove_dir_all(&dir).ok();
@@ -185,15 +205,11 @@ fn section(bytes: &[u8], kind: u32) -> std::ops::Range<usize> {
 }
 
 #[test]
-fn a_corrupt_id_index_section_falls_back_and_heals() {
+fn a_corrupt_id_index_section_is_an_error_and_never_healed() {
     let (catalog, dir) = catalog("track_counts_corrupt", true);
-    // Write every segment through cold full loads, then corrupt step 2's
-    // id-index section (kind 4) in place.
-    for step in catalog.steps() {
-        catalog.load(step, None, true).unwrap();
-    }
-    let store = catalog.store().unwrap();
-    let path = store.segment_path(2);
+    // Corrupt step 2's id-index section (kind 4) in place: the file is the
+    // only copy of the timestep, so there is nothing to fall back to.
+    let path = catalog.entry(2).unwrap().path.clone();
     let pristine = std::fs::read(&path).unwrap();
     let ids = section(&pristine, 4);
     let mut corrupt = pristine.clone();
@@ -203,13 +219,15 @@ fn a_corrupt_id_index_section_falls_back_and_heals() {
 
     let handle = server(&catalog, one_step_budget());
     let tracked: Vec<u64> = (0..400).step_by(3).collect();
+    let store = catalog.store().unwrap();
     let before = store.stats();
-    let got = reply(&handle, &track_line(&tracked));
-    let after = store.stats();
-    assert_eq!(got, expected(&catalog, &tracked));
-    assert_eq!(after.misses, before.misses + 1, "one invalid segment");
-    assert_eq!(after.hits, before.hits + TIMESTEPS as u64 - 1);
-    assert_eq!(std::fs::read(&path).unwrap(), pristine, "segment rewritten");
+    for _ in 0..2 {
+        let (got, _) = handle.state().handle_line(&track_line(&tracked));
+        assert!(got.starts_with("ERR\t"), "{got}");
+    }
+    assert_eq!(store.stats().misses, before.misses, "nothing written back");
+    assert_eq!(store.stats().bytes_written, 0);
+    assert_eq!(std::fs::read(&path).unwrap(), corrupt, "never healed");
     assert_eq!(handle.state().dataset_cache().len(), 0, "nothing admitted");
     std::fs::remove_dir_all(&dir).ok();
 }

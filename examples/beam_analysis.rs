@@ -38,6 +38,9 @@ fn main() -> vdx_core::Result<()> {
         (SimConfig::paper_2d(particles), "2d")
     };
     let out_dir = std::env::temp_dir().join(format!("vdx-beam-analysis-{tag}"));
+    // Start from an empty directory: files an earlier build left there
+    // would otherwise sit beside the new ones.
+    std::fs::remove_dir_all(&out_dir).ok();
     let image_dir = std::path::PathBuf::from("target/vdx-examples");
     std::fs::create_dir_all(&image_dir)?;
 

@@ -11,6 +11,9 @@ use vdx_core::prelude::*;
 
 fn main() -> vdx_core::Result<()> {
     let out_dir = std::env::temp_dir().join("vdx-quickstart");
+    // Start from an empty directory: files an earlier build left there
+    // would otherwise sit beside the new ones.
+    std::fs::remove_dir_all(&out_dir).ok();
     let image_dir = std::path::PathBuf::from("target/vdx-examples");
     std::fs::create_dir_all(&image_dir)?;
 

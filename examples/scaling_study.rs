@@ -22,6 +22,9 @@ fn main() -> vdx_core::Result<()> {
     }
 
     let out_dir = std::env::temp_dir().join("vdx-scaling-study");
+    // Start from an empty directory: files an earlier build left there
+    // would otherwise sit beside the new ones.
+    std::fs::remove_dir_all(&out_dir).ok();
     println!("== generating scaling catalog: {timesteps} timesteps x {particles} particles ==");
     let sim = SimConfig::scaling(particles, timesteps);
     let gen_start = Instant::now();
